@@ -21,7 +21,6 @@ from .numerics import (
     coordinate_from_json,
     coordinate_to_json,
     frac_int_split,
-    integrate_1d,
     mod1_dist,
     parse_coordinate,
     reduce_mod1,

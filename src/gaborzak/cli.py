@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .numerics import (
     QuadratureSpec,
     parse_coordinate,
     reduce_mod1,
+    split_inner_product,
 )
 from .orbit import Gamma, classify, subgroup_closure
 from .trigpoly import TrigPolynomial, load_polynomial, min_modulus
@@ -346,7 +346,11 @@ def _cmd_cluster(args) -> int:
     if args.inner_product is not None:
         ab = parse_coordinate(args.inner_product)
     else:
-        ab = _inner_product_coordinate(alpha, beta)
+        rat, irr, _ = split_inner_product(alpha, beta)
+        ab = Coordinate.from_fraction(rat)
+        if irr != 0.0:  # irrational products that cancel keep the result exact
+            total = np.longdouble(rat.numerator) / rat.denominator + irr
+            ab = Coordinate.irrational(float(total))
     omega = (
         reduce_mod1(_parse_floats(args.omega))
         if args.omega
@@ -365,20 +369,6 @@ def _cmd_cluster(args) -> int:
     }
     _write_text(args.out, _json_text(out))
     return 0
-
-
-def _inner_product_coordinate(alpha, beta) -> Coordinate:
-    """<alpha,beta> as a Coordinate: exact when every product is rational."""
-    rat = Fraction(0)
-    irr = np.longdouble(0.0)
-    for a, b in zip(alpha, beta):
-        if a.is_rational and b.is_rational:
-            rat += a.fraction * b.fraction
-        else:
-            irr += a.longdouble() * b.longdouble()
-    if irr == 0.0:
-        return Coordinate.from_fraction(rat)
-    return Coordinate.irrational(float(np.longdouble(rat.numerator) / rat.denominator + irr))
 
 
 def _cmd_dual(args) -> int:

@@ -16,6 +16,10 @@ value (four-case arctangent ladder), the n-step phase recursion
 (everything mod 1), synthetic phase fields built from the one-step recursion,
 the normalized sequence zeta_n = exp(2 pi i theta_n / n), and the two cluster
 set descriptions whose forced equality drives the rigidity argument.
+
+All of these read one vectorized orbit pass over an array of steps j: the
+long-double lift t - j alpha, the reduced points, one ``eval_points`` call
+and one array version of the branch ladder; no orbit step is a Python loop.
 """
 
 from __future__ import annotations
@@ -27,8 +31,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalFailure, PhaseUndefined
-from .numerics import Coordinate, QuadratureSpec, TorusPoint, reduce_mod1
-from .orbit import Gamma, SubgroupH, haar_sample_points, orbit_points
+from .numerics import (
+    Coordinate,
+    QuadratureSpec,
+    TorusPoint,
+    inner_product_mod1_dist,
+    product_grid,
+    reduce_mod1,
+    split_inner_product,
+)
+# haar_sample_points is unused here but stays a module attribute: the traced
+# benchmark (bench/tracing.py) rebinds cocycle.haar_sample_points
+from .orbit import Gamma, SubgroupH, haar_sample_points, orbit_points  # noqa: F401
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -231,24 +245,10 @@ def theta_haar(
                 contributions.append(math.log(delta))
             else:
                 contributions.append(math.log(val))
-        value = math.fsum(contributions) / n_reps
-        return ThetaEstimate(
-            value=value,
-            method="haar-quadrature",
-            samples=n,
-            skipped_fraction=stats["clamped_volume"] / n_reps,
-        )
-
-    if quad.scheme == "gauss-legendre":
+    elif quad.scheme == "gauss-legendre":
         x, w = np.polynomial.legendre.leggauss(n)
-        nodes1 = 0.5 * (x + 1.0)
-        w1 = 0.5 * w
-        grids = np.meshgrid(*([nodes1] * t_dim), indexing="ij")
-        ygrid = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w1] * t_dim), indexing="ij")
-        wts = np.ones(ygrid.shape[0])
-        for g in wgrids:
-            wts = wts * g.ravel()
+        ygrid = product_grid(0.5 * (x + 1.0), t_dim)
+        wts = np.prod(product_grid(0.5 * w, t_dim), axis=1)
         for base_pt in reps:
             zpts = np.mod(base_pt[None, :] + ygrid @ dirs, 1.0)
             vals = np.abs(p.eval_points(zpts))
@@ -256,53 +256,44 @@ def theta_haar(
             stats["clamped_volume"] += float(np.sum(wts[clamped]))
             logs = np.log(np.maximum(vals, delta))
             contributions.append(math.fsum(wts * logs))
-        value = math.fsum(contributions) / n_reps
-        return ThetaEstimate(
-            value=value,
-            method="haar-quadrature",
-            samples=n,
-            skipped_fraction=stats["clamped_volume"] / n_reps,
-        )
-
-    # composite midpoint on the equispaced Haar grid: node l/N is the
-    # midpoint of a cell of halfwidth 1/(2N) in each tangent coordinate
-    offsets = np.arange(n) / n
-    grids = np.meshgrid(*([offsets] * t_dim), indexing="ij")
-    ygrid = np.stack([g.ravel() for g in grids], axis=-1)
-    hw0 = np.full(t_dim, 0.5 / n)
-    cell_vol = float(np.prod(2.0 * hw0))
-    radius0 = 2.0 * float(np.dot(lips, hw0))
-    for base_pt in reps:
-        zpts = np.mod(base_pt[None, :] + ygrid @ dirs, 1.0)
-        vals = np.abs(p.eval_points(zpts))
-        plain = vals > radius0
-        if not quad.refine_near_singularity:
-            clamped = ~(vals >= delta)
-            stats["clamped_volume"] += cell_vol * float(np.sum(clamped))
-            logs = np.log(np.maximum(vals, delta))
-            contributions.append(cell_vol * math.fsum(logs))
-            continue
-        total_plain = cell_vol * math.fsum(
-            np.log(np.maximum(vals[plain], delta))
-        )
-        stats["clamped_volume"] += cell_vol * float(
-            np.sum(vals[plain] < delta)
-        )
-        refined = [
-            _refine_cell(
-                p, base_pt, dirs, ygrid[i].copy(), hw0.copy(), lips, delta, 0, stats
+    else:
+        # composite midpoint on the equispaced Haar grid: node l/N is the
+        # midpoint of a cell of halfwidth 1/(2N) in each tangent coordinate
+        ygrid = product_grid(np.arange(n) / n, t_dim)
+        hw0 = np.full(t_dim, 0.5 / n)
+        cell_vol = float(np.prod(2.0 * hw0))
+        radius0 = 2.0 * float(np.dot(lips, hw0))
+        for base_pt in reps:
+            zpts = np.mod(base_pt[None, :] + ygrid @ dirs, 1.0)
+            vals = np.abs(p.eval_points(zpts))
+            plain = vals > radius0
+            if not quad.refine_near_singularity:
+                clamped = ~(vals >= delta)
+                stats["clamped_volume"] += cell_vol * float(np.sum(clamped))
+                logs = np.log(np.maximum(vals, delta))
+                contributions.append(cell_vol * math.fsum(logs))
+                continue
+            total_plain = cell_vol * math.fsum(
+                np.log(np.maximum(vals[plain], delta))
             )
-            for i in np.nonzero(~plain)[0]
-        ]
-        contributions.append(total_plain + math.fsum(refined))
+            stats["clamped_volume"] += cell_vol * float(
+                np.sum(vals[plain] < delta)
+            )
+            refined = [
+                _refine_cell(
+                    p, base_pt, dirs, ygrid[i].copy(), hw0.copy(), lips, delta, 0,
+                    stats,
+                )
+                for i in np.nonzero(~plain)[0]
+            ]
+            contributions.append(total_plain + math.fsum(refined))
     if stats["at_cap_volume"] > 1e-2:
         raise NumericalFailure(
             "Haar quadrature failed to converge: refinement budget exhausted "
             f"with volume fraction {stats['at_cap_volume']:.3e} unresolved"
         )
-    value = math.fsum(contributions) / n_reps
     return ThetaEstimate(
-        value=value,
+        value=math.fsum(contributions) / n_reps,
         method="haar-quadrature",
         samples=n,
         skipped_fraction=stats["clamped_volume"] / n_reps,
@@ -342,9 +333,7 @@ def balanced_fraction(
     grid.  Grid scale cannot distinguish measure-zero from positive-measure
     vanishing; this reports the fraction without adjudicating."""
     m = H.dimension
-    axis = np.arange(resolution) / resolution
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
+    flat = product_grid(np.arange(resolution) / resolution, m)
     hits = 0
     for row in flat:
         est = theta_haar(p, reduce_mod1(row), H, quad, delta)
@@ -353,58 +342,72 @@ def balanced_fraction(
     return hits / flat.shape[0]
 
 
+_CASE_TAGS = ("re-positive", "re-negative", "im-positive", "im-negative")
+
+
+def _branch_ladder(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The four-case ladder of ``phase_branch`` over an array of values:
+    branch values in [0, 1) and case indices into _CASE_TAGS."""
+    values = np.asarray(values, dtype=complex)
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        raise ValueError(f"phase of non-finite value {values[~finite][0]} is undefined")
+    re, im = values.real, values.imag
+    cases = [re > 0.0, re < 0.0, im > 0.0, im < 0.0]
+    case = np.select(cases, [0, 1, 2, 3], -1)
+    if np.any(case < 0):
+        raise ValueError("phase of zero is undefined")
+    with np.errstate(all="ignore"):  # Re = 0 rows are not read
+        slope = np.arctan(im / re)
+    rad = np.select(cases, [slope, slope + math.pi, 0.5 * math.pi, 1.5 * math.pi])
+    theta = np.mod(rad / (2.0 * math.pi), 1.0)
+    # float modulo of a tiny negative angle rounds up to the excluded
+    # endpoint; 0 and 1 are the same branch value
+    theta[theta >= 1.0] = 0.0
+    return theta, case
+
+
 def phase_branch(value: complex) -> PhaseBranch:
-    """Measurable phase branch of a nonzero complex number.
+    """Measurable phase branch of a nonzero finite complex number.
 
     Four-case ladder (radians): Re > 0 -> arctan(Im/Re); Re < 0 -> the same
     plus pi; Re = 0 -> pi/2 or 3 pi/2 by the sign of Im.  The result is
     divided by 2 pi and reduced into [0, 1) (the first case is negative for
     Im < 0); different branches differ by integers only.
     """
-    value = complex(value)
-    re, im = value.real, value.imag
-    if re > 0.0:
-        rad = math.atan(im / re)
-        tag = "re-positive"
-    elif re < 0.0:
-        rad = math.atan(im / re) + math.pi
-        tag = "re-negative"
-    elif im > 0.0:
-        rad = 0.5 * math.pi
-        tag = "im-positive"
-    elif im < 0.0:
-        rad = 1.5 * math.pi
-        tag = "im-negative"
-    else:
-        raise ValueError("phase of zero is undefined")
-    theta = (rad / (2.0 * math.pi)) % 1.0
-    if theta >= 1.0:
-        # float modulo of a tiny negative angle rounds up to the excluded
-        # endpoint; 0 and 1 are the same branch value
-        theta = 0.0
-    return PhaseBranch(theta=theta, case_tag=tag)
+    theta, case = _branch_ladder(np.array([complex(value)]))
+    return PhaseBranch(theta=float(theta[0]), case_tag=_CASE_TAGS[case[0]])
 
 
-def _inner_coordinates(a: tuple[Coordinate, ...], b: tuple[Coordinate, ...]):
-    """<a, b> split into exact rational and long-double irrational parts."""
-    rat = Fraction(0)
-    irr = np.longdouble(0.0)
-    for ca, cb in zip(a, b):
-        if ca.is_rational and cb.is_rational:
-            rat += ca.fraction * cb.fraction
-        else:
-            irr += ca.longdouble() * cb.longdouble()
-    return rat, irr
+def _phase_orbit(base, alpha, beta, steps, values=None, delta=1e-8, name="p"):
+    """The orbit z_j = (t - j alpha, w + j beta) at the integer steps j.
 
-
-def _orbit_step_point(base: TorusPoint, alpha, beta, j: int):
-    """Unreduced (t - j alpha, w + j beta) in long double, plus d."""
+    Returns the unreduced long-double lift t - j alpha, shape (k, d); the
+    points z_j mod 1 as float64, shape (k, 2d); and, given ``values`` (a map
+    from those points to complex values, such as ``p.eval_points``), their
+    measurable branch (else None).  Raises PhaseUndefined at the first step
+    where |value| < delta.
+    """
     d = len(alpha)
-    t = np.array([np.longdouble(base[i]) for i in range(d)])
-    w = np.array([np.longdouble(base[d + i]) for i in range(d)])
+    steps = np.asarray(steps, dtype=np.int64)
+    j = steps.astype(np.longdouble)[:, None]
+    coords = np.asarray(base.coords, dtype=np.longdouble)
     a = np.array([c.longdouble() for c in alpha])
     b = np.array([c.longdouble() for c in beta])
-    return t - np.longdouble(j) * a, w + np.longdouble(j) * b
+    t = coords[:d] - j * a
+    z = np.mod(np.concatenate([t, coords[d:] + j * b], axis=1), np.longdouble(1.0))
+    z = z.astype(float)
+    if values is None:
+        return t, z, None
+    vals = values(z)
+    small = np.flatnonzero(np.abs(vals) < delta)
+    if small.size:
+        i = small[0]
+        raise PhaseUndefined(
+            f"|{name}| = {abs(vals[i]):.3e} below {delta:g} at orbit step {steps[i]}",
+            step=int(steps[i]),
+        )
+    return t, z, _branch_ladder(vals)[0]
 
 
 def phase_cocycle_iterate(
@@ -429,21 +432,12 @@ def phase_cocycle_iterate(
         raise ValueError("dimension mismatch")
     if n < 0:
         raise ValueError("n must be >= 0")
-    phi_sum = np.longdouble(0.0)
-    for j in range(n):
-        t_j, w_j = _orbit_step_point(base, alpha, beta, j)
-        z = np.mod(np.concatenate([t_j, w_j]), np.longdouble(1.0)).astype(float)
-        val = phi_source.eval(z)
-        if abs(val) < delta:
-            raise PhaseUndefined(
-                f"|p| = {abs(val):.3e} below {delta:g} at orbit step {j}",
-                step=j,
-            )
-        phi_sum += np.longdouble(phase_branch(val).theta)
-    t0 = np.array([np.longdouble(base[i]) for i in range(d)])
+    _, _, phi = _phase_orbit(base, alpha, beta, range(n), phi_source.eval_points, delta)
+    phi_sum = np.sum(phi, dtype=np.longdouble)
+    t0 = np.asarray(base.coords[:d], dtype=np.longdouble)
     b_ld = np.array([c.longdouble() for c in beta])
     tb = np.dot(t0, b_ld)
-    ab_rat, ab_irr = _inner_coordinates(alpha, beta)
+    ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
     half = Fraction(n * (n - 1), 2)
     rational_part = -half * ab_rat
     rational_part -= math.floor(rational_part)
@@ -466,7 +460,8 @@ class SyntheticPhaseField:
     (a real lift; globally consistent phase fields need not exist, so this
     constructs one synthetically from any seed value).  phi is the
     measurable branch of the supplied polynomial, which must stay nonzero
-    along the orbit.
+    along the orbit.  Lifts are cached and extended by a running sum seeded
+    with the last cached lift.
     """
 
     def __init__(
@@ -486,38 +481,33 @@ class SyntheticPhaseField:
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.delta = delta
-        self._lifts = [np.longdouble(theta0)]
-
-    def _extend(self, n: int) -> None:
-        while len(self._lifts) <= n:
-            j = len(self._lifts) - 1
-            t_j, w_j = _orbit_step_point(self.base, self.alpha, self.beta, j)
-            z = np.mod(np.concatenate([t_j, w_j]), np.longdouble(1.0)).astype(float)
-            val = self.phi_source.eval(z)
-            if abs(val) < self.delta:
-                raise PhaseUndefined(
-                    f"|p| = {abs(val):.3e} below {self.delta:g} at orbit step {j}",
-                    step=j,
-                )
-            phi = np.longdouble(phase_branch(val).theta)
-            b_ld = np.array([c.longdouble() for c in self.beta])
-            tb = np.dot(t_j, b_ld)
-            self._lifts.append(self._lifts[-1] + phi + tb)
+        self._lifts = np.array([theta0], dtype=np.longdouble)
 
     def phase_lift(self, n: int) -> float:
         """Real-valued lift of theta at orbit step n."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        self._extend(n)
+        done = len(self._lifts) - 1
+        if n > done:
+            t, _, phi = _phase_orbit(
+                self.base, self.alpha, self.beta, range(done, n),
+                self.phi_source.eval_points, self.delta,
+            )
+            b_ld = np.array([c.longdouble() for c in self.beta])
+            # phi_j and <t_j, beta> enter the running sum as separate terms,
+            # in the recursion's order: lifts grow like n^2 <alpha, beta>, and
+            # the float64 result would turn any reassociation into ~1e-11 jumps
+            terms = np.stack([phi.astype(np.longdouble), t @ b_ld], axis=1).ravel()
+            lifts = np.cumsum(np.concatenate([self._lifts[-1:], terms]))
+            self._lifts = np.concatenate([self._lifts, lifts[2::2]])
         return float(self._lifts[n])
 
     def phase_at_step(self, n: int) -> float:
         return self.phase_lift(n) % 1.0
 
     def point_at_step(self, n: int) -> TorusPoint:
-        t_n, w_n = _orbit_step_point(self.base, self.alpha, self.beta, n)
-        z = np.mod(np.concatenate([t_n, w_n]), np.longdouble(1.0)).astype(float)
-        return reduce_mod1(z)
+        _, z, _ = _phase_orbit(self.base, self.alpha, self.beta, [n])
+        return reduce_mod1(z[0])
 
 
 def normalized_phase_sequence(
@@ -535,28 +525,22 @@ def normalized_phase_sequence(
     the quasi-periodicity correction <integer part of t - n alpha,
     fractional part of w + n beta>.
     """
-    d = len(alpha)
-    out = []
-    for n in n_list:
-        if n < 1:
-            raise ValueError("n values must be >= 1")
-        if isinstance(field, SyntheticPhaseField):
-            theta_n = field.phase_lift(n)
-        else:
-            t_n, w_n = _orbit_step_point(base, alpha, beta, n)
-            t_red = np.mod(t_n, np.longdouble(1.0))
-            w_red = np.mod(w_n, np.longdouble(1.0))
-            iota = (t_n - t_red).astype(float)
-            val = field.point_value(t_red.astype(float), w_red.astype(float))
-            if abs(val) < delta:
-                raise PhaseUndefined(
-                    f"|Zf| = {abs(val):.3e} below {delta:g} at n = {n}", step=n
-                )
-            theta_n = phase_branch(val).theta + float(
-                np.dot(iota, w_red.astype(np.longdouble))
-            )
-        out.append(complex(np.exp(2j * np.pi * theta_n / n)))
-    return out
+    ns = list(n_list)
+    if any(n < 1 for n in ns):
+        raise ValueError("n values must be >= 1")
+    if isinstance(field, SyntheticPhaseField):
+        thetas = np.array([field.phase_lift(n) for n in ns])
+    else:
+        d = len(alpha)
+
+        def fresh_sums(z):  # one fresh lattice sum per point, never the grid
+            return np.array([field.point_value(r[:d], r[d:]) for r in z], dtype=complex)
+
+        t, z, branch = _phase_orbit(base, alpha, beta, ns, fresh_sums, delta, "Zf")
+        iota = (t - np.mod(t, np.longdouble(1.0))).astype(float)
+        corr = np.sum(iota * z[:, d:].astype(np.longdouble), axis=1).astype(float)
+        thetas = branch + corr
+    return [complex(np.exp(2j * np.pi * th / n)) for th, n in zip(thetas, ns)]
 
 
 def phase_mean_along_orbit(
@@ -577,30 +561,10 @@ def phase_mean_along_orbit(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    values = []
-    winding = 0
-    prev = None
-    for j in range(n):
-        t_j, w_j = _orbit_step_point(base, alpha, beta, j)
-        z = np.mod(np.concatenate([t_j, w_j]), np.longdouble(1.0)).astype(float)
-        val = phi_source.eval(z)
-        if abs(val) < delta:
-            raise PhaseUndefined(
-                f"|p| = {abs(val):.3e} below {delta:g} at orbit step {j}", step=j
-            )
-        raw = phase_branch(val).theta
-        if prev is None:
-            lift = raw
-        else:
-            k = round(prev - raw)
-            if abs(raw + k - prev) > 0.5:
-                k += 1 if raw + k < prev else -1
-            if k != 0:
-                winding += abs(k)
-            lift = raw + k
-        values.append(lift)
-        prev = lift
-    return math.fsum(values) / n, winding
+    _, _, raw = _phase_orbit(base, alpha, beta, range(n), phi_source.eval_points, delta)
+    # k_j: the integer keeping step j within half a turn of step j - 1's lift
+    k = np.concatenate([[0.0], np.cumsum(np.rint(raw[:-1] - raw[1:]))])
+    return math.fsum(raw + k) / n, int(np.sum(np.abs(k)))
 
 
 def cluster_set_c1(inner_product_alpha_beta: Coordinate) -> ClusterSet:
@@ -735,22 +699,5 @@ def rigidity_scan(
             raise ValueError(f"shift {shift} has wrong length")
         if not any(shift):
             raise ValueError("shifts must be nonzero")
-        rat = Fraction(0)
-        irr = np.longdouble(0.0)
-        exact = True
-        for s, c in zip(shift, beta):
-            if s == 0:
-                continue
-            if c.is_rational:
-                rat += s * c.fraction
-            else:
-                exact = False
-                irr += np.longdouble(s) * c.longdouble()
-        if exact:
-            frac = rat - math.floor(rat)
-            defect = float(min(frac, 1 - frac))
-        else:
-            total = irr + np.longdouble(rat.numerator) / np.longdouble(rat.denominator)
-            defect = float(abs(total - np.rint(total)))
-        out.append((shift, defect))
+        out.append((shift, inner_product_mod1_dist(shift, beta)))
     return out

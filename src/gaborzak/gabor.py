@@ -25,6 +25,7 @@ from .numerics import (
     QuadratureSpec,
     coordinate_from_json,
     coordinate_to_json,
+    product_grid,
 )
 from .windows import GaussianWindow, Window
 
@@ -174,15 +175,7 @@ def _quadrature_nodes(spec: QuadratureSpec, radius: float, d: int):
         h = 2.0 * radius / n
         nodes1 = -radius + (np.arange(n) + 0.5) * h
         w1 = np.full(n, h)
-    if d == 1:
-        return nodes1[:, None], w1
-    grids = np.meshgrid(*([nodes1] * d), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w1] * d), indexing="ij")
-    wts = np.ones(nodes.shape[0])
-    for g in wgrids:
-        wts = wts * g.ravel()
-    return nodes, wts
+    return product_grid(nodes1, d), np.prod(product_grid(w1, d), axis=1)
 
 
 def _finalize_gram(G: np.ndarray, method: str) -> GramResult:
@@ -228,9 +221,7 @@ def gram_matrix_zak(
     from .zak import _lattice_sums, _choose_truncation
 
     d, M = cfg.dimension, resolution
-    axis = np.arange(M) / M
-    grids = np.meshgrid(*([axis] * (2 * d)), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
+    flat = product_grid(np.arange(M) / M, 2 * d)
     tpts, opts = flat[:, :d], flat[:, d:]
     images = []
     for pt in cfg.points:

@@ -1,5 +1,5 @@
 """Exact/float coordinate arithmetic, torus reduction, deterministic summation,
-and one-dimensional quadrature.
+the exact/long-double inner product and product grids.
 
 Coordinates are either exact rationals (stored as ``fractions.Fraction`` in
 lowest terms) or tagged irrationals (a float64 value plus an optional label
@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import NumericalFailure
 
 __all__ = [
     "Coordinate",
@@ -26,8 +24,10 @@ __all__ = [
     "reduce_mod1",
     "frac_int_split",
     "stable_sum",
-    "integrate_1d",
     "mod1_dist",
+    "split_inner_product",
+    "inner_product_mod1_dist",
+    "product_grid",
     "parse_coordinate",
     "coordinate_from_json",
     "coordinate_to_json",
@@ -264,6 +264,48 @@ def mod1_dist(x: float) -> float:
     return min(f, 1.0 - f)
 
 
+def split_inner_product(a, b) -> tuple[Fraction, np.longdouble, bool]:
+    """<a, b> over ints or Coordinates as (exact rational part, long-double
+    irrational part, whether every product was rational).
+
+    A product joins the exact part only when both factors are rational; one
+    with an irrational factor goes to the long-double part.  Products with an
+    exact zero factor are skipped, so they never make the result inexact.
+    """
+    rat = Fraction(0)
+    irr = np.longdouble(0.0)
+    exact = True
+    for x, y in zip(a, b):
+        x = x if isinstance(x, Coordinate) else Coordinate.rational(int(x))
+        y = y if isinstance(y, Coordinate) else Coordinate.rational(int(y))
+        if (x.is_rational and x.fraction == 0) or (y.is_rational and y.fraction == 0):
+            continue
+        if x.is_rational and y.is_rational:
+            rat += x.fraction * y.fraction
+        else:
+            exact = False
+            irr += x.longdouble() * y.longdouble()
+    return rat, irr, exact
+
+
+def inner_product_mod1_dist(a, b) -> float:
+    """Distance from <a, b> to the nearest integer: exact when every product
+    is rational, in long double otherwise."""
+    rat, irr, exact = split_inner_product(a, b)
+    if exact:
+        frac = rat - math.floor(rat)
+        return float(min(frac, 1 - frac))
+    total = irr + np.longdouble(rat.numerator) / np.longdouble(rat.denominator)
+    return float(abs(total - np.rint(total)))
+
+
+def product_grid(axis: np.ndarray, k: int) -> np.ndarray:
+    """(n**k, k) array of every k-tuple of entries of the 1-D ``axis`` in ij
+    order: the last coordinate varies fastest."""
+    grids = np.meshgrid(*([axis] * k), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
 def stable_sum(terms: Iterable[complex]) -> complex:
     """Compensated left-to-right summation; bit-reproducible for a fixed
     input order.  Real and imaginary parts are accumulated with exactly
@@ -275,73 +317,3 @@ def stable_sum(terms: Iterable[complex]) -> complex:
         res.append(c.real)
         ims.append(c.imag)
     return complex(math.fsum(res), math.fsum(ims))
-
-
-def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
-
-
-def _adaptive_cell(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    depth: int,
-    max_depth: int,
-    tol: float,
-) -> float:
-    h = hi - lo
-    mid = 0.5 * (lo + hi)
-    v = f(mid)
-    coarse = h * v
-    vl = f(lo + 0.25 * h)
-    vr = f(lo + 0.75 * h)
-    fine = 0.5 * h * (vl + vr)
-    finite = math.isfinite(coarse) and math.isfinite(fine)
-    if finite and (abs(fine - coarse) <= tol * max(1.0, abs(fine)) or depth >= max_depth):
-        return fine
-    if depth >= max_depth:
-        raise NumericalFailure(
-            f"quadrature cell [{lo}, {hi}] failed to converge "
-            f"(non-finite or oscillatory integrand near x={mid})"
-        )
-    return _adaptive_cell(f, lo, mid, depth + 1, max_depth, tol) + _adaptive_cell(
-        f, mid, hi, depth + 1, max_depth, tol
-    )
-
-
-def integrate_1d(f: Callable[[float], float], spec: QuadratureSpec) -> float:
-    """Quadrature of f over [0,1].
-
-    ``composite-midpoint`` uses N equal cells (spectrally accurate for smooth
-    periodic integrands); with ``refine_near_singularity`` each cell is
-    bisected adaptively, which handles integrable log singularities.
-    ``gauss-legendre`` is a single n-point panel, exact for polynomials of
-    degree <= 2n-1.  A NaN at a node with refinement disabled raises
-    NumericalFailure naming the node.
-    """
-    n = spec.points_per_axis
-    if spec.scheme == "gauss-legendre":
-        nodes, weights = _gauss_legendre_01(n)
-        vals = []
-        for x, wgt in zip(nodes, weights):
-            v = f(float(x))
-            if not math.isfinite(v):
-                raise NumericalFailure(f"integrand non-finite at node x={float(x)}")
-            vals.append(wgt * v)
-        return math.fsum(vals)
-
-    h = 1.0 / n
-    if not spec.refine_near_singularity:
-        vals = []
-        for j in range(n):
-            x = (j + 0.5) * h
-            v = f(x)
-            if not math.isfinite(v):
-                raise NumericalFailure(f"integrand non-finite at node x={x}")
-            vals.append(v)
-        return math.fsum(vals) * h
-    pieces = [
-        _adaptive_cell(f, j * h, (j + 1) * h, 0, 40, 1e-12) for j in range(n)
-    ]
-    return math.fsum(pieces)

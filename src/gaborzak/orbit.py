@@ -18,13 +18,18 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import AmbiguousClassification, NumericalFailure
 from .lattice import hnf_basis, kernel_of_form, smith_normal_form
-from .numerics import Coordinate, TorusPoint, parse_coordinate, reduce_mod1
+from .numerics import (
+    Coordinate,
+    TorusPoint,
+    inner_product_mod1_dist,
+    parse_coordinate,
+    reduce_mod1,
+)
 
 __all__ = [
     "Gamma",
@@ -287,27 +292,6 @@ def classify(gamma: Gamma, search_bound: int = 50, tolerance: float = 1e-9) -> O
     )
 
 
-def _relation_residual(gamma: Gamma, row: Sequence[int]) -> float:
-    rational_part = Fraction(0)
-    irrational = np.longdouble(0.0)
-    has_irr = False
-    for ri, c in zip(row, gamma.coords):
-        if ri == 0:
-            continue
-        if c.is_rational:
-            rational_part += ri * c.fraction
-        else:
-            has_irr = True
-            irrational += np.longdouble(ri) * c.longdouble()
-    if not has_irr:
-        frac = rational_part - Fraction(math.floor(rational_part))
-        return float(min(frac, 1 - frac))
-    total = irrational + np.longdouble(
-        rational_part.numerator
-    ) / np.longdouble(rational_part.denominator)
-    return float(abs(total - np.rint(total)))
-
-
 def subgroup_closure(gamma: Gamma, cls: OrbitClass) -> SubgroupH:
     """Closure subgroup H from the classification's relation basis.
 
@@ -321,7 +305,7 @@ def subgroup_closure(gamma: Gamma, cls: OrbitClass) -> SubgroupH:
     # HNF reduction takes integer combinations of the found relations, which
     # can amplify advisory residuals; anything past 1e-6 is inconsistent.
     for row in basis:
-        resid = _relation_residual(gamma, row)
+        resid = inner_product_mod1_dist(row, gamma.coords)
         if resid >= 1e-6:
             raise NumericalFailure(
                 f"relation {tuple(row)} has residual {resid:.3e}; "

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import lattice_contains
-from .numerics import TorusPoint, stable_sum
+from .numerics import TorusPoint, product_grid, stable_sum
 
 __all__ = [
     "TrigPolynomial",
@@ -198,9 +198,7 @@ def min_modulus(p: TrigPolynomial, resolution: int) -> MinModulusResult:
         best = np.array([i * h, j * h])
         best_val = float(mods[i, j])
     else:
-        ax = np.arange(resolution) / resolution
-        grids = np.meshgrid(*([ax] * m), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = product_grid(np.arange(resolution) / resolution, m)
         mods = np.abs(p.eval_points(pts))
         flat_idx = int(np.argmin(mods))
         best = pts[flat_idx].copy()

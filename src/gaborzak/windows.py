@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSupport
+from .numerics import product_grid
 
 __all__ = [
     "Window",
@@ -155,8 +156,7 @@ def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None)
     if radius is None:
         radius = w.effective_radius
     ax = np.arange(-radius, radius + grid_step / 2, grid_step)
-    grids = np.meshgrid(*([ax] * w.dimension), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = product_grid(ax, w.dimension)
     vals = w.eval_many(pts)
     s = float(np.sum(np.abs(vals) ** 2, dtype=np.longdouble) * grid_step ** w.dimension)
     return math.sqrt(s)
@@ -175,8 +175,7 @@ def decay_bound(w: Window, order: int, grid_step: float = 1.0 / 64) -> DecayBoun
     else:
         radius = w.effective_radius + 2.0
     ax = np.arange(-radius, radius + grid_step / 2, grid_step)
-    grids = np.meshgrid(*([ax] * w.dimension), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = product_grid(ax, w.dimension)
     vals = np.abs(w.eval_many(pts))
     weight = (1.0 + np.sqrt(np.sum(pts * pts, axis=-1))) ** order
     return DecayBound(constant=float(np.max(vals * weight)), order=int(order))

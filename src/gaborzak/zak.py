@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailure, TruncationError
-from .numerics import TorusPoint
+from .numerics import TorusPoint, product_grid
 from .windows import Window, decay_bound
 
 __all__ = [
@@ -171,9 +171,7 @@ def zak_transform(
                 f"target {tail_target:g}",
                 suggested_k=KK,
             )
-    axis = np.arange(M) / M
-    tgrids = np.meshgrid(*([axis] * d), indexing="ij")
-    t_flat = np.stack([g.ravel() for g in tgrids], axis=-1)
+    t_flat = product_grid(np.arange(M) / M, d)
     o_flat = t_flat  # identical gridding on the frequency axes
     nt = t_flat.shape[0]
     vals = np.zeros((nt, nt), dtype=complex)
@@ -212,9 +210,7 @@ def quasi_periodicity_residual(Z: ZakGrid) -> float:
     |Zf(t+e_l, w) - e^{2 pi i w_l} Zf(t, w)| and |Zf(t, w+e_l) - Zf(t, w)|,
     with shifted values recomputed as fresh sums."""
     d, M = Z.dimension, Z.resolution
-    axis = np.arange(M) / M
-    grids = np.meshgrid(*([axis] * (2 * d)), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
+    flat = product_grid(Z.axis, 2 * d)
     tpts, opts = flat[:, :d], flat[:, d:]
     base = Z.values.ravel()
     worst = 0.0
@@ -243,9 +239,7 @@ def functional_equation_residual(Z: ZakGrid, p, alpha, beta) -> float:
     b = np.array([c.float() for c in beta], dtype=float)
     if a.shape != (d,) or b.shape != (d,):
         raise ValueError("alpha and beta must each have length d")
-    axis = np.arange(M) / M
-    grids = np.meshgrid(*([axis] * (2 * d)), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
+    flat = product_grid(Z.axis, 2 * d)
     tpts, opts = flat[:, :d], flat[:, d:]
     lhs = p.eval_points(flat) * Z.values.ravel()
     margin = int(np.ceil(np.max(np.abs(a)))) + 1 if d else 1

@@ -29,7 +29,13 @@ from gaborzak.numerics import (
     parse_coordinate,
     reduce_mod1,
 )
-from gaborzak.orbit import Gamma, classify, orbit_points, subgroup_closure
+from gaborzak.orbit import (
+    Gamma,
+    classify,
+    orbit_iterate,
+    orbit_points,
+    subgroup_closure,
+)
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow
 from gaborzak.zak import zak_transform
@@ -266,6 +272,19 @@ class TestPhaseBranch:
         with pytest.raises(ValueError):
             phase_branch(0.0)
 
+    @pytest.mark.parametrize(
+        "z", [complex(math.nan, 1.0), complex(math.nan, 0.0), complex(math.inf, 0.0)]
+    )
+    def test_non_finite_rejected(self, z):
+        with pytest.raises(ValueError, match="non-finite"):
+            phase_branch(z)
+
+    def test_orbit_pass_rejects_non_finite_values(self):
+        p_nan = TrigPolynomial(2, [((0, 0), complex(math.nan, 1.0))])
+        base, alpha, beta = reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("1"),)
+        with pytest.raises(ValueError, match="non-finite"):
+            phase_cocycle_iterate(0.0, p_nan, base, alpha, beta, 3)
+
     @given(
         st.complex_numbers(
             min_magnitude=1e-6, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -318,6 +337,21 @@ class TestPhaseCocycleIterate:
             want = (0.2 + n * self.BASE[0]) % 1.0
             assert mod1_dist(got - want) < 1e-10
 
+    def test_matches_scalar_reference(self):
+        # per-step reference: scalar eval and phase_branch at orbit_iterate
+        # points, summed in fsum; the closed form differs only by rounding
+        alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
+        gamma = Gamma((-alpha[0], beta[0]))
+        n = 50
+        phis = [
+            phase_branch(P2.eval(orbit_iterate(self.BASE, gamma, j))).theta
+            for j in range(n)
+        ]
+        a, b = math.sqrt(2), math.sqrt(3)
+        want = 0.37 + math.fsum(phis) + n * self.BASE[0] * b - n * (n - 1) / 2 * a * b
+        got = phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, n)
+        assert mod1_dist(got - want) < 1e-9
+
     def test_vanishing_orbit_point_raises_with_step(self):
         # P1(1/3, 1/6) = 0; place the zero at step 1
         base = reduce_mod1([1 / 3, 1 / 6 - 0.25])
@@ -330,6 +364,22 @@ class TestPhaseCocycleIterate:
             phase_cocycle_iterate(0.0, P2, self.BASE, (mk("1"),), (mk("1"),), -1)
         with pytest.raises(ValueError):
             phase_cocycle_iterate(0.0, P2, reduce_mod1([0.3]), (mk("1"),), (mk("1"),), 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_interior_zero_reports_its_step(k):
+    # P1 vanishes at (1/3, 1/6); beta = 1/4 walks the base onto it at step k
+    base = reduce_mod1([1 / 3, 1 / 6 - k / 4])
+    alpha, beta = (mk("0"),), (mk("1/4"),)
+    calls = (
+        lambda: phase_cocycle_iterate(0.0, P1, base, alpha, beta, k + 2),
+        lambda: SyntheticPhaseField(P1, base, alpha, beta).phase_lift(k + 2),
+        lambda: phase_mean_along_orbit(P1, base, alpha, beta, k + 2),
+    )
+    for call in calls:
+        with pytest.raises(PhaseUndefined, match=f"at orbit step {k}$") as exc:
+            call()
+        assert exc.value.step == k
 
 
 class TestSyntheticPhaseField:
@@ -359,6 +409,13 @@ class TestSyntheticPhaseField:
         with pytest.raises(PhaseUndefined) as exc:
             field.phase_lift(1)
         assert exc.value.step == 0
+
+    def test_lifts_before_a_failure_stay_available(self):
+        args = (P1, reduce_mod1([1 / 3, 1 / 6 - 3 / 4]), (mk("0"),), (mk("1/4"),))
+        field = SyntheticPhaseField(*args, theta0=0.2)
+        with pytest.raises(PhaseUndefined):
+            field.phase_lift(6)
+        assert field.phase_lift(3) == SyntheticPhaseField(*args, theta0=0.2).phase_lift(3)
 
 
 class TestNormalizedPhaseSequence:
@@ -435,8 +492,9 @@ class TestPhaseMeanAlongOrbit:
         mean, winding = phase_mean_along_orbit(
             P2, self.BASE, (mk("sqrt2"),), (mk("sqrt3"),), 1001
         )
-        assert winding > 0
+        assert winding == 489
         assert mod1_dist(mean) < 1e-3
+        assert mean == pytest.approx(0.9999709064357214, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gaborzak.errors import NumericalFailure
 from gaborzak.numerics import (
     Coordinate,
     QuadratureSpec,
@@ -13,10 +13,12 @@ from gaborzak.numerics import (
     coordinate_from_json,
     coordinate_to_json,
     frac_int_split,
-    integrate_1d,
+    inner_product_mod1_dist,
     mod1_dist,
     parse_coordinate,
+    product_grid,
     reduce_mod1,
+    split_inner_product,
     stable_sum,
 )
 
@@ -102,6 +104,45 @@ class TestTorusReduction:
         assert mod1_dist(0.0) == 0.0
 
 
+class TestInnerProduct:
+    def test_rational_products_stay_exact(self):
+        a = (parse_coordinate("1/3"), parse_coordinate("2"))
+        b = (parse_coordinate("3/4"), parse_coordinate("-1/5"))
+        assert split_inner_product(a, b) == (Fraction(1, 4) - Fraction(2, 5), 0.0, True)
+
+    def test_rational_times_irrational_goes_to_long_double(self):
+        a = (parse_coordinate("1/2"), parse_coordinate("sqrt2"))
+        b = (parse_coordinate("sqrt3"), parse_coordinate("1/3"))
+        rat, irr, exact = split_inner_product(a, b)
+        assert rat == 0 and not exact
+        sqrt2, sqrt3 = np.sqrt(np.longdouble(2)), np.sqrt(np.longdouble(3))
+        assert irr == np.longdouble(0.5) * sqrt3 + sqrt2 * (np.longdouble(1) / 3)
+
+    def test_integer_factors_and_zero_skipping(self):
+        beta = (parse_coordinate("sqrt2"), parse_coordinate("1/3"))
+        assert split_inner_product((0, 2), beta) == (Fraction(2, 3), 0.0, True)
+        rat, irr, exact = split_inner_product((3, 0), beta)
+        assert (rat, exact) == (0, False)
+        assert irr == 3 * np.sqrt(np.longdouble(2))
+
+    def test_mod1_distance(self):
+        beta = (parse_coordinate("1/2"), parse_coordinate("1/3"))
+        assert inner_product_mod1_dist((1, 2), beta) == pytest.approx(1 / 6, abs=1e-15)
+        assert inner_product_mod1_dist((2, 3), beta) == 0.0
+        sqrt2 = (parse_coordinate("sqrt2"),)
+        assert inner_product_mod1_dist((1,), sqrt2) == pytest.approx(math.sqrt(2) - 1)
+        # cancelling irrational products leave an exact integer
+        assert inner_product_mod1_dist((1, 1), sqrt2 + (-sqrt2[0],)) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_product_grid_matches_itertools_order(k):
+    axis = np.array([0.0, 0.25, 0.7])
+    grid = product_grid(axis, k)
+    assert grid.shape == (3**k, k)
+    assert [tuple(row) for row in grid] == list(itertools.product(axis, repeat=k))
+
+
 def test_stable_sum_many_small_terms():
     total = stable_sum([0.1] * 10**6)
     assert abs(total - 1e5) < 1e-9
@@ -113,38 +154,6 @@ def test_stable_sum_complex_cancellation():
 
 
 class TestIntegrate1D:
-    def test_gauss_legendre_polynomial_exactness(self):
-        # n-point Gauss-Legendre integrates degree <= 2n-1 exactly
-        for n in (2, 4, 6):
-            deg = 2 * n - 1
-            spec = QuadratureSpec("gauss-legendre", n, False)
-            val = integrate_1d(lambda x, d=deg: x**d, spec)
-            assert abs(val - 1.0 / (deg + 1)) < 1e-13
-
-    def test_midpoint_smooth(self):
-        spec = QuadratureSpec("composite-midpoint", 512, False)
-        val = integrate_1d(lambda x: math.sin(2 * math.pi * x) ** 2, spec)
-        assert abs(val - 0.5) < 1e-10
-
-    def test_log_singularity_with_refinement(self):
-        # Jensen: int_0^1 ln|2 - e^{2 pi i w}| dw = ln 2
-        spec = QuadratureSpec("composite-midpoint", 256, True)
-        val = integrate_1d(
-            lambda w: math.log(abs(2.0 - complex(math.cos(2 * math.pi * w), math.sin(2 * math.pi * w)))),
-            spec,
-        )
-        assert abs(val - math.log(2.0)) < 1e-6
-
-    def test_integrable_endpoint_singularity(self):
-        spec = QuadratureSpec("composite-midpoint", 256, True)
-        val = integrate_1d(lambda x: math.log(x) if x > 0 else -1e30, spec)
-        assert abs(val - (-1.0)) < 1e-3
-
-    def test_non_finite_raises(self):
-        spec = QuadratureSpec("composite-midpoint", 16, False)
-        with pytest.raises(NumericalFailure):
-            integrate_1d(lambda x: float("nan"), spec)
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec("simpson", 8, False)
