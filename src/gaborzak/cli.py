@@ -21,10 +21,10 @@ import numpy as np
 
 from .cocycle import (
     SyntheticPhaseField,
+    _phase_cocycle_rhs,
     cluster_set_c1,
     cluster_set_c2,
     cluster_sets_match,
-    phase_cocycle_iterate,
     theta_birkhoff,
     theta_haar,
 )
@@ -321,11 +321,12 @@ def _cmd_phase_check(args) -> int:
     alpha = _parse_coords(args.alpha)
     beta = _parse_coords(args.beta)
     field = SyntheticPhaseField(p, base, alpha, beta, theta0=args.theta0)
+    steps = range(1, args.n + 1)
+    rhs = _phase_cocycle_rhs(args.theta0, p, base, alpha, beta, steps).tolist()
     worst = 0.0
-    for n in range(1, args.n + 1):
+    for n, rhs_n in zip(steps, rhs):
         lhs = field.phase_at_step(n)
-        rhs = phase_cocycle_iterate(args.theta0, p, base, alpha, beta, n)
-        diff = abs(lhs - rhs) % 1.0
+        diff = abs(lhs - rhs_n) % 1.0
         worst = max(worst, min(diff, 1.0 - diff))
     inner = math.fsum(a.float() * b.float() for a, b in zip(alpha, beta))
     out = {

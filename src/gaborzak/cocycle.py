@@ -410,6 +410,35 @@ def _phase_orbit(base, alpha, beta, steps, values=None, delta=1e-8, name="p"):
     return t, z, _branch_ladder(vals)[0]
 
 
+def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns, delta=1e-8):
+    """phase_cocycle_iterate at every n in ns, as a float64 array, from one
+    orbit pass over the steps j < max(ns) and its long-double prefix sums."""
+    d = len(alpha)
+    if len(beta) != d or phi_source.dimension != 2 * d or len(base) != 2 * d:
+        raise ValueError("dimension mismatch")
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.min(initial=0) < 0:
+        raise ValueError("n must be >= 0")
+    steps = range(int(ns.max(initial=0)))
+    _, _, phi = _phase_orbit(base, alpha, beta, steps, phi_source.eval_points, delta)
+    phi_sums = np.concatenate([[0], np.cumsum(phi, dtype=np.longdouble)])[ns]
+    t0 = np.asarray(base.coords[:d], dtype=np.longdouble)
+    b_ld = np.array([c.longdouble() for c in beta])
+    tb = np.dot(t0, b_ld)
+    ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
+    # the rational part of n(n-1)/2 <a,b> is reduced mod 1 exactly
+    num, den = ab_rat.numerator, ab_rat.denominator
+    rational_part = [(-(n * (n - 1) // 2) * num) % den for n in ns.tolist()]
+    total = (
+        np.longdouble(theta0)
+        + phi_sums
+        + ns.astype(np.longdouble) * tb
+        - (ns * (ns - 1)).astype(np.longdouble) / np.longdouble(2.0) * ab_irr
+        + np.array(rational_part, dtype=np.longdouble) / np.longdouble(den)
+    )
+    return np.mod(total, np.longdouble(1.0)).astype(float)
+
+
 def phase_cocycle_iterate(
     theta0: float,
     phi_source: TrigPolynomial,
@@ -427,29 +456,7 @@ def phase_cocycle_iterate(
     so reduced arguments suffice there); the <t,b> term uses the base point's
     representative coordinates, exactly as the one-step relation telescopes.
     """
-    d = len(alpha)
-    if len(beta) != d or phi_source.dimension != 2 * d or len(base) != 2 * d:
-        raise ValueError("dimension mismatch")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    _, _, phi = _phase_orbit(base, alpha, beta, range(n), phi_source.eval_points, delta)
-    phi_sum = np.sum(phi, dtype=np.longdouble)
-    t0 = np.asarray(base.coords[:d], dtype=np.longdouble)
-    b_ld = np.array([c.longdouble() for c in beta])
-    tb = np.dot(t0, b_ld)
-    ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
-    half = Fraction(n * (n - 1), 2)
-    rational_part = -half * ab_rat
-    rational_part -= math.floor(rational_part)
-    total = (
-        np.longdouble(theta0)
-        + phi_sum
-        + np.longdouble(n) * tb
-        - np.longdouble(n * (n - 1)) / np.longdouble(2.0) * ab_irr
-        + np.longdouble(rational_part.numerator)
-        / np.longdouble(rational_part.denominator)
-    )
-    return float(np.mod(total, np.longdouble(1.0)))
+    return float(_phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, [n], delta)[0])
 
 
 class SyntheticPhaseField:

@@ -218,7 +218,7 @@ def gram_matrix_zak(
     """Gram matrix through the Zak image: <a_j, a_k> equals the grid mean of
     Za_j conj(Za_k) over [0,1)^{2d} (unitarity); the integrand's
     quasi-periodic phases cancel pairwise, so the grid mean converges fast."""
-    from .zak import _lattice_sums, _choose_truncation
+    from .zak import _choose_truncation, _decay_bounds, _lattice_sums
 
     d, M = cfg.dimension, resolution
     flat = product_grid(np.arange(M) / M, 2 * d)
@@ -227,7 +227,7 @@ def gram_matrix_zak(
     for pt in cfg.points:
         adapter = _AtomAsWindow(w, pt)
         if truncation is None:
-            K, _ = _choose_truncation(adapter, d, 1e-10)
+            K, _ = _choose_truncation(_decay_bounds(adapter), d, 1e-10)
         else:
             K = truncation
         images.append(_lattice_sums(adapter, tpts, opts, K))

@@ -7,9 +7,10 @@ and provides equispaced Haar sampling on H.
 
 Relations supported entirely on coordinates declared rational are computed by
 exact integer arithmetic (unbounded).  Relations involving declared-irrational
-coordinates come from a bounded numerical search and are advisory; declared
-tags stay authoritative, and a numerically-rational "irrational" coordinate is
-reported as an ambiguity rather than silently reclassified.
+coordinates are the short rows (w r, P(<r,gamma> - k)) of an integer LLL
+reduction, kept up to a coefficient bound and a tolerance; they are advisory.
+Declared tags stay authoritative, and a numerically-rational "irrational"
+coordinate is reported as an ambiguity rather than silently reclassified.
 """
 
 from __future__ import annotations
@@ -139,152 +140,123 @@ def _exact_rational_relations(gamma: Gamma) -> list[list[int]]:
     return [list(r) for r in hnf_basis(rows)]
 
 
-def _half_combinations(indices, values, bound):
-    """All integer combinations over the index block: returns (frac, coeffs)."""
-    coeff_ranges = [np.arange(-bound, bound + 1, dtype=np.int64) for _ in indices]
-    grids = np.meshgrid(*coeff_ranges, indexing="ij") if indices else []
-    if not indices:
-        return np.zeros(1, dtype=np.longdouble), np.zeros((1, 0), dtype=np.int64)
-    coeffs = np.stack([g.ravel() for g in grids], axis=-1)
-    total = np.zeros(coeffs.shape[0], dtype=np.longdouble)
-    for j, i in enumerate(indices):
-        total = total + coeffs[:, j].astype(np.longdouble) * values[i]
-    return np.mod(total, np.longdouble(1.0)), coeffs
+# P * gamma_i fits the 64-bit long-double mantissa for |gamma_i| < 1e3.
+_RELATION_SCALE = 10**15
 
 
-def _numeric_relation_search(gamma: Gamma, bound: int, tol: float):
-    """Meet-in-the-middle search for r with |<r,gamma> - k| < tol and at least
-    one nonzero coefficient on an irrational coordinate."""
+def _lll(rows: list[list[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of linearly independent integer rows,
+    by the all-integer variant (Cohen, GTM 138, Algorithm 2.6.7): d[i + 1] is
+    the Gram determinant of rows 0..i and lam[k][j] = d[j + 1] mu[k][j], so
+    the Gram-Schmidt data stay exact and every division is exact."""
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+
+    def size_reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    k = 1
+    while k < n:
+        size_reduce(k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lk * lk:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            big = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (big * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = big
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return b
+
+
+def _numeric_relation_search(gamma: Gamma, bound: int, tol: float, support):
+    """Relations r supported on `support` with |<r,gamma> - k| < tol, max |r_i|
+    <= bound and a nonzero coefficient on an irrational coordinate, read off
+    the LLL-reduced basis of the rows w e_i + round(P gamma_i) e_m (i in
+    support) and P e_m.  The weight w = P tol / bound makes that box a cube of
+    side P tol in the lattice norm, so its relations are short vectors."""
     m = gamma.dimension
+    w = max(1, round(_RELATION_SCALE * tol / bound))
     vals = gamma.longdoubles()
+    rows = [[w * (i == j) for j in range(m)] + [int(np.rint(vals[i] * _RELATION_SCALE))]
+            for i in support]
     irr = [not c.is_rational for c in gamma.coords]
-    if m > 4:
-        return _pslq_relation_search(gamma, tol)
-    half = list(range((m + 1) // 2))
-    rest = list(range((m + 1) // 2, m))
-    frac_a, coef_a = _half_combinations(half, vals, bound)
-    frac_b, coef_b = _half_combinations(rest, vals, bound)
-    order = np.argsort(frac_a, kind="stable")
-    sorted_a = frac_a[order]
-    hits: set[tuple[int, ...]] = set()
-    tol_ld = np.longdouble(tol)
-    for bi in range(frac_b.shape[0]):
-        target = np.mod(-frac_b[bi], np.longdouble(1.0))
-        lo, hi = target - tol_ld, target + tol_ld
-        # wraparound-aware window scan in the sorted fractional parts
-        segments = []
-        if lo < 0:
-            segments.append((lo + 1, np.longdouble(1.0)))
-            lo = np.longdouble(0.0)
-        if hi > 1:
-            segments.append((np.longdouble(0.0), hi - 1))
-            hi = np.longdouble(1.0)
-        segments.append((lo, hi))
-        for seg_lo, seg_hi in segments:
-            i0 = int(np.searchsorted(sorted_a, seg_lo, side="left"))
-            i1 = int(np.searchsorted(sorted_a, seg_hi, side="right"))
-            for ai in order[i0:i1]:
-                r = [0] * m
-                for j, i in enumerate(half):
-                    r[i] = int(coef_a[ai, j])
-                for j, i in enumerate(rest):
-                    r[i] = int(coef_b[bi, j])
-                if not any(r):
-                    continue
-                if not any(r[i] != 0 and irr[i] for i in range(m)):
-                    continue  # purely-rational support handled exactly elsewhere
-                value = np.longdouble(0.0)
-                for i in range(m):
-                    value += np.longdouble(r[i]) * vals[i]
-                dist = float(abs(value - np.rint(value)))
-                if dist >= tol:
-                    continue
-                for k in range(m):
-                    if r[k] != 0:
-                        if r[k] < 0:
-                            r = [-x for x in r]
-                        break
-                hits.add(tuple(r))
-                if len(hits) > 10000:
-                    return sorted(hits)
+    hits = []
+    for row in _lll(rows + [[0] * m + [_RELATION_SCALE]]):
+        r = [x // w for x in row[:m]]
+        if not any(ri != 0 and ir for ri, ir in zip(r, irr)):
+            continue  # purely-rational support handled exactly elsewhere
+        if max(abs(x) for x in r) > bound:
+            continue
+        if inner_product_mod1_dist(r, gamma.coords) >= tol:
+            continue
+        sign = -1 if next(x for x in r if x != 0) < 0 else 1
+        hits.append(tuple(sign * x for x in r))
     return sorted(hits)
-
-
-def _pslq_relation_search(gamma: Gamma, tol: float):
-    """Advisory integer-relation detection for m > 4 via PSLQ on
-    (gamma_1, ..., gamma_m, 1)."""
-    import mpmath
-
-    with mpmath.workdps(60):
-        vec = [mpmath.mpf(repr(float(c.longdouble()))) for c in gamma.coords]
-        rel = mpmath.pslq(vec + [mpmath.mpf(1)], tol=mpmath.mpf(tol), maxcoeff=10**6)
-    if rel is None:
-        return []
-    r = [int(x) for x in rel[:-1]]
-    if not any(r):
-        return []
-    irr = [not c.is_rational for c in gamma.coords]
-    if not any(ri != 0 and ir for ri, ir in zip(r, irr)):
-        return []
-    for x in r:
-        if x != 0:
-            if x < 0:
-                r = [-y for y in r]
-            break
-    return [tuple(r)]
 
 
 def classify(gamma: Gamma, search_bound: int = 50, tolerance: float = 1e-9) -> OrbitClass:
     """Orbit-closure trichotomy for the translation by gamma.
 
     Finite iff every coordinate is declared rational (exact; order is the lcm
-    of denominators).  Otherwise a relation search decides between Dense (no
-    integer vector r, offset k with |<r,gamma> - k| < tolerance up to the
-    bound) and InfiniteNonDense.  A declared-irrational coordinate that alone
-    carries a numerical relation (i.e. sits within tolerance of a rational
-    with denominator <= bound) raises AmbiguousClassification instead.
+    of denominators).  Otherwise the exact rational relations and the LLL
+    search decide: Dense means it found no relation r touching an irrational
+    coordinate with max |r_i| <= search_bound and |<r,gamma> - k| < tolerance.
+    A declared-irrational coordinate that carries such a relation together
+    with the rational coordinates alone raises AmbiguousClassification.
     """
     if search_bound < 1:
         raise ValueError("search bound must be >= 1")
     if not (0.0 < tolerance <= 1e-6):
         raise ValueError("tolerance must lie in (0, 1e-6]")
     m = gamma.dimension
+    exact = _exact_rational_relations(gamma)
     if gamma.all_rational:
-        order = math.lcm(*(c.fraction.denominator for c in gamma.coords))
-        basis = _exact_rational_relations(gamma)
         return OrbitClass(
             kind=FINITE,
-            relations=tuple(tuple(r) for r in basis),
-            order=order,
+            relations=tuple(tuple(r) for r in exact),
+            order=math.lcm(*(c.fraction.denominator for c in gamma.coords)),
             search_bound=search_bound,
             tolerance=tolerance,
         )
-    exact = _exact_rational_relations(gamma)
-    numeric = _numeric_relation_search(gamma, search_bound, tolerance)
-    irr = [not c.is_rational for c in gamma.coords]
-    for r in numeric:
-        support_irr = [i for i in range(m) if r[i] != 0 and irr[i]]
-        if len(support_irr) == 1 and all(
-            r[i] == 0 or not irr[i] or i == support_irr[0] for i in range(m)
-        ):
-            raise AmbiguousClassification(
-                "declared-irrational coordinate "
-                f"{support_irr[0]} satisfies the integer relation {tuple(r)} "
-                f"within tolerance {tolerance}; declaration and numerics disagree",
-                coordinate_index=support_irr[0],
-            )
-    all_rel = [list(r) for r in exact] + [list(r) for r in numeric]
-    basis = hnf_basis(all_rel) if all_rel else []
-    if not basis:
-        return OrbitClass(
-            kind=DENSE,
-            relations=(),
-            order=None,
-            search_bound=search_bound,
-            tolerance=tolerance,
+    rat = [j for j, c in enumerate(gamma.coords) if c.is_rational]
+    single = [(r, i) for i in range(m) if i not in rat
+              for r in _numeric_relation_search(gamma, search_bound, tolerance, [i] + rat)]
+    if single:
+        r, i = min(single)
+        raise AmbiguousClassification(
+            f"declared-irrational coordinate {i} satisfies the integer relation "
+            f"{r} within tolerance {tolerance}; declaration and numerics disagree",
+            coordinate_index=i,
         )
+    numeric = _numeric_relation_search(gamma, search_bound, tolerance, range(m))
+    basis = hnf_basis(exact + [list(r) for r in numeric])
     return OrbitClass(
-        kind=INFINITE_NON_DENSE,
+        kind=INFINITE_NON_DENSE if basis else DENSE,
         relations=tuple(tuple(r) for r in basis),
         order=None,
         search_bound=search_bound,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailure, TruncationError
+from .errors import InsufficientSupport, NumericalFailure, TruncationError
 from .numerics import TorusPoint, product_grid
 from .windows import Window, decay_bound
 
@@ -41,7 +41,12 @@ def _kappa_tuples(K: int, d: int) -> list[tuple[int, ...]]:
 def _tail_sum(constant: float, order: int, K: int, d: int) -> float:
     """Upper bound on the dropped mass sum_{|kappa|_inf > K} sup_t |f(t+kappa)|
     using |f(u)| <= C (1+|u|_inf)^{-order} and |t+kappa|_inf >= |kappa|_inf - 1
-    for t in the unit cube."""
+    for t in the unit cube.
+
+    Shells K < s <= S are summed explicitly; past the last one, S, the shell
+    size (2s+1)^d - (2s-1)^d <= 2d (2s+1)^(d-1) <= 2d 3^(d-1) s^(d-1) and the
+    integral comparison sum_{s>S} s^(d-1-order) <= S^(d-order) / (order-d)
+    bound the rest."""
     if constant == 0.0:
         return 0.0
     if order <= d:
@@ -53,29 +58,29 @@ def _tail_sum(constant: float, order: int, K: int, d: int) -> float:
         term = constant * shell * float(s) ** (-order)
         total += term
         if term < 1e-3 * max(total, 1e-300) and s > K + 8:
-            # geometric-like decay: bound the rest by a crude doubling factor
-            total += term
-            break
+            rest = 2 * d * 3 ** (d - 1) * constant * float(s) ** (d - order)
+            return total + rest / (order - d)
         if s > K + 100000:
             return math.inf
         s += 1
-    return total
 
 
-def _best_tail(window: Window, K: int, d: int) -> float:
-    best = math.inf
-    for order in _DECAY_ORDERS:
-        try:
-            db = decay_bound(window, order)
-        except Exception:
-            continue
-        best = min(best, _tail_sum(db.constant, order, K, d))
-    return best
+def _decay_bounds(window: Window) -> list:
+    """One DecayBound per order; none when the support is too small to
+    assess decay (that check does not depend on the order)."""
+    try:
+        return [decay_bound(window, order) for order in _DECAY_ORDERS]
+    except InsufficientSupport:
+        return []
 
 
-def _choose_truncation(window: Window, d: int, target: float) -> tuple[int, float]:
+def _best_tail(bounds, K: int, d: int) -> float:
+    return min((_tail_sum(b.constant, b.order, K, d) for b in bounds), default=math.inf)
+
+
+def _choose_truncation(bounds: list, d: int, target: float) -> tuple[int, float]:
     for K in range(1, 61):
-        tail = _best_tail(window, K, d)
+        tail = _best_tail(bounds, K, d)
         if tail < target:
             return K, tail
     raise TruncationError(
@@ -157,15 +162,16 @@ def zak_transform(
         raise ValueError(
             f"grid of {M ** (2 * d)} values exceeds the budget {grid_budget}"
         )
+    bounds = _decay_bounds(window)
     if truncation is None:
-        K, tail = _choose_truncation(window, d, tail_target)
+        K, tail = _choose_truncation(bounds, d, tail_target)
     else:
         K = int(truncation)
         if K < 1:
             raise ValueError("truncation must be >= 1")
-        tail = _best_tail(window, K, d)
+        tail = _best_tail(bounds, K, d)
         if not tail < tail_target:
-            KK, _ = _choose_truncation(window, d, tail_target)
+            KK, _ = _choose_truncation(bounds, d, tail_target)
             raise TruncationError(
                 f"truncation K={K} gives tail bound {tail:.3e} >= "
                 f"target {tail_target:g}",

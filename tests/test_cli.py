@@ -175,6 +175,32 @@ def test_phase_check(tmp_path):
     assert abs(data["inner_product_alpha_beta"] - math.sqrt(2)) < 1e-12
 
 
+def test_phase_check_walks_the_orbit_once(tmp_path, monkeypatch):
+    # the right-hand side for every n <= N comes from one pass over N steps,
+    # and the field extends its cache one step per n: 2N points, not N^2/2
+    from gaborzak import cocycle
+
+    steps = []
+    original = cocycle._phase_orbit
+
+    def counting(base, alpha, beta, js, *args, **kwargs):
+        steps.append(len(js))
+        return original(base, alpha, beta, js, *args, **kwargs)
+
+    monkeypatch.setattr(cocycle, "_phase_orbit", counting)
+    p2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
+    path = tmp_path / "p2.json"
+    save_polynomial(p2, str(path))
+    args = [
+        "phase-check", "--poly", str(path), "--base", "0.3,0.7",
+        "--alpha", "1/2", "--beta", "sqrt2", "--n", "100",
+        "--out", str(tmp_path / "pc.json"),
+    ]
+    assert main(args) == 0
+    assert sum(steps) == 200
+    assert _load(tmp_path / "pc.json")["max_mod1_error"] < 1e-8
+
+
 def test_phase_check_vanishing_base_is_exit_code_3(p1_file, capsys):
     # 1 + e^{-2pi i t} - e^{-2pi i w} = 0 at (1/3, 1/6): the phase field is
     # undefined at step 0 and the CLI must report it like any other

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborzak.cocycle import (
+    _phase_cocycle_rhs,
     SyntheticPhaseField,
     ThetaEstimate,
     balanced_fraction,
@@ -351,6 +352,15 @@ class TestPhaseCocycleIterate:
         want = 0.37 + math.fsum(phis) + n * self.BASE[0] * b - n * (n - 1) / 2 * a * b
         got = phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, n)
         assert mod1_dist(got - want) < 1e-9
+
+    def test_one_pass_matches_each_n(self):
+        # phase-check reads every n <= N off one orbit pass and prefix sum
+        for a_tok, b_tok in self.PAIRS + [("1/3", "2/5")]:
+            alpha, beta = (mk(a_tok),), (mk(b_tok),)
+            every = _phase_cocycle_rhs(0.37, P2, self.BASE, alpha, beta, range(65))
+            for n in range(65):
+                one = phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, n)
+                assert mod1_dist(every[n] - one) <= 1e-15, (a_tok, b_tok, n)
 
     def test_vanishing_orbit_point_raises_with_step(self):
         # P1(1/3, 1/6) = 0; place the zero at step 1

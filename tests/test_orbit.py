@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaborzak.errors import AmbiguousClassification, NumericalFailure
 from gaborzak.numerics import QuadratureSpec, parse_coordinate, reduce_mod1
@@ -52,12 +54,85 @@ class TestClassify:
             classify(g)
         assert exc.value.coordinate_index == 0
 
+    @pytest.mark.parametrize(
+        "tokens, index",
+        [
+            # 3 x - 1 = 8e-10 lies inside the default tolerance of 1e-9
+            ("sqrt2,sqrt3,sqrt5,irr:0.3333333336", 3),
+            # x1 near 17/23 and x2 near 7/18, which a reduced basis may carry
+            # only inside relations touching both coordinates
+            ("irr:0.2817181715409549,irr:0.7391304348235365,irr:0.3888888889833333", 1),
+        ],
+    )
+    def test_ambiguous_within_tolerance(self, tokens, index):
+        with pytest.raises(AmbiguousClassification) as exc:
+            classify(Gamma.from_tokens(tokens))
+        assert exc.value.coordinate_index == index
+
     def test_permutation_stability(self):
         a = classify(Gamma.from_tokens("1/2,sqrt2,sqrt3"), search_bound=20)
         b = classify(Gamma.from_tokens("sqrt2,1/2,sqrt3"), search_bound=20)
         assert a.kind == b.kind
         swapped = sorted(tuple((r[1], r[0], r[2])) for r in b.relations)
         assert sorted(a.relations) == swapped
+
+
+    def test_m5_finds_every_relation(self):
+        # a one-relation search reported Haar dimension 4 here
+        g = Gamma.from_tokens("sqrt2,-sqrt2,sqrt3,-sqrt3,sqrt5")
+        cls = classify(g)
+        assert cls.kind == "InfiniteNonDense"
+        assert cls.relations == ((1, 1, 0, 0, 0), (0, 0, 1, 1, 0))
+        assert subgroup_closure(g, cls).haar_dimension == 3
+
+    def test_repeated_label_with_two_rationals_is_fast(self):
+        # a box scan over all 101^4 coefficient vectors took 20-25 s here;
+        # the bound is wide so that a loaded host cannot fail it
+        g = Gamma.from_tokens("1/2,1/3,sqrt2,sqrt2")
+        start = time.perf_counter()
+        cls = classify(g)
+        assert time.perf_counter() - start < 10.0
+        assert cls.relations == ((2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, -1))
+
+    @pytest.mark.parametrize(
+        "offset, relation",
+        [(math.sqrt(2) + 5e-10, (1, 0, 0, -1)), (math.sqrt(2) - math.sqrt(3) + 7e-10, (1, -1, 0, -1))],
+    )
+    def test_near_relation_within_tolerance_is_found(self, offset, relation):
+        g = Gamma.from_tokens("sqrt2,sqrt3,sqrt5,irr:" + repr(offset))
+        cls = classify(g)
+        assert cls.kind == "InfiniteNonDense"
+        assert cls.relations == (relation,)
+
+    def test_search_bound_caps_the_coefficients(self):
+        # sqrt2 - 60 (sqrt2 / 60) = 0 needs a coefficient of 60
+        g = Gamma.from_tokens("sqrt2,irr:" + repr(math.sqrt(2) / 60))
+        assert classify(g, search_bound=50).kind == "Dense"
+        cls = classify(g, search_bound=60)
+        assert cls.kind == "InfiniteNonDense"
+        assert cls.relations == ((1, -60),)
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["sqrt2", "-sqrt2", "sqrt3", "-sqrt3", "sqrt5", "-sqrt5",
+                 "0", "1", "1/2", "-1/3", "2/5", "3/4"]
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_relation_rank_counts_rationals_and_repeats(self, tokens):
+        # 1, sqrt2, sqrt3, sqrt5 are linearly independent over Q, so the
+        # relations are q e_i per rational and e_i -+ e_j per repeated label
+        labels = [t.lstrip("-") for t in tokens if "sqrt" in t]
+        n_rational = len(tokens) - len(labels)
+        expected = n_rational + sum(labels.count(b) - 1 for b in set(labels))
+        g = Gamma.from_tokens(",".join(tokens))
+        cls = classify(g)
+        assert len(cls.relations) == expected
+        assert subgroup_closure(g, cls).haar_dimension == len(set(labels))
 
 
 class TestSubgroupClosure:

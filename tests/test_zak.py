@@ -7,6 +7,7 @@ from gaborzak.errors import NumericalFailure, TruncationError
 from gaborzak.numerics import parse_coordinate
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow
+from gaborzak import zak
 from gaborzak.zak import (
     ZakGrid,
     functional_equation_residual,
@@ -160,3 +161,40 @@ def test_zero_set_invariance_under_integer_shift():
 def test_resolution_validation():
     with pytest.raises(ValueError):
         zak_transform(GaussianWindow(), resolution=2, truncation=6)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [4, 8, 24])
+@pytest.mark.parametrize("K", [1, 5, 20])
+def test_tail_sum_bounds_the_dropped_shells(d, order, K):
+    # the partial sum over shells K < s < K + 3000 is below the true tail;
+    # ending the series by doubling its last term claimed 0.12885 < 0.13116
+    # at C=1, order=4, K=5, d=2
+    partial = math.fsum(
+        ((2 * s + 1) ** d - (2 * s - 1) ** d) * float(s) ** (-order)
+        for s in range(K + 1, K + 3000)
+    )
+    assert zak._tail_sum(1.0, order, K, d) >= partial
+
+
+def test_truncation_choice_computes_each_decay_bound_once(monkeypatch):
+    calls = []
+    original = zak.decay_bound
+
+    def counting(window, order):
+        calls.append(order)
+        return original(window, order)
+
+    monkeypatch.setattr(zak, "decay_bound", counting)
+    grid = zak_transform(GaussianWindow(), resolution=8)
+    assert sorted(calls) == [4, 8, 12, 16, 20, 24]
+    assert grid.tail_bound < 1e-10
+    calls.clear()
+    zak_transform(GaussianWindow(), resolution=8, truncation=grid.truncation)
+    assert sorted(calls) == [4, 8, 12, 16, 20, 24]
+    calls.clear()
+    # an explicit K that misses the target still suggests a K from the same bounds
+    with pytest.raises(TruncationError) as exc:
+        zak_transform(GaussianWindow(), resolution=8, truncation=1)
+    assert exc.value.suggested_k == grid.truncation
+    assert sorted(calls) == [4, 8, 12, 16, 20, 24]
