@@ -33,7 +33,6 @@ from .windows import (
     SampledGridWindow,
     Window,
     decay_bound,
-    eval_window,
     l2_norm,
     sampled_window_from_csv,
 )
@@ -42,7 +41,6 @@ from .gabor import (
     GaborConfig,
     GramResult,
     TFPoint,
-    atom_eval,
     config_from_json,
     config_to_json,
     dependence_residual,

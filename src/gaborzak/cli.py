@@ -543,8 +543,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# comma lists and tokens may start with "-" (--gamma -sqrt2,sqrt3); argparse
+# takes such a value for an option unless it is attached as --gamma=-sqrt2,sqrt3
+_SIGNED_VALUE_FLAGS = {
+    "--gamma", "--alpha", "--beta", "--base", "--lambda", "--omega", "--inner-product"
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _SIGNED_VALUE_FLAGS and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -34,7 +34,6 @@ __all__ = [
     "GaborConfig",
     "GramResult",
     "DependenceCoefficients",
-    "atom_eval",
     "gram_matrix",
     "gram_matrix_zak",
     "gaussian_gram_closed_form",
@@ -131,18 +130,6 @@ class DependenceCoefficients:
     target_index: int
 
 
-def atom_eval(w: Window, pt: TFPoint, t) -> complex:
-    """e^{-2 pi i <y, t>} f(t - x) at a single point t in R^d."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if t.shape != (w.dimension,) or pt.dimension != w.dimension:
-        raise ValueError("dimension mismatch in atom evaluation")
-    shift = t - pt.x_floats()
-    phase = math.fsum(float(y) * float(ti) for y, ti in zip(pt.y_floats(), t))
-    return complex(np.exp(-2j * np.pi * phase)) * complex(
-        np.asarray(w.eval_many(shift[None, :]))[0]
-    )
-
-
 def _atom_eval_many(w: Window, pt: TFPoint, tpts: np.ndarray) -> np.ndarray:
     vals = np.asarray(w.eval_many(tpts - pt.x_floats()[None, :]))
     phase = tpts @ pt.y_floats()
@@ -217,12 +204,12 @@ def gram_matrix_zak(
 ) -> GramResult:
     """Gram matrix through the Zak image: <a_j, a_k> equals the grid mean of
     Za_j conj(Za_k) over [0,1)^{2d} (unitarity); the integrand's
-    quasi-periodic phases cancel pairwise, so the grid mean converges fast."""
-    from .zak import _choose_truncation, _decay_bounds, _lattice_sums
+    quasi-periodic phases cancel pairwise, so the grid mean converges fast.
+    With the atoms' grid images as the columns of A, G = A^T conj(A) / M^{2d}
+    is one matrix product."""
+    from .zak import _choose_truncation, _decay_bounds, _grid_sums
 
     d, M = cfg.dimension, resolution
-    flat = product_grid(np.arange(M) / M, 2 * d)
-    tpts, opts = flat[:, :d], flat[:, d:]
     images = []
     for pt in cfg.points:
         adapter = _AtomAsWindow(w, pt)
@@ -230,12 +217,9 @@ def gram_matrix_zak(
             K, _ = _choose_truncation(_decay_bounds(adapter), d, 1e-10)
         else:
             K = truncation
-        images.append(_lattice_sums(adapter, tpts, opts, K))
-    n = len(cfg)
-    G = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            G[j, k] = np.mean(images[j] * np.conj(images[k]))
+        images.append(_grid_sums(adapter, M, K).ravel())
+    A = np.stack(images, axis=1)
+    G = A.T @ A.conj() / M ** (2 * d)
     return _finalize_gram(G, "zak-domain")
 
 

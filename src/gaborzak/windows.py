@@ -30,9 +30,9 @@ __all__ = [
     "HermiteWindow",
     "SampledGridWindow",
     "DecayBound",
-    "eval_window",
     "l2_norm",
     "decay_bound",
+    "decay_bounds",
     "sampled_window_from_csv",
 ]
 
@@ -140,15 +140,6 @@ class SampledGridWindow(Window):
         return self.normalization * out
 
 
-def eval_window(w: Window, t) -> complex:
-    """Pointwise window value at a point of R^d."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if arr.ndim != 1 or len(arr) != w.dimension:
-        raise ValueError(f"expected a point of R^{w.dimension}")
-    val = w.eval_many(arr[None, :])[0]
-    return complex(val)
-
-
 def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None) -> float:
     """Riemann-sum L2 norm over [-radius, radius]^d."""
     if grid_step <= 0:
@@ -164,7 +155,13 @@ def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None)
 
 def decay_bound(w: Window, order: int, grid_step: float = 1.0 / 64) -> DecayBound:
     """Smallest C on a verification grid with |f(t)| (1+|t|)^order <= C."""
-    if order < 0:
+    return decay_bounds(w, (order,), grid_step)[0]
+
+
+def decay_bounds(w: Window, orders, grid_step: float = 1.0 / 64) -> list[DecayBound]:
+    """``decay_bound`` for every order from one evaluation of the window on
+    the verification grid."""
+    if any(order < 0 for order in orders):
         raise ValueError("order must be >= 0")
     if isinstance(w, SampledGridWindow):
         if w.radius < 2.0:
@@ -177,8 +174,11 @@ def decay_bound(w: Window, order: int, grid_step: float = 1.0 / 64) -> DecayBoun
     ax = np.arange(-radius, radius + grid_step / 2, grid_step)
     pts = product_grid(ax, w.dimension)
     vals = np.abs(w.eval_many(pts))
-    weight = (1.0 + np.sqrt(np.sum(pts * pts, axis=-1))) ** order
-    return DecayBound(constant=float(np.max(vals * weight)), order=int(order))
+    base = 1.0 + np.sqrt(np.sum(pts * pts, axis=-1))
+    return [
+        DecayBound(constant=float(np.max(vals * base**order)), order=int(order))
+        for order in orders
+    ]
 
 
 def sampled_window_from_csv(path: str) -> SampledGridWindow:

@@ -2,10 +2,11 @@
 
     Zf(t, w) = sum_{kappa in Z^d} e^{-2 pi i <w, kappa>} f(t + kappa)
 
-computed by direct lattice sums truncated at |kappa|_inf <= K, with K chosen
-so a decay-bound tail estimate is below target.  Off-grid values are always
-fresh truncated sums, never interpolation: the downstream cocycle machinery
-shifts by irrational amounts, and interpolation error would contaminate it.
+truncated at |kappa|_inf <= K, with K chosen so a decay-bound tail estimate
+is below target.  Grid values come from one FFT over the folded lattice index
+(f(t + kappa) summed into bin kappa mod M).  Off-grid values are always fresh
+direct sums, never interpolation: the downstream cocycle machinery shifts by
+irrational amounts, and interpolation error would contaminate it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .errors import InsufficientSupport, NumericalFailure, TruncationError
 from .numerics import TorusPoint, product_grid
-from .windows import Window, decay_bound
+# bench/tracing.py rebinds zak.decay_bound by name, so it stays imported though unused
+from .windows import Window, decay_bound, decay_bounds  # noqa: F401
 
 __all__ = [
     "ZakGrid",
@@ -69,7 +71,7 @@ def _decay_bounds(window: Window) -> list:
     """One DecayBound per order; none when the support is too small to
     assess decay (that check does not depend on the order)."""
     try:
-        return [decay_bound(window, order) for order in _DECAY_ORDERS]
+        return decay_bounds(window, _DECAY_ORDERS)
     except InsufficientSupport:
         return []
 
@@ -105,6 +107,20 @@ def _lattice_sums(window: Window, tpts: np.ndarray, opts: np.ndarray, K: int) ->
                 phase = phase + opts[:, axis] * kappa[axis]
         out = out + f * np.exp(-2j * np.pi * phase)
     return out
+
+
+def _grid_sums(window: Window, M: int, K: int) -> np.ndarray:
+    """Truncated Zak sums at (t, w) = (i/M, j/M) as an (M^d, M, ..., M) array
+    (rows: the (M,)*d t grid; last d axes: w).  f(t + kappa) goes into bin
+    kappa mod M (bins alias when 2K+1 > M); an FFT over the bin axes then
+    applies the phases, numpy's forward sign e^{-2 pi i jk/M} being Zak's."""
+    d = window.dimension
+    t_flat = product_grid(np.arange(M) / M, d)
+    bins = np.zeros((t_flat.shape[0],) + (M,) * d, dtype=complex)
+    for kappa in _kappa_tuples(K, d):
+        f = window.eval_many(t_flat + np.array(kappa, dtype=float))
+        bins[(slice(None),) + tuple(k % M for k in kappa)] += f
+    return np.fft.fftn(bins, axes=tuple(range(1, d + 1)))
 
 
 @dataclass(frozen=True)
@@ -177,17 +193,7 @@ def zak_transform(
                 f"target {tail_target:g}",
                 suggested_k=KK,
             )
-    t_flat = product_grid(np.arange(M) / M, d)
-    o_flat = t_flat  # identical gridding on the frequency axes
-    nt = t_flat.shape[0]
-    vals = np.zeros((nt, nt), dtype=complex)
-    for kappa in _kappa_tuples(K, d):
-        f = np.asarray(window.eval_many(t_flat + np.array(kappa, dtype=float)))
-        phase = np.zeros(nt)
-        for axis_i in range(d):
-            if kappa[axis_i] != 0:
-                phase = phase + o_flat[:, axis_i] * kappa[axis_i]
-        vals += f[:, None] * np.exp(-2j * np.pi * phase)[None, :]
+    vals = _grid_sums(window, M, K)
     if not np.all(np.isfinite(vals)):
         raise NumericalFailure("non-finite Zak values on the grid")
     return ZakGrid(

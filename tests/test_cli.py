@@ -306,6 +306,39 @@ class TestErrorPaths:
         assert main(args) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, args",
+    [
+        ("--gamma", ["classify", "--gamma", "-sqrt2,sqrt3"]),
+        ("--lambda", ["theta", "--poly", "P1", "--gamma", "0,sqrt2", "--lambda",
+                      "-0.25,0", "--method", "birkhoff", "--n", "2000"]),
+        ("--base", ["phase-check", "--poly", "P1", "--base", "-0.3,0.7",
+                    "--alpha", "1", "--beta", "sqrt2", "--n", "8"]),
+        ("--alpha", ["phase-check", "--poly", "P1", "--base", "0.3,0.7",
+                     "--alpha", "-1/2", "--beta", "sqrt2", "--n", "8"]),
+        ("--beta", ["phase-check", "--poly", "P1", "--base", "0.3,0.7",
+                    "--alpha", "1", "--beta", "-sqrt2", "--n", "8"]),
+        ("--omega", ["cluster", "--alpha", "1,2", "--beta", "sqrt2,1",
+                     "--omega", "-0.25,0.5", "--n-max", "50"]),
+        ("--inner-product", ["cluster", "--alpha", "1/2", "--beta=-1",
+                             "--inner-product", "-1/2", "--n-max", "50"]),
+    ],
+)
+def test_value_starting_with_minus_is_read_as_the_flag_value(flag, args, p1_file, tmp_path):
+    # "--flag -x,y" must mean the same as "--flag=-x,y", not a new option
+    args = [p1_file if a == "P1" else a for a in args]
+    i = args.index(flag)
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(args + ["--out", str(spaced)]) == 0
+    attached = args[:i] + [f"{flag}={args[i + 1]}"] + args[i + 2:]
+    assert main(attached + ["--out", str(joined)]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+
+
+def test_missing_flag_value_is_still_exit_code_2():
+    assert main(["classify", "--gamma", "--search-bound", "5"]) == 2
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gaborzak.cli", "classify", "--gamma", "0,sqrt2"],

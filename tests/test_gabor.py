@@ -10,7 +10,8 @@ from gaborzak.errors import DegenerateConfigWarning
 from gaborzak.gabor import (
     GaborConfig,
     TFPoint,
-    atom_eval,
+    _AtomAsWindow,
+    _atom_eval_many,
     config_from_json,
     config_to_json,
     dependence_residual,
@@ -19,8 +20,9 @@ from gaborzak.gabor import (
     gram_matrix,
     gram_matrix_zak,
 )
-from gaborzak.numerics import QuadratureSpec, parse_coordinate
-from gaborzak.windows import GaussianWindow
+from gaborzak.numerics import QuadratureSpec, parse_coordinate, product_grid
+from gaborzak.windows import GaussianWindow, HermiteWindow
+from gaborzak.zak import _lattice_sums
 
 mk = parse_coordinate
 
@@ -59,7 +61,7 @@ def test_atom_eval_formula():
     manual = np.exp(-2j * np.pi * math.sqrt(3) * t) * (
         2**0.25 * math.exp(-math.pi * (t - 0.5) ** 2)
     )
-    assert abs(atom_eval(g, pt, t) - manual) < 1e-14
+    assert abs(_atom_eval_many(g, pt, np.array([[t]]))[0] - manual) < 1e-14
 
 
 class TestGramOracles:
@@ -87,6 +89,21 @@ class TestGramOracles:
         gz = gram_matrix_zak(GaussianWindow(), CFG_A, resolution=64)
         gc = gaussian_gram_closed_form(CFG_A)
         assert np.max(np.abs(gz.matrix - gc.matrix)) < 1e-8
+
+    @pytest.mark.parametrize("window", [GaussianWindow(), HermiteWindow(3)])
+    @pytest.mark.parametrize("M, K", [(16, 6), (8, 8)])
+    def test_zak_domain_matmul_matches_pairwise_grid_means(self, window, M, K):
+        # reference: the grid mean of Za_j conj(Za_k) for each pair, from
+        # direct lattice sums
+        flat = product_grid(np.arange(M) / M, 2)
+        images = [
+            _lattice_sums(_AtomAsWindow(window, pt), flat[:, :1], flat[:, 1:], K)
+            for pt in CFG_B.points
+        ]
+        ref = np.array([[np.mean(a * np.conj(b)) for b in images] for a in images])
+        ref = 0.5 * (ref + ref.conj().T)
+        G = gram_matrix_zak(window, CFG_B, resolution=M, truncation=K).matrix
+        assert np.max(np.abs(G - ref)) < 1e-15
 
     def test_eigenpair_certificate(self):
         res = gaussian_gram_closed_form(CFG_A)

@@ -9,7 +9,6 @@ from gaborzak.windows import (
     HermiteWindow,
     SampledGridWindow,
     decay_bound,
-    eval_window,
     l2_norm,
     sampled_window_from_csv,
 )
@@ -29,7 +28,7 @@ def test_gaussian_even():
 def test_gaussian_point_value():
     # 2^{1/4} e^{-pi}
     g = GaussianWindow()
-    assert abs(eval_window(g, 1.0) - 2**0.25 * math.exp(-math.pi)) < 1e-15
+    assert abs(g.eval_many(np.array([[1.0]]))[0] - 2**0.25 * math.exp(-math.pi)) < 1e-15
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -71,8 +70,9 @@ def test_sampled_window_roundtrip(tmp_path):
         for t, v in zip(ts, vals):
             fh.write(f"{float(t)!r},{float(v)!r}\n")
     w = sampled_window_from_csv(str(path))
-    assert abs(eval_window(w, 0.5) - math.exp(-math.pi * 0.25)) < 1e-6
-    assert eval_window(w, 10.0) == 0.0  # outside support
+    vals = w.eval_many(np.array([[0.5], [10.0]]))
+    assert abs(vals[0] - math.exp(-math.pi * 0.25)) < 1e-6
+    assert vals[1] == 0.0  # outside support
 
 
 def test_sampled_window_narrow_support_rejected():

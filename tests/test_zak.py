@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gaborzak.errors import NumericalFailure, TruncationError
-from gaborzak.numerics import parse_coordinate
+from gaborzak.gabor import TFPoint, _AtomAsWindow
+from gaborzak.numerics import parse_coordinate, product_grid
 from gaborzak.trigpoly import TrigPolynomial
-from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow
+from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow, decay_bound
 from gaborzak import zak
 from gaborzak.zak import (
     ZakGrid,
@@ -16,6 +17,18 @@ from gaborzak.zak import (
     zak_point,
     zak_transform,
 )
+
+
+def _sampled_gaussian():
+    ts = np.arange(-8.0, 8.0 + 1e-9, 1 / 64)
+    return SampledGridWindow(2**0.25 * np.exp(-np.pi * ts * ts), step=1 / 64, radius=8.0)
+
+
+def _irrational_atom(d):
+    """A Gaussian atom at irrational x and y, as gram_matrix_zak feeds it."""
+    x = tuple(parse_coordinate(tok) for tok in ("sqrt2", "-sqrt3")[:d])
+    y = tuple(parse_coordinate(tok) for tok in ("sqrt5", "irr:0.7390851332151607")[:d])
+    return _AtomAsWindow(GaussianWindow(d), TFPoint(x, y))
 
 
 def _zero_window():
@@ -178,23 +191,66 @@ def test_tail_sum_bounds_the_dropped_shells(d, order, K):
 
 
 def test_truncation_choice_computes_each_decay_bound_once(monkeypatch):
-    calls = []
-    original = zak.decay_bound
+    # one window evaluation on the verification grid (radius 6 + 2, step
+    # 1/64) per zak_transform call yields every decay constant
+    w = GaussianWindow()
+    n_verify = len(np.arange(-8.0, 8.0 + 1 / 128, 1 / 64))
+    sizes = []
+    original = w.eval_many
 
-    def counting(window, order):
-        calls.append(order)
-        return original(window, order)
+    def counting(points):
+        sizes.append(len(points))
+        return original(points)
 
-    monkeypatch.setattr(zak, "decay_bound", counting)
-    grid = zak_transform(GaussianWindow(), resolution=8)
-    assert sorted(calls) == [4, 8, 12, 16, 20, 24]
+    monkeypatch.setattr(w, "eval_many", counting)
+    grid = zak_transform(w, resolution=8)
     assert grid.tail_bound < 1e-10
-    calls.clear()
-    zak_transform(GaussianWindow(), resolution=8, truncation=grid.truncation)
-    assert sorted(calls) == [4, 8, 12, 16, 20, 24]
-    calls.clear()
+    assert sizes == [n_verify] + [8] * (2 * grid.truncation + 1)
+    sizes.clear()
+    zak_transform(w, resolution=8, truncation=grid.truncation)
+    assert sizes == [n_verify] + [8] * (2 * grid.truncation + 1)
+    sizes.clear()
     # an explicit K that misses the target still suggests a K from the same bounds
     with pytest.raises(TruncationError) as exc:
-        zak_transform(GaussianWindow(), resolution=8, truncation=1)
+        zak_transform(w, resolution=8, truncation=1)
     assert exc.value.suggested_k == grid.truncation
-    assert sorted(calls) == [4, 8, 12, 16, 20, 24]
+    assert sizes == [n_verify]
+
+
+@pytest.mark.parametrize(
+    "window", [GaussianWindow(), GaussianWindow(2), HermiteWindow(3), _sampled_gaussian()]
+)
+def test_one_pass_decay_constants_equal_separate_decay_bounds(window):
+    together = zak._decay_bounds(window)
+    apart = [decay_bound(window, order) for order in (4, 8, 12, 16, 20, 24)]
+    assert [(b.constant, b.order) for b in together] == [
+        (b.constant, b.order) for b in apart
+    ]
+
+
+@pytest.mark.parametrize(
+    "window, M, K",
+    [
+        (GaussianWindow(), 64, 6),
+        (HermiteWindow(3), 32, 7),
+        (_sampled_gaussian(), 16, 9),
+        (_irrational_atom(1), 16, 8),
+        (GaussianWindow(), 8, 8),  # 2K+1 > M: the bins alias
+        (GaussianWindow(2), 8, 8),
+        (_irrational_atom(2), 8, 8),
+        (_irrational_atom(2), 16, 5),
+    ],
+    ids=["gauss", "hermite3", "sampled", "atom", "gauss-aliased", "gauss-d2-aliased",
+         "atom-d2-aliased", "atom-d2"],
+)
+def test_fft_grid_matches_direct_lattice_sums(window, M, K):
+    d = window.dimension
+    flat = product_grid(np.arange(M) / M, 2 * d)
+    direct = zak._lattice_sums(window, flat[:, :d], flat[:, d:], K)
+    assert np.max(np.abs(zak._grid_sums(window, M, K).ravel() - direct)) < 1e-14
+
+
+@pytest.mark.parametrize("window", [HermiteWindow(3), GaussianWindow(2)])
+def test_grid_values_are_bitwise_reproducible(window):
+    first = zak_transform(window, resolution=16).values
+    assert np.array_equal(first, zak_transform(window, resolution=16).values)
