@@ -11,6 +11,7 @@ scheduling of independent base points, never the reduction order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -278,17 +279,11 @@ def _cmd_zak(args) -> int:
         if d == 1
         else [f"t{i+1}" for i in range(d)] + [f"omega{i+1}" for i in range(d)]
     )
-    lines = [",".join(labels + ["re", "im", "abs"])]
-    vals = Z.values
-    for idx in np.ndindex(*vals.shape):
-        z = vals[idx]
-        coords = [repr(i / M) for i in idx]
-        lines.append(
-            ",".join(
-                coords
-                + [repr(float(z.real)), repr(float(z.imag)), repr(float(abs(z)))]
-            )
-        )
+    # Python's complex abs (hypot): np.abs's SIMD loop differs in the last bit
+    axis = [repr(i / M) for i in range(M)]
+    cells = zip(itertools.product(axis, repeat=2 * d), Z.values.reshape(-1).tolist())
+    rows = (f"{','.join(c)},{z.real!r},{z.imag!r},{abs(z)!r}" for c, z in cells)
+    lines = [",".join(labels + ["re", "im", "abs"]), *rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -67,10 +67,10 @@ __all__ = [
 ]
 
 _REFINE_DEPTH_CAP = 40
-# total split budget per quadrature call: isolated zeros need only a few
-# hundred splits, while a zero set of positive measure would double the
-# frontier at every depth; exhausting the budget routes the unresolved
-# volume into the at-cap tally instead of hanging
+# total split budget per quadrature call: isolated zeros need a few hundred
+# splits, while a zero set of positive measure doubles the frontier at every
+# depth.  Exhausting it routes the rest into the at-cap tally instead of
+# hanging; splits are granted in frontier order, so coarse cells go first
 _REFINE_CELL_BUDGET = 50_000
 
 
@@ -93,6 +93,8 @@ class ThetaEstimate:
     method: str  # birkhoff | haar-quadrature
     samples: int  # orbit length n, or points per tangent direction
     skipped_fraction: float
+    splits: int = 0  # Haar refinement: cells split near a zero of p
+    unresolved_volume: float = 0.0  # Haar measure left at the depth or split cap
 
     @property
     def reliable(self) -> bool:
@@ -178,35 +180,39 @@ def theta_birkhoff(
     )
 
 
-def _refine_cell(p, base_pt, dirs, center, halfwidth, lips, delta, depth, stats):
-    """Recursive dyadic refinement of one tangent-coordinate cell.
+def _refine_cells(p, base_pt, dirs, centers, hw0, lips, delta, stats):
+    """vol * ln max(|p|, delta) of each root cell, refined level by level.
 
-    Returns the cell's contribution vol * mean-estimate of ln|p| using the
-    center value, splitting while a zero of p may hide inside the cell
-    (|p(center)| within the cell's Lipschitz radius of 0)."""
-    z = base_pt + center @ dirs
-    val = float(abs(p.eval_points(np.mod(z, 1.0)[None, :])[0]))
-    radius = 2.0 * float(np.dot(lips, halfwidth))
-    vol = float(np.prod(2.0 * halfwidth))
-    exhausted = depth >= _REFINE_DEPTH_CAP or stats["splits"] >= _REFINE_CELL_BUDGET
-    if val > radius or exhausted:
-        if exhausted and val <= radius:
-            stats["at_cap_volume"] += vol
-        if val < delta:
-            stats["clamped_volume"] += vol
-            return vol * math.log(delta)
-        return vol * math.log(val)
-    stats["splits"] += 1
-    axis = int(np.argmax(lips * halfwidth))
-    hw = halfwidth.copy()
-    hw[axis] *= 0.5
-    lo = center.copy()
-    lo[axis] -= hw[axis]
-    hi = center.copy()
-    hi[axis] += hw[axis]
-    return _refine_cell(
-        p, base_pt, dirs, lo, hw, lips, delta, depth + 1, stats
-    ) + _refine_cell(p, base_pt, dirs, hi, hw, lips, delta, depth + 1, stats)
+    Cells split while |p(center)| is within their Lipschitz radius, along the
+    axis of largest lips * halfwidth, so all cells of a depth share one
+    halfwidth and one ``eval_points`` call.  Children follow as lo, hi pairs,
+    and a split cell's value is value(lo) + value(hi), as in a recursion."""
+    levels = []  # (values, split mask) per depth
+    hw = hw0.copy()
+    while len(centers):
+        raw = p.eval_points(np.mod(base_pt + centers @ dirs, 1.0))
+        vals = np.hypot(raw.real, raw.imag)
+        vol = float(np.prod(2.0 * hw))
+        want = ~(vals > 2.0 * float(np.dot(lips, hw)))
+        room = _REFINE_CELL_BUDGET - stats["splits"]
+        split = want & (np.cumsum(want) <= room) & (len(levels) < _REFINE_DEPTH_CAP)
+        stats["splits"] += int(np.count_nonzero(split))
+        stats["at_cap_volume"] += vol * float(np.count_nonzero(want & ~split))
+        leaf_vals = vals[~split]
+        stats["clamped_volume"] += vol * float(np.count_nonzero(leaf_vals < delta))
+        # scalar math.log: np.log's SIMD loop differs in the last bit
+        logs = map(math.log, np.maximum(leaf_vals, delta))
+        values = np.empty(len(centers))
+        values[~split] = vol * np.fromiter(logs, float, len(leaf_vals))
+        levels.append((values, split))
+        axis = int(np.argmax(lips * hw))
+        hw[axis] *= 0.5
+        centers = np.repeat(centers[split], 2, axis=0)
+        centers[0::2, axis] -= hw[axis]
+        centers[1::2, axis] += hw[axis]
+    for (values, split), (below, _) in zip(levels[-2::-1], levels[:0:-1]):
+        values[split] = below[0::2] + below[1::2]
+    return levels[0][0] if levels else np.zeros(0)
 
 
 def theta_haar(
@@ -219,9 +225,9 @@ def theta_haar(
     """Haar quadrature of ln max(|p|, delta) over the coset lambda + H.
 
     The composite-midpoint scheme averages over the equispaced Haar grid and,
-    when refinement is enabled, recursively subdivides cells whose center
-    value is within the cell's Lipschitz radius of zero.  Gauss-Legendre runs
-    a plain weighted product rule along the tangent directions.
+    with refinement, halves cells whose center value is within the cell's
+    Lipschitz radius of zero, level by level.  Gauss-Legendre runs a plain
+    weighted product rule along the tangent directions.
     """
     n = quad.points_per_axis
     m = H.dimension
@@ -279,13 +285,9 @@ def theta_haar(
             stats["clamped_volume"] += cell_vol * float(
                 np.sum(vals[plain] < delta)
             )
-            refined = [
-                _refine_cell(
-                    p, base_pt, dirs, ygrid[i].copy(), hw0.copy(), lips, delta, 0,
-                    stats,
-                )
-                for i in np.nonzero(~plain)[0]
-            ]
+            refined = _refine_cells(
+                p, base_pt, dirs, ygrid[~plain], hw0, lips, delta, stats
+            )
             contributions.append(total_plain + math.fsum(refined))
     if stats["at_cap_volume"] > 1e-2:
         raise NumericalFailure(
@@ -297,6 +299,8 @@ def theta_haar(
         method="haar-quadrature",
         samples=n,
         skipped_fraction=stats["clamped_volume"] / n_reps,
+        splits=stats["splits"],
+        unresolved_volume=stats["at_cap_volume"] / n_reps,
     )
 
 

@@ -3,12 +3,16 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gaborzak.cli import main
+from gaborzak.cocycle import theta_haar
 from gaborzak.gabor import GaborConfig, TFPoint, config_to_json
 from gaborzak.numerics import parse_coordinate as mk
 from gaborzak.trigpoly import TrigPolynomial, save_polynomial
+from gaborzak.windows import GaussianWindow
+from gaborzak.zak import zak_transform
 
 
 @pytest.fixture
@@ -117,6 +121,39 @@ class TestZak:
         for ln in lines[1:]:
             t, w, re, im, ab = map(float, ln.split(","))
             assert abs(complex(re, im)) == pytest.approx(ab, abs=1e-15)
+
+    @pytest.mark.parametrize("dimension, resolution", [(1, 64), (1, 256), (2, 8)])
+    def test_csv_bytes_match_per_value_formatting(
+        self, dimension, resolution, tmp_path, monkeypatch
+    ):
+        from gaborzak import cli
+
+        window = GaussianWindow(dimension)
+        monkeypatch.setattr(cli, "_window_from_args", lambda args: window)
+        out = tmp_path / "z.csv"
+        assert main(["zak", "--resolution", str(resolution), "--out", str(out)]) == 0
+        Z = zak_transform(window, resolution=resolution, tail_target=1e-10)
+        labels = (
+            ["t", "omega"]
+            if dimension == 1
+            else ["t1", "t2", "omega1", "omega2"]
+        )
+        # the former per-value loop: np.ndindex, numpy scalar abs
+        lines = [",".join(labels + ["re", "im", "abs"])]
+        for idx in np.ndindex(*Z.values.shape):
+            z = Z.values[idx]
+            coords = [repr(i / resolution) for i in idx]
+            lines.append(
+                ",".join(
+                    coords
+                    + [repr(float(z.real)), repr(float(z.imag)), repr(float(abs(z)))]
+                )
+            )
+        text = out.read_text()
+        got = text.splitlines()
+        differ = [i for i, (a, b) in enumerate(zip(got, lines)) if a != b]
+        assert len(got) == len(lines) and not differ, f"lines {differ[:3]} differ"
+        assert text.endswith("\n")
 
     def test_grid_budget_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GRL_MAX_GRID", "100")
@@ -289,6 +326,23 @@ class TestRemarkCommands:
         for ln in lines[1:]:
             _, v = map(float, ln.split(","))
             assert abs(v) < 1e-6
+
+    def test_default_curves_never_refine(self, monkeypatch):
+        # no default remark cell has a zero within its Lipschitz radius, so
+        # the refinement walk cannot change the remark1/remark2 CSVs
+        from gaborzak import cli
+
+        estimates = []
+
+        def recording(*args, **kwargs):
+            estimates.append(theta_haar(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(cli, "theta_haar", recording)
+        cli.remark1_curve()
+        cli.remark2_curve()
+        assert len(estimates) == 101 + 32
+        assert all(e.splits == 0 and e.unresolved_volume == 0.0 for e in estimates)
 
 
 class TestErrorPaths:

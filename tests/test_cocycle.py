@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaborzak import cocycle
 from gaborzak.cocycle import (
+    _REFINE_CELL_BUDGET,
+    _REFINE_DEPTH_CAP,
     _phase_cocycle_rhs,
     SyntheticPhaseField,
     ThetaEstimate,
@@ -170,6 +173,10 @@ class TestThetaHaar:
         est = theta_haar(P1, reduce_mod1([1 / 3, 0.0]), VERT, MID_REFINE)
         assert abs(est.value) < 1e-3
         assert est.skipped_fraction < 1e-6
+        # the cells that hold the zero split down to the depth cap: at most
+        # two of them (a zero on their common edge) stay unresolved
+        assert 0 < est.splits < _REFINE_CELL_BUDGET
+        assert 0 < est.unresolved_volume <= 2 * 2.0**-_REFINE_DEPTH_CAP / 1024
 
     def test_gauss_legendre_on_smooth_coset(self):
         quad = QuadratureSpec("gauss-legendre", 64, False)
@@ -201,13 +208,23 @@ class TestThetaHaar:
         )
         assert abs(est.value - manual) < 1e-12
 
-    def test_identically_zero_coset_fails_loudly(self):
+    def test_identically_zero_coset_fails_loudly(self, monkeypatch):
         # 1 - e^{2 pi i (t - w)} vanishes on the whole diagonal coset, so
-        # refinement can never isolate the zero set
+        # refinement can never isolate the zero set; the grid takes one
+        # evaluation and each refinement depth one more
+        calls = []
+        original = TrigPolynomial.eval_points
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return original(self, pts)
+
+        monkeypatch.setattr(TrigPolynomial, "eval_points", counting)
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
         quad = QuadratureSpec("composite-midpoint", 32, True)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match="volume fraction 1.000e\\+00"):
             theta_haar(p, reduce_mod1([0.0, 0.0]), DIAG, quad)
+        assert len(calls) <= _REFINE_DEPTH_CAP + 2
 
     def test_unrefined_singular_estimate_is_flagged(self):
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
@@ -221,6 +238,72 @@ class TestThetaHaar:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             theta_haar(P1, reduce_mod1([0.3]), VERT, MID_REFINE)
+
+
+def _recursive_refine_cell(p, base_pt, dirs, center, halfwidth, lips, delta, depth, stats):
+    """The depth-first refinement that the level-by-level walk replaced: one
+    ``eval_points`` call per cell, the budget spent on the first cell first."""
+    z = base_pt + center @ dirs
+    val = float(abs(p.eval_points(np.mod(z, 1.0)[None, :])[0]))
+    radius = 2.0 * float(np.dot(lips, halfwidth))
+    vol = float(np.prod(2.0 * halfwidth))
+    exhausted = (
+        depth >= _REFINE_DEPTH_CAP or stats["splits"] >= _REFINE_CELL_BUDGET
+    )
+    if val > radius or exhausted:
+        if exhausted and val <= radius:
+            stats["at_cap_volume"] += vol
+        if val < delta:
+            stats["clamped_volume"] += vol
+            return vol * math.log(delta)
+        return vol * math.log(val)
+    stats["splits"] += 1
+    axis = int(np.argmax(lips * halfwidth))
+    hw = halfwidth.copy()
+    hw[axis] *= 0.5
+    lo = center.copy()
+    lo[axis] -= hw[axis]
+    hi = center.copy()
+    hi[axis] += hw[axis]
+    return _recursive_refine_cell(
+        p, base_pt, dirs, lo, hw, lips, delta, depth + 1, stats
+    ) + _recursive_refine_cell(p, base_pt, dirs, hi, hw, lips, delta, depth + 1, stats)
+
+
+def _recursive_refine_cells(p, base_pt, dirs, centers, hw0, lips, delta, stats):
+    return [
+        _recursive_refine_cell(p, base_pt, dirs, c.copy(), hw0.copy(), lips, delta, 0, stats)
+        for c in centers
+    ]
+
+
+def _haar_or_failure(lam, H, quad):
+    try:
+        est = theta_haar(P1, lam, H, quad)
+    except NumericalFailure:
+        return None
+    return est
+
+
+@pytest.mark.parametrize("tokens", ["0,sqrt2", "sqrt2,0", "sqrt2,sqrt3", "1/3,sqrt2"])
+@pytest.mark.parametrize("points", [7, 32, 101])
+def test_level_walk_matches_depth_first_recursion(tokens, points, monkeypatch):
+    # remark1's p has zeros at (1/3, 1/6) and (2/3, 5/6), so the bases
+    # (k/12, 1/6) put cosets through, near and away from them; the walk adds
+    # leaf values in the same pairs, and skipped volume in another order
+    H = _closure(tokens)
+    quad = QuadratureSpec("composite-midpoint", points, True)
+    for k in range(13):
+        lam = reduce_mod1([k / 12, 1 / 6])
+        walk = _haar_or_failure(lam, H, quad)
+        with monkeypatch.context() as mp:
+            mp.setattr(cocycle, "_refine_cells", _recursive_refine_cells)
+            want = _haar_or_failure(lam, H, quad)
+        assert (walk is None) == (want is None), f"k={k}"
+        if want is not None:
+            assert abs(walk.value - want.value) <= 1e-15, f"k={k}"
+            assert abs(walk.skipped_fraction - want.skipped_fraction) <= 1e-15, f"k={k}"
+            assert walk.splits == want.splits, f"k={k}"
 
 
 class TestCase3Verdict:
