@@ -35,6 +35,7 @@ from .numerics import (
     Coordinate,
     QuadratureSpec,
     TorusPoint,
+    fixed_order_matmul,
     inner_product_mod1_dist,
     product_grid,
     reduce_mod1,
@@ -190,7 +191,7 @@ def _refine_cells(p, base_pt, dirs, centers, hw0, lips, delta, stats):
     levels = []  # (values, split mask) per depth
     hw = hw0.copy()
     while len(centers):
-        raw = p.eval_points(np.mod(base_pt + centers @ dirs, 1.0))
+        raw = p.eval_points(np.mod(base_pt + fixed_order_matmul(centers, dirs), 1.0))
         vals = np.hypot(raw.real, raw.imag)
         vol = float(np.prod(2.0 * hw))
         want = ~(vals > 2.0 * float(np.dot(lips, hw)))
@@ -256,7 +257,7 @@ def theta_haar(
         ygrid = product_grid(0.5 * (x + 1.0), t_dim)
         wts = np.prod(product_grid(0.5 * w, t_dim), axis=1)
         for base_pt in reps:
-            zpts = np.mod(base_pt[None, :] + ygrid @ dirs, 1.0)
+            zpts = np.mod(base_pt[None, :] + fixed_order_matmul(ygrid, dirs), 1.0)
             vals = np.abs(p.eval_points(zpts))
             clamped = vals < delta
             stats["clamped_volume"] += float(np.sum(wts[clamped]))
@@ -270,7 +271,7 @@ def theta_haar(
         cell_vol = float(np.prod(2.0 * hw0))
         radius0 = 2.0 * float(np.dot(lips, hw0))
         for base_pt in reps:
-            zpts = np.mod(base_pt[None, :] + ygrid @ dirs, 1.0)
+            zpts = np.mod(base_pt[None, :] + fixed_order_matmul(ygrid, dirs), 1.0)
             vals = np.abs(p.eval_points(zpts))
             plain = vals > radius0
             if not quad.refine_near_singularity:

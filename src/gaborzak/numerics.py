@@ -28,6 +28,7 @@ __all__ = [
     "split_inner_product",
     "inner_product_mod1_dist",
     "product_grid",
+    "fixed_order_matmul",
     "parse_coordinate",
     "coordinate_from_json",
     "coordinate_to_json",
@@ -304,6 +305,16 @@ def product_grid(axis: np.ndarray, k: int) -> np.ndarray:
     order: the last coordinate varies fastest."""
     grids = np.meshgrid(*([axis] * k), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for an (n, k) array a, accumulated over k in a fixed order, so
+    each row of the result depends on its own row of a only (the rounding of
+    a BLAS product depends on how many rows are in the batch)."""
+    out = np.zeros((a.shape[0],) + b.shape[1:])
+    for i in range(b.shape[0]):
+        out += np.multiply.outer(a[:, i], b[i])
+    return out
 
 
 def stable_sum(terms: Iterable[complex]) -> complex:

@@ -102,14 +102,21 @@ class TrigPolynomial:
         return stable_sum(vals)
 
     def eval_points(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized values at an (n, m) array of points; fixed term order."""
+        """Vectorized values at an (n, m) array of points; fixed term order.
+
+        Each phase <freq, z> is accumulated column by column over the nonzero
+        frequency entries, so a point's value does not depend on the batch it
+        is in (a BLAS product ``pts @ freq`` does)."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
+        cols = pts.T.copy()
         out = np.zeros(pts.shape[0], dtype=complex)
-        for k in range(len(self._coeff_arr)):
-            phase = pts @ self._freq_arr[k]
-            out += self._coeff_arr[k] * np.exp(2j * math.pi * phase)
+        for freq, coeff in zip(self._freq_arr, self._coeff_arr):
+            phase = np.zeros(pts.shape[0])
+            for j in np.flatnonzero(freq):
+                phase += cols[j] * freq[j]
+            out += coeff * np.exp(2j * math.pi * phase)
         return out
 
     def eval_grid_2d(self, resolution: int) -> np.ndarray:

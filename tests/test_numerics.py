@@ -12,6 +12,7 @@ from gaborzak.numerics import (
     TorusPoint,
     coordinate_from_json,
     coordinate_to_json,
+    fixed_order_matmul,
     frac_int_split,
     inner_product_mod1_dist,
     mod1_dist,
@@ -141,6 +142,18 @@ def test_product_grid_matches_itertools_order(k):
     grid = product_grid(axis, k)
     assert grid.shape == (3**k, k)
     assert [tuple(row) for row in grid] == list(itertools.product(axis, repeat=k))
+
+
+@pytest.mark.parametrize("t, m", [(1, 2), (2, 3), (3, 4)])
+def test_fixed_order_matmul_rows_do_not_depend_on_the_batch(t, m):
+    # BLAS rounds (n, 3) @ (3, 4) differently for one row than for 1,000
+    rng = np.random.default_rng(t)
+    b = rng.integers(-3, 4, size=(t, m)).astype(float)
+    a = rng.random((1000, t)) / 7
+    full = fixed_order_matmul(a, b)
+    np.testing.assert_allclose(full, a @ b, rtol=0, atol=1e-15)
+    singles = np.concatenate([fixed_order_matmul(a[i : i + 1], b) for i in range(len(a))])
+    assert np.array_equal(singles, full)
 
 
 def test_stable_sum_many_small_terms():

@@ -36,6 +36,21 @@ def test_eval_points_matches_eval():
         assert abs(v - P2.eval(z)) < 1e-13
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_eval_points_is_independent_of_the_batch(m):
+    # a point's value must not depend on the rows evaluated with it
+    rng = np.random.default_rng(m)
+    freqs = rng.integers(-5, 6, size=(6, m))
+    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
+    p = TrigPolynomial(m, zip(map(tuple, freqs), coeffs))
+    pts = rng.random((1000, m))
+    full = p.eval_points(pts)
+    singles = np.concatenate([p.eval_points(pts[i : i + 1]) for i in range(len(pts))])
+    assert np.array_equal(singles, full)
+    for lo, hi in [(0, 7), (13, 500), (999, 1000), (100, 1000)]:
+        assert np.array_equal(p.eval_points(pts[lo:hi]), full[lo:hi])
+
+
 def test_eval_grid_matches_pointwise():
     M = 16
     grid = P1.eval_grid_2d(M)
