@@ -24,6 +24,7 @@ and one array version of the branch ladder; no orbit step is a Python loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .numerics import (
 # benchmark (bench/tracing.py) rebinds cocycle.haar_sample_points
 from .orbit import Gamma, SubgroupH, haar_sample_points, orbit_points  # noqa: F401
 from .trigpoly import TrigPolynomial
+from .zak import GRID_BUDGET_DEFAULT
 
 __all__ = [
     "CocycleTrajectory",
@@ -181,39 +183,57 @@ def theta_birkhoff(
     )
 
 
-def _refine_cells(p, base_pt, dirs, centers, hw0, lips, delta, stats):
+def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
     """vol * ln max(|p|, delta) of each root cell, refined level by level.
 
-    Cells split while |p(center)| is within their Lipschitz radius, along the
-    axis of largest lips * halfwidth, so all cells of a depth share one
-    halfwidth and one ``eval_points`` call.  Children follow as lo, hi pairs,
+    Cell i has halfwidth hw0 around the tangent coordinates centers[i] on
+    the coset through bases[comp[i]].  Cells split while |p(center)| is
+    within their Lipschitz radius, along the axis of largest lips *
+    halfwidth, so a depth shares one halfwidth and one ``eval_points`` call;
+    the split budget goes in frontier order.  A radius of 0 (p constant
+    along H, as on every cell of a finite H) never splits: at a zero of p
+    the cell is unresolved.  Each depth appends the clamped and unresolved
+    volume per component to ``stats``.  Children follow as lo, hi pairs,
     and a split cell's value is value(lo) + value(hi), as in a recursion."""
     levels = []  # (values, split mask) per depth
     hw = hw0.copy()
     while len(centers):
-        raw = p.eval_points(np.mod(base_pt + fixed_order_matmul(centers, dirs), 1.0))
+        raw = p.eval_points(np.mod(bases[comp] + fixed_order_matmul(centers, dirs), 1.0))
         vals = np.hypot(raw.real, raw.imag)
         vol = float(np.prod(2.0 * hw))
-        want = ~(vals > 2.0 * float(np.dot(lips, hw)))
+        radius = 2.0 * float(np.dot(lips, hw))
+        want = ~(vals > radius)
         room = _REFINE_CELL_BUDGET - stats["splits"]
         split = want & (np.cumsum(want) <= room) & (len(levels) < _REFINE_DEPTH_CAP)
+        split &= radius > 0.0
         stats["splits"] += int(np.count_nonzero(split))
-        stats["at_cap_volume"] += vol * float(np.count_nonzero(want & ~split))
+        stats["at_cap"].append(vol * np.bincount(comp[want & ~split], None, len(bases)))
         leaf_vals = vals[~split]
-        stats["clamped_volume"] += vol * float(np.count_nonzero(leaf_vals < delta))
+        clamped = comp[~split][leaf_vals < delta]
+        stats["clamped"].append(vol * np.bincount(clamped, None, len(bases)))
         # scalar math.log: np.log's SIMD loop differs in the last bit
         logs = map(math.log, np.maximum(leaf_vals, delta))
         values = np.empty(len(centers))
         values[~split] = vol * np.fromiter(logs, float, len(leaf_vals))
         levels.append((values, split))
+        if not split.any():
+            break
         axis = int(np.argmax(lips * hw))
         hw[axis] *= 0.5
+        comp = np.repeat(comp[split], 2)
         centers = np.repeat(centers[split], 2, axis=0)
         centers[0::2, axis] -= hw[axis]
         centers[1::2, axis] += hw[axis]
     for (values, split), (below, _) in zip(levels[-2::-1], levels[:0:-1]):
         values[split] = below[0::2] + below[1::2]
     return levels[0][0] if levels else np.zeros(0)
+
+
+def _tally(columns) -> float:
+    """Sum of per-component volume columns, added component by component and
+    then column by column, as a loop over the components adds them."""
+    table = np.column_stack(columns)
+    return float(np.cumsum(np.append(0.0, table[table != 0.0]))[-1])
 
 
 def theta_haar(
@@ -225,83 +245,65 @@ def theta_haar(
 ) -> ThetaEstimate:
     """Haar quadrature of ln max(|p|, delta) over the coset lambda + H.
 
-    The composite-midpoint scheme averages over the equispaced Haar grid and,
-    with refinement, halves cells whose center value is within the cell's
-    Lipschitz radius of zero, level by level.  Gauss-Legendre runs a plain
-    weighted product rule along the tangent directions.
+    One product rule in the tangent coordinates of H (Gauss-Legendre, or the
+    composite midpoint on the equispaced Haar grid) is evaluated on every
+    torsion component in one ``eval_points`` call.  Plain cells take the
+    vectorized rule: all cells of a rule that does not refine, else those
+    whose value clears their Lipschitz radius.  The other cells, and the
+    nodes of a finite H (points, not cells), go into one ``_refine_cells``
+    walk.  Theta is the fsum over each component, then over the components,
+    over their count.  A grid past ``GRID_BUDGET_DEFAULT`` points raises
+    ValueError before it is allocated.
     """
     n = quad.points_per_axis
-    m = H.dimension
+    m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
     if p.dimension != m or len(lam) != m:
         raise ValueError("dimension mismatch")
-    t_dim = H.haar_dimension
-    dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
-    reps = [lam.array() + r.array() for r in H.torsion_representatives]
-    n_reps = len(reps)
-    lips = np.array(
-        [p.lipschitz_along(H.connected_directions[j]) for j in range(t_dim)]
-    )
-    contributions: list[float] = []
-    stats = {"clamped_volume": 0.0, "at_cap_volume": 0.0, "splits": 0}
-
-    if t_dim == 0:
-        for base_pt in reps:
-            val = float(abs(p.eval_points(np.mod(base_pt, 1.0)[None, :])[0]))
-            if val < delta:
-                stats["clamped_volume"] += 1.0
-                contributions.append(math.log(delta))
-            else:
-                contributions.append(math.log(val))
-    elif quad.scheme == "gauss-legendre":
+    if n_reps * n**t_dim > GRID_BUDGET_DEFAULT:
+        raise ValueError(f"Haar grid of {n_reps} x {n}^{t_dim} points exceeds the "
+                         f"budget of {GRID_BUDGET_DEFAULT}; lower --points")
+    # node l/N of the composite midpoint rule is the midpoint of a cell of
+    # halfwidth 1/(2N) in each tangent coordinate
+    hw0 = np.full(t_dim, 0.5 / n)
+    if quad.scheme == "gauss-legendre":
         x, w = np.polynomial.legendre.leggauss(n)
-        ygrid = product_grid(0.5 * (x + 1.0), t_dim)
-        wts = np.prod(product_grid(0.5 * w, t_dim), axis=1)
-        for base_pt in reps:
-            zpts = np.mod(base_pt[None, :] + fixed_order_matmul(ygrid, dirs), 1.0)
-            vals = np.abs(p.eval_points(zpts))
-            clamped = vals < delta
-            stats["clamped_volume"] += float(np.sum(wts[clamped]))
-            logs = np.log(np.maximum(vals, delta))
-            contributions.append(math.fsum(wts * logs))
+        nodes, weights, scale = 0.5 * (x + 1.0), 0.5 * w, 1.0
     else:
-        # composite midpoint on the equispaced Haar grid: node l/N is the
-        # midpoint of a cell of halfwidth 1/(2N) in each tangent coordinate
-        ygrid = product_grid(np.arange(n) / n, t_dim)
-        hw0 = np.full(t_dim, 0.5 / n)
-        cell_vol = float(np.prod(2.0 * hw0))
-        radius0 = 2.0 * float(np.dot(lips, hw0))
-        for base_pt in reps:
-            zpts = np.mod(base_pt[None, :] + fixed_order_matmul(ygrid, dirs), 1.0)
-            vals = np.abs(p.eval_points(zpts))
-            plain = vals > radius0
-            if not quad.refine_near_singularity:
-                clamped = ~(vals >= delta)
-                stats["clamped_volume"] += cell_vol * float(np.sum(clamped))
-                logs = np.log(np.maximum(vals, delta))
-                contributions.append(cell_vol * math.fsum(logs))
-                continue
-            total_plain = cell_vol * math.fsum(
-                np.log(np.maximum(vals[plain], delta))
-            )
-            stats["clamped_volume"] += cell_vol * float(
-                np.sum(vals[plain] < delta)
-            )
-            refined = _refine_cells(
-                p, base_pt, dirs, ygrid[~plain], hw0, lips, delta, stats
-            )
-            contributions.append(total_plain + math.fsum(refined))
-    if stats["at_cap_volume"] > 1e-2:
+        nodes, weights, scale = np.arange(n) / n, np.ones(n), float(np.prod(2.0 * hw0))
+    refine = quad.refine_near_singularity and quad.scheme == "composite-midpoint"
+    ygrid = product_grid(nodes, t_dim)
+    wts = functools.reduce(np.multiply.outer, [weights] * t_dim, np.ones(())).ravel()
+    dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
+    bases = lam.array() + np.array([r.coords for r in H.torsion_representatives])
+    zpts = np.mod(bases[:, None, :] + fixed_order_matmul(ygrid, dirs), 1.0)
+    vals = np.abs(p.eval_points(zpts.reshape(-1, m))).reshape(n_reps, len(ygrid))
+    lips = np.array([p.lipschitz_along(b) for b in H.connected_directions])
+    plain = ((vals > 2.0 * float(np.dot(lips, hw0))) | (not refine)) & (t_dim > 0)
+    logs = np.where(plain, np.log(np.maximum(vals, delta)), 0.0)
+    clamped = plain & ~(vals >= delta)
+    stats = {"clamped": [np.zeros(n_reps)], "at_cap": [np.zeros(n_reps)], "splits": 0}
+    for c in np.flatnonzero(clamped.any(axis=1)):
+        stats["clamped"][0][c] = scale * np.sum(wts[clamped[c]])
+    comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
+    leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
+    bounds = np.searchsorted(comp, np.arange(n_reps + 1)).tolist()
+    contributions = [
+        scale * math.fsum(row) + math.fsum(leaves[lo:hi])
+        for row, lo, hi in zip((wts * logs).tolist(), bounds, bounds[1:])
+    ]
+    unresolved = _tally(stats["at_cap"]) / n_reps
+    if unresolved > 1e-2:
         raise NumericalFailure(
             "Haar quadrature failed to converge: refinement budget exhausted "
-            f"with volume fraction {stats['at_cap_volume']:.3e} unresolved"
+            f"with volume fraction {unresolved:.3e} unresolved"
         )
     return ThetaEstimate(
         value=math.fsum(contributions) / n_reps,
         method="haar-quadrature",
         samples=n,
-        skipped_fraction=stats["clamped_volume"] / n_reps,
+        skipped_fraction=_tally(stats["clamped"]) / n_reps,
         splits=stats["splits"],
-        unresolved_volume=stats["at_cap_volume"] / n_reps,
+        unresolved_volume=unresolved,
     )
 
 

@@ -143,7 +143,6 @@ class _AtomAsWindow:
         self.window = w
         self.pt = pt
         self.dimension = w.dimension
-        self.normalization = w.normalization
         self.effective_radius = w.effective_radius + float(
             np.max(np.abs(pt.x_floats()))
         )
@@ -237,7 +236,7 @@ def gaussian_gram_closed_form(cfg: GaborConfig, window: Window | None = None) ->
     (Magnitude and phase checked against a 50-digit quadrature oracle.)
     """
     if window is not None:
-        if not isinstance(window, GaussianWindow) or window.normalization != 1.0:
+        if not isinstance(window, GaussianWindow):
             raise ValueError(
                 "closed form supports only the unit-normalized Gaussian window"
             )

@@ -302,17 +302,16 @@ def inner_product_mod1_dist(a, b) -> float:
 
 def product_grid(axis: np.ndarray, k: int) -> np.ndarray:
     """(n**k, k) array of every k-tuple of entries of the 1-D ``axis`` in ij
-    order: the last coordinate varies fastest."""
+    order: the last coordinate varies fastest; k = 0 gives one empty row."""
     grids = np.meshgrid(*([axis] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.stack([g.ravel() for g in grids], axis=-1) if k else np.zeros((1, 0))
 
 
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for an (n, k) array a, accumulated over k in a fixed order, so
-    each row of the result depends on its own row of a only (the rounding of
-    a BLAS product depends on how many rows are in the batch)."""
+    """a @ b for an (n, k) array a, summed over the nonzero rows of b in order:
+    unlike BLAS, each row's rounding does not depend on the batch size n."""
     out = np.zeros((a.shape[0],) + b.shape[1:])
-    for i in range(b.shape[0]):
+    for i in np.flatnonzero(b.any(axis=tuple(range(1, b.ndim)))):
         out += np.multiply.outer(a[:, i], b[i])
     return out
 

@@ -27,8 +27,10 @@ from .lattice import hnf_basis, kernel_of_form, smith_normal_form
 from .numerics import (
     Coordinate,
     TorusPoint,
+    fixed_order_matmul,
     inner_product_mod1_dist,
     parse_coordinate,
+    product_grid,
     reduce_mod1,
 )
 
@@ -328,27 +330,20 @@ def subgroup_closure(gamma: Gamma, cls: OrbitClass) -> SubgroupH:
     )
 
 
-def haar_sample_points(H: SubgroupH, points_per_dimension: int) -> list[TorusPoint]:
-    """Equispaced product grid on H: every torsion coset carries the grid
-    { sum_i (l_i/N) b_i } over the connected-direction basis vectors b_i."""
+def haar_sample_points(H: SubgroupH, points_per_dimension: int) -> np.ndarray:
+    """Equispaced product grid on H as a (component_count * N**t, m) array in
+    [0, 1)^m: the torsion coset through each representative carries the
+    points rep + sum_i (l_i/N) b_i over the connected-direction basis
+    vectors b_i, with the last l_i varying fastest."""
     if points_per_dimension < 2:
         raise ValueError("points-per-dimension must be >= 2")
-    n = points_per_dimension
-    t_dim = H.haar_dimension
-    m = H.dimension
-    dirs = [np.array(b, dtype=float) for b in H.connected_directions]
-    out = []
-    for rep in H.torsion_representatives:
-        base = rep.array()
-        if t_dim == 0:
-            out.append(reduce_mod1(base))
-            continue
-        for combo in itertools.product(range(n), repeat=t_dim):
-            z = base.copy()
-            for li, b in zip(combo, dirs):
-                z = z + (li / n) * b
-            out.append(reduce_mod1(z))
-    return out
+    n, m, t_dim = points_per_dimension, H.dimension, H.haar_dimension
+    dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
+    offsets = fixed_order_matmul(product_grid(np.arange(n) / n, t_dim), dirs)
+    reps = np.array([r.coords for r in H.torsion_representatives])
+    pts = np.mod(reps[:, None, :] + offsets, 1.0).reshape(-1, m)
+    pts[pts >= 1.0] -= 1.0  # a tiny negative sum rounds up to 1.0
+    return pts
 
 
 def orbit_iterate(z0: TorusPoint, gamma: Gamma, n: int) -> TorusPoint:
@@ -400,6 +395,5 @@ def coset_min_modulus(
 ) -> float:
     """min |p| over the coset lam + H, sampled on the equispaced Haar grid;
     membership in the transversal set U is coset_min_modulus > delta."""
-    samples = haar_sample_points(H, points_per_dimension)
-    pts = np.array([s.array() for s in samples]) + lam.array()
-    return float(np.min(np.abs(p.eval_points(np.mod(pts, 1.0)))))
+    pts = np.mod(haar_sample_points(H, points_per_dimension) + lam.array(), 1.0)
+    return float(np.min(np.abs(p.eval_points(pts))))

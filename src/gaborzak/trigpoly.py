@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import lattice_contains
-from .numerics import TorusPoint, product_grid, stable_sum
+from .numerics import TorusPoint, fixed_order_matmul, product_grid, stable_sum
 
 __all__ = [
     "TrigPolynomial",
@@ -103,20 +103,12 @@ class TrigPolynomial:
 
     def eval_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized values at an (n, m) array of points; fixed term order.
-
-        Each phase <freq, z> is accumulated column by column over the nonzero
-        frequency entries, so a point's value does not depend on the batch it
-        is in (a BLAS product ``pts @ freq`` does)."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        cols = pts.T.copy()
+        A point's value does not depend on the batch it is in."""
+        # column-major, so that fixed_order_matmul reads contiguous columns
+        pts = np.asfortranarray(np.atleast_2d(np.asarray(pts, dtype=float)))
         out = np.zeros(pts.shape[0], dtype=complex)
         for freq, coeff in zip(self._freq_arr, self._coeff_arr):
-            phase = np.zeros(pts.shape[0])
-            for j in np.flatnonzero(freq):
-                phase += cols[j] * freq[j]
-            out += coeff * np.exp(2j * math.pi * phase)
+            out += coeff * np.exp(2j * math.pi * fixed_order_matmul(pts, freq))
         return out
 
     def eval_grid_2d(self, resolution: int) -> np.ndarray:

@@ -47,7 +47,6 @@ class Window:
     """Base class; concrete windows implement ``eval_many`` on (n, d) arrays."""
 
     dimension: int = 1
-    normalization: float = 1.0
     effective_radius: float = 6.0
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:  # pragma: no cover
@@ -55,13 +54,12 @@ class Window:
 
 
 class GaussianWindow(Window):
-    """2^{d/4} e^{-pi |t|^2} times ``normalization`` (unit L2 norm at 1)."""
+    """2^{d/4} e^{-pi |t|^2}, unit L2 norm."""
 
-    def __init__(self, dimension: int = 1, normalization: float = 1.0):
+    def __init__(self, dimension: int = 1):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = int(dimension)
-        self.normalization = float(normalization)
         # |f| < 1e-49 beyond radius 6, far below every tolerance used here
         self.effective_radius = 6.0
 
@@ -74,19 +72,18 @@ class GaussianWindow(Window):
                 f"window dimension {self.dimension}, got points of dimension {pts.shape[-1]}"
             )
         r2 = np.sum(pts * pts, axis=-1)
-        amp = self.normalization * 2.0 ** (self.dimension / 4.0)
+        amp = 2.0 ** (self.dimension / 4.0)
         return amp * np.exp(-math.pi * r2)
 
 
 class HermiteWindow(Window):
     """Hermite function of given order (dimension 1), unit L2 norm."""
 
-    def __init__(self, order: int, normalization: float = 1.0):
+    def __init__(self, order: int):
         if order < 0:
             raise ValueError("order must be >= 0")
         self.order = int(order)
         self.dimension = 1
-        self.normalization = float(normalization)
         self.effective_radius = 6.0 + 0.15 * self.order
         self._coeffs = np.zeros(self.order + 1)
         self._coeffs[self.order] = 1.0
@@ -100,7 +97,7 @@ class HermiteWindow(Window):
             pts = pts[..., 0]
         x = math.sqrt(2.0 * math.pi) * pts
         herm = np.polynomial.hermite.hermval(x, self._coeffs)
-        return self.normalization * self._amp * herm * np.exp(-math.pi * pts * pts)
+        return self._amp * herm * np.exp(-math.pi * pts * pts)
 
 
 class SampledGridWindow(Window):
@@ -110,7 +107,7 @@ class SampledGridWindow(Window):
     Values may be complex.
     """
 
-    def __init__(self, values, step: float, radius: float, normalization: float = 1.0):
+    def __init__(self, values, step: float, radius: float):
         vals = np.asarray(values)
         if vals.ndim != 1 or len(vals) < 4:
             raise ValueError("need a flat array of at least 4 samples")
@@ -119,7 +116,6 @@ class SampledGridWindow(Window):
         if step <= 0 or radius <= 0:
             raise ValueError("step and radius must be positive")
         self.dimension = 1
-        self.normalization = float(normalization)
         self.values = vals
         self.step = float(step)
         self.radius = float(radius)
@@ -136,8 +132,7 @@ class SampledGridWindow(Window):
                 raise ValueError("sampled windows are one-dimensional")
             pts = pts[..., 0]
         out = self._spline(pts)
-        out = np.where(np.isnan(out), 0.0, out)
-        return self.normalization * out
+        return np.where(np.isnan(out), 0.0, out)
 
 
 def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None) -> float:

@@ -227,7 +227,7 @@ def test_criterion_10_haar_coefficient_filter():
     for lam in (reduce_mod1([0.37, 0.88]), reduce_mod1([0.05, 0.4])):
         empirical = np.mean(
             p.eval_points(
-                np.mod(lam.array()[None, :] + np.stack([s.array() for s in samples]), 1.0)
+                np.mod(lam.array()[None, :] + samples, 1.0)
             )
         )
         gap = max(gap, abs(empirical - filtered.eval(lam.array())))

@@ -195,6 +195,17 @@ class TestTheta:
         ]
         assert main(args) == 3
 
+    def test_oversized_haar_grid_is_exit_code_2(self, tmp_path, capsys):
+        p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
+        path = tmp_path / "q.json"
+        save_polynomial(p, str(path))
+        args = [
+            "theta", "--poly", str(path), "--gamma", "sqrt2,sqrt3,1/2,sqrt5",
+            "--lambda", "0.1,0.2,0.3,0.4",
+        ]
+        assert main(args) == 2
+        assert "--points" in capsys.readouterr().err
+
 
 def test_phase_check(tmp_path):
     p2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])

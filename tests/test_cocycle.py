@@ -209,22 +209,72 @@ class TestThetaHaar:
         assert abs(est.value - manual) < 1e-12
 
     def test_identically_zero_coset_fails_loudly(self, monkeypatch):
-        # 1 - e^{2 pi i (t - w)} vanishes on the whole diagonal coset, so
-        # refinement can never isolate the zero set; the grid takes one
-        # evaluation and each refinement depth one more
-        calls = []
+        # 1 - e^{2 pi i (t - w)} vanishes on the whole diagonal coset and is
+        # constant along it, so every cell has Lipschitz radius 0: no cell
+        # splits, the grid takes one evaluation and the walk one more
+        calls, splits = [], []
         original = TrigPolynomial.eval_points
+        walk = cocycle._refine_cells
 
         def counting(self, pts):
             calls.append(len(pts))
             return original(self, pts)
 
+        def recording(*args):
+            values = walk(*args)
+            splits.append(args[-1]["splits"])
+            return values
+
         monkeypatch.setattr(TrigPolynomial, "eval_points", counting)
+        monkeypatch.setattr(cocycle, "_refine_cells", recording)
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
         quad = QuadratureSpec("composite-midpoint", 32, True)
         with pytest.raises(NumericalFailure, match="volume fraction 1.000e\\+00"):
             theta_haar(p, reduce_mod1([0.0, 0.0]), DIAG, quad)
-        assert len(calls) <= _REFINE_DEPTH_CAP + 2
+        assert splits == [0]
+        assert len(calls) <= 2
+
+    def test_unresolved_volume_is_a_fraction_of_the_components(self):
+        # 1 - e(2t) vanishes on the t = 0 component of H = {0, 1/2} x T and
+        # reads 2.4e-16 on the t = 1/2 one: half of H is unresolved
+        p = TrigPolynomial(2, [((0, 0), 1.0), ((2, 0), -1.0)])
+        H = _closure("1/2,sqrt2")
+        assert H.component_count == 2
+        with pytest.raises(NumericalFailure, match="volume fraction 5.000e-01"):
+            theta_haar(p, reduce_mod1([0.0, 0.0]), H, MID_REFINE)
+
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            QuadratureSpec("composite-midpoint", 8, False),
+            QuadratureSpec("composite-midpoint", 8, True),
+            QuadratureSpec("gauss-legendre", 8, False),
+        ],
+    )
+    def test_exact_zero_on_a_finite_subgroup_is_unresolved(self, quad):
+        # 1 - e(t + w) vanishes exactly at the component (0, 0) of the 143
+        # points of H = <(1/11, 1/13)>, and nowhere else on it
+        p = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), -1.0)])
+        H = _closure("1/11,1/13")
+        assert H.component_count == 143
+        est = theta_haar(p, reduce_mod1([0.0, 0.0]), H, quad)
+        assert est.unresolved_volume == 1 / 143
+        assert est.skipped_fraction == 1 / 143
+        assert est.splits == 0
+
+    def test_oversized_grid_raises_before_allocating(self, monkeypatch):
+        # two components of a 3-dimensional H at 1024 points per axis would
+        # be 2^31 grid points
+        def no_grid(*args):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(cocycle, "product_grid", no_grid)
+        p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
+        H = _closure("sqrt2,sqrt3,1/2,sqrt5")
+        assert (H.component_count, H.haar_dimension) == (2, 3)
+        quad = QuadratureSpec("composite-midpoint", 1024, True)
+        with pytest.raises(ValueError, match="--points"):
+            theta_haar(p, reduce_mod1([0.1, 0.2, 0.3, 0.4]), H, quad)
 
     def test_unrefined_singular_estimate_is_flagged(self):
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
@@ -240,21 +290,23 @@ class TestThetaHaar:
             theta_haar(P1, reduce_mod1([0.3]), VERT, MID_REFINE)
 
 
-def _recursive_refine_cell(p, base_pt, dirs, center, halfwidth, lips, delta, depth, stats):
+def _recursive_refine_cell(p, bases, c, dirs, center, halfwidth, lips, delta, depth, stats):
     """The depth-first refinement that the level-by-level walk replaced: one
     ``eval_points`` call per cell, the budget spent on the first cell first."""
-    z = base_pt + center @ dirs
+    z = bases[c] + center @ dirs
     val = float(abs(p.eval_points(np.mod(z, 1.0)[None, :])[0]))
     radius = 2.0 * float(np.dot(lips, halfwidth))
     vol = float(np.prod(2.0 * halfwidth))
     exhausted = (
-        depth >= _REFINE_DEPTH_CAP or stats["splits"] >= _REFINE_CELL_BUDGET
+        depth >= _REFINE_DEPTH_CAP
+        or stats["splits"] >= _REFINE_CELL_BUDGET
+        or radius == 0.0
     )
     if val > radius or exhausted:
         if exhausted and val <= radius:
-            stats["at_cap_volume"] += vol
+            stats["at_cap"].append(vol * np.bincount([c], None, len(bases)))
         if val < delta:
-            stats["clamped_volume"] += vol
+            stats["clamped"].append(vol * np.bincount([c], None, len(bases)))
             return vol * math.log(delta)
         return vol * math.log(val)
     stats["splits"] += 1
@@ -266,15 +318,15 @@ def _recursive_refine_cell(p, base_pt, dirs, center, halfwidth, lips, delta, dep
     hi = center.copy()
     hi[axis] += hw[axis]
     return _recursive_refine_cell(
-        p, base_pt, dirs, lo, hw, lips, delta, depth + 1, stats
-    ) + _recursive_refine_cell(p, base_pt, dirs, hi, hw, lips, delta, depth + 1, stats)
+        p, bases, c, dirs, lo, hw, lips, delta, depth + 1, stats
+    ) + _recursive_refine_cell(p, bases, c, dirs, hi, hw, lips, delta, depth + 1, stats)
 
 
-def _recursive_refine_cells(p, base_pt, dirs, centers, hw0, lips, delta, stats):
-    return [
-        _recursive_refine_cell(p, base_pt, dirs, c.copy(), hw0.copy(), lips, delta, 0, stats)
-        for c in centers
-    ]
+def _recursive_refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
+    return np.array([
+        _recursive_refine_cell(p, bases, c, dirs, y.copy(), hw0.copy(), lips, delta, 0, stats)
+        for c, y in zip(comp, centers)
+    ])
 
 
 def _haar_or_failure(lam, H, quad):
@@ -285,7 +337,9 @@ def _haar_or_failure(lam, H, quad):
     return est
 
 
-@pytest.mark.parametrize("tokens", ["0,sqrt2", "sqrt2,0", "sqrt2,sqrt3", "1/3,sqrt2"])
+@pytest.mark.parametrize(
+    "tokens", ["0,sqrt2", "sqrt2,0", "sqrt2,sqrt3", "1/3,sqrt2", "1/2,1/3"]
+)
 @pytest.mark.parametrize("points", [7, 32, 101])
 def test_level_walk_matches_depth_first_recursion(tokens, points, monkeypatch):
     # remark1's p has zeros at (1/3, 1/6) and (2/3, 5/6), so the bases

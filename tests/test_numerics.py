@@ -136,8 +136,9 @@ class TestInnerProduct:
         assert inner_product_mod1_dist((1, 1), sqrt2 + (-sqrt2[0],)) == 0.0
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_product_grid_matches_itertools_order(k):
+    # k = 0 is the single empty row: the one node of a zero-dimensional rule
     axis = np.array([0.0, 0.25, 0.7])
     grid = product_grid(axis, k)
     assert grid.shape == (3**k, k)

@@ -174,9 +174,11 @@ class TestHaarSamples:
             g = Gamma.from_tokens(toks)
             H = subgroup_closure(g, classify(g))
             samples = haar_sample_points(H, 8)
+            assert samples.shape == (H.component_count * 8**H.haar_dimension, 2)
+            assert np.all((samples >= 0.0) & (samples < 1.0))
             for mu in H.annihilator_basis:
                 for s in samples:
-                    v = float(np.dot(mu, s.array()))
+                    v = float(np.dot(mu, s))
                     assert abs(v - round(v)) <= 1e-10
 
     def test_nontrivial_character_mean_vanishes(self):
@@ -184,7 +186,7 @@ class TestHaarSamples:
         H = subgroup_closure(g, classify(g))
         samples = haar_sample_points(H, 16)
         assert len(samples) == 16
-        vals = [np.exp(2j * np.pi * s.array()[1]) for s in samples]
+        vals = np.exp(2j * np.pi * samples[:, 1])
         assert abs(np.mean(vals)) < 1e-12
 
     def test_links_to_coefficient_filter(self):
@@ -194,7 +196,7 @@ class TestHaarSamples:
         lam = np.array([0.21, 0.68])
         samples = haar_sample_points(H, 512)
         emp = np.mean(
-            [P2.eval(np.mod(lam + s.array(), 1.0)) for s in samples]
+            [P2.eval(np.mod(lam + s, 1.0)) for s in samples]
         )
         filtered = haar_average(P2, [list(m) for m in H.annihilator_basis])
         assert abs(emp - filtered.eval(lam)) < 1e-10

@@ -46,12 +46,6 @@ def test_hermite_parity(n):
     )
 
 
-def test_l2_norm_homogeneous():
-    a = l2_norm(GaussianWindow(normalization=1.0))
-    b = l2_norm(GaussianWindow(normalization=-2.5))
-    assert abs(b - 2.5 * a) < 1e-12
-
-
 def test_decay_bound_is_a_bound():
     g = GaussianWindow()
     db = decay_bound(g, order=8)
