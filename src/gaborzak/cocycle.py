@@ -186,15 +186,14 @@ def theta_birkhoff(
 def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
     """vol * ln max(|p|, delta) of each root cell, refined level by level.
 
-    Cell i has halfwidth hw0 around the tangent coordinates centers[i] on
-    the coset through bases[comp[i]].  Cells split while |p(center)| is
-    within their Lipschitz radius, along the axis of largest lips *
-    halfwidth, so a depth shares one halfwidth and one ``eval_points`` call;
-    the split budget goes in frontier order.  A radius of 0 (p constant
-    along H, as on every cell of a finite H) never splits: at a zero of p
-    the cell is unresolved.  Each depth appends the clamped and unresolved
-    volume per component to ``stats``.  Children follow as lo, hi pairs,
-    and a split cell's value is value(lo) + value(hi), as in a recursion."""
+    Cell i lies around tangent coordinates centers[i] on the coset through
+    bases[comp[i]].  Cells split while |p(center)| is within their Lipschitz
+    radius, along the axis of largest lips * halfwidth, so a depth shares
+    one halfwidth and one ``eval_points`` call; splits go in frontier order.
+    A cell of radius 0 (p constant along H, as on a finite H) never splits,
+    and at a zero of p it is unresolved.  ``stats`` gets each depth's
+    clamped and unresolved volume per component.  A split cell's value is
+    value(lo) + value(hi) of its children, as in a recursion."""
     levels = []  # (values, split mask) per depth
     hw = hw0.copy()
     while len(centers):
@@ -247,13 +246,11 @@ def theta_haar(
 
     One product rule in the tangent coordinates of H (Gauss-Legendre, or the
     composite midpoint on the equispaced Haar grid) is evaluated on every
-    torsion component in one ``eval_points`` call.  Plain cells take the
-    vectorized rule: all cells of a rule that does not refine, else those
-    whose value clears their Lipschitz radius.  The other cells, and the
-    nodes of a finite H (points, not cells), go into one ``_refine_cells``
-    walk.  Theta is the fsum over each component, then over the components,
-    over their count.  A grid past ``GRID_BUDGET_DEFAULT`` points raises
-    ValueError before it is allocated.
+    torsion component in one ``eval_points`` call.  Cells near a zero of p
+    under the refined midpoint rule, and the nodes of a finite H, go into
+    one ``_refine_cells`` walk; the rest are plain.  Theta is the fsum per
+    component, then over the components, over their count.  A grid of more
+    than ``GRID_BUDGET_DEFAULT`` points raises ValueError unallocated.
     """
     n = quad.points_per_axis
     m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
@@ -262,8 +259,7 @@ def theta_haar(
     if n_reps * n**t_dim > GRID_BUDGET_DEFAULT:
         raise ValueError(f"Haar grid of {n_reps} x {n}^{t_dim} points exceeds the "
                          f"budget of {GRID_BUDGET_DEFAULT}; lower --points")
-    # node l/N of the composite midpoint rule is the midpoint of a cell of
-    # halfwidth 1/(2N) in each tangent coordinate
+    # midpoint node l/N is the center of a cell of halfwidth 1/(2N) per axis
     hw0 = np.full(t_dim, 0.5 / n)
     if quad.scheme == "gauss-legendre":
         x, w = np.polynomial.legendre.leggauss(n)
@@ -289,7 +285,7 @@ def theta_haar(
     bounds = np.searchsorted(comp, np.arange(n_reps + 1)).tolist()
     contributions = [
         scale * math.fsum(row) + math.fsum(leaves[lo:hi])
-        for row, lo, hi in zip((wts * logs).tolist(), bounds, bounds[1:])
+        for row, lo, hi in zip(wts * logs, bounds, bounds[1:])
     ]
     unresolved = _tally(stats["at_cap"]) / n_reps
     if unresolved > 1e-2:

@@ -308,11 +308,11 @@ def product_grid(axis: np.ndarray, k: int) -> np.ndarray:
 
 
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for an (n, k) array a, summed over the nonzero rows of b in order:
-    unlike BLAS, each row's rounding does not depend on the batch size n."""
-    out = np.zeros((a.shape[0],) + b.shape[1:])
-    for i in np.flatnonzero(b.any(axis=tuple(range(1, b.ndim)))):
-        out += np.multiply.outer(a[:, i], b[i])
+    """a @ b for (n, k) and (k, p) arrays, summed over k in order: unlike a
+    BLAS product, each entry's rounding depends on its own row and column."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in range(b.shape[0]):
+        out += a[:, i, None] * b[i]
     return out
 
 

@@ -331,10 +331,9 @@ def subgroup_closure(gamma: Gamma, cls: OrbitClass) -> SubgroupH:
 
 
 def haar_sample_points(H: SubgroupH, points_per_dimension: int) -> np.ndarray:
-    """Equispaced product grid on H as a (component_count * N**t, m) array in
-    [0, 1)^m: the torsion coset through each representative carries the
-    points rep + sum_i (l_i/N) b_i over the connected-direction basis
-    vectors b_i, with the last l_i varying fastest."""
+    """(component_count * N**t, m) array in [0, 1)^m of the equispaced grid
+    on H: each torsion representative carries rep + sum_i (l_i/N) b_i over
+    the connected directions b_i, the last l_i varying fastest."""
     if points_per_dimension < 2:
         raise ValueError("points-per-dimension must be >= 2")
     n, m, t_dim = points_per_dimension, H.dimension, H.haar_dimension

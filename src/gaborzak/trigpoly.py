@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_EVAL_CHUNK = 1 << 14  # rows per eval_points pass: bounds its temporaries
 
 
 class TrigPolynomial:
@@ -103,12 +104,15 @@ class TrigPolynomial:
 
     def eval_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized values at an (n, m) array of points; fixed term order.
-        A point's value does not depend on the batch it is in."""
-        # column-major, so that fixed_order_matmul reads contiguous columns
-        pts = np.asfortranarray(np.atleast_2d(np.asarray(pts, dtype=float)))
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for freq, coeff in zip(self._freq_arr, self._coeff_arr):
-            out += coeff * np.exp(2j * math.pi * fixed_order_matmul(pts, freq))
+        Rows go through in chunks, and each phase is summed coordinate by
+        coordinate, so a point's value does not depend on its batch."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.zeros(len(pts), dtype=complex)
+        for lo in range(0, len(pts), _EVAL_CHUNK):
+            part = out[lo : lo + _EVAL_CHUNK]
+            phases = fixed_order_matmul(self._freq_arr, pts[lo : lo + _EVAL_CHUNK].T)
+            for term in self._coeff_arr[:, None] * np.exp(2j * math.pi * phases):
+                part += term
         return out
 
     def eval_grid_2d(self, resolution: int) -> np.ndarray:
