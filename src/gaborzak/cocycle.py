@@ -229,8 +229,7 @@ def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
 
 
 def _tally(columns) -> float:
-    """Sum of per-component volume columns, added component by component and
-    then column by column, as a loop over the components adds them."""
+    """Sum of per-component columns, component by component, as a loop adds them."""
     table = np.column_stack(columns)
     return float(np.cumsum(np.append(0.0, table[table != 0.0]))[-1])
 
@@ -271,8 +270,9 @@ def theta_haar(
     wts = functools.reduce(np.multiply.outer, [weights] * t_dim, np.ones(())).ravel()
     dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
     bases = lam.array() + np.array([r.coords for r in H.torsion_representatives])
-    zpts = np.mod(bases[:, None, :] + fixed_order_matmul(ygrid, dirs), 1.0)
-    vals = np.abs(p.eval_points(zpts.reshape(-1, m))).reshape(n_reps, len(ygrid))
+    grid = bases[:, None, :] + fixed_order_matmul(ygrid, dirs)
+    grid = p.eval_points(np.mod(grid, 1.0, out=grid).reshape(-1, m))  # points -> values
+    vals = np.abs(grid).reshape(n_reps, len(ygrid))
     lips = np.array([p.lipschitz_along(b) for b in H.connected_directions])
     plain = ((vals > 2.0 * float(np.dot(lips, hw0))) | (not refine)) & (t_dim > 0)
     logs = np.where(plain, np.log(np.maximum(vals, delta)), 0.0)
