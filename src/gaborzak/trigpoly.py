@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_EVAL_CHUNK = 1 << 14  # rows per eval_points pass: bounds its temporaries
+_EVAL_BLOCK = 1 << 14  # phases per eval_points pass: keeps temporaries in cache
 
 
 class TrigPolynomial:
@@ -103,14 +103,14 @@ class TrigPolynomial:
         return stable_sum(vals)
 
     def eval_points(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized values at an (n, m) array of points; fixed term order.
-        Rows go through in chunks, and each phase is summed coordinate by
-        coordinate, so a point's value does not depend on its batch."""
+        """Vectorized values at an (n, m) array of points, a block of rows at a
+        time; phases sum in a fixed order, so no value depends on its batch."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.zeros(len(pts), dtype=complex)
-        for lo in range(0, len(pts), _EVAL_CHUNK):
-            part = out[lo : lo + _EVAL_CHUNK]
-            phases = fixed_order_matmul(self._freq_arr, pts[lo : lo + _EVAL_CHUNK].T)
+        rows = max(1, _EVAL_BLOCK // max(1, len(self.terms)))
+        for lo in range(0, len(pts), rows):
+            part = out[lo : lo + rows]
+            phases = fixed_order_matmul(self._freq_arr, pts[lo : lo + rows].T.copy())
             for term in self._coeff_arr[:, None] * np.exp(2j * math.pi * phases):
                 part += term
         return out

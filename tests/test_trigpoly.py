@@ -43,11 +43,11 @@ def test_eval_points_is_independent_of_the_batch(m):
     freqs = rng.integers(-5, 6, size=(6, m))
     coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
     p = TrigPolynomial(m, zip(map(tuple, freqs), coeffs))
-    pts = rng.random((1000, m))
+    pts = rng.random((6000, m))  # more than one block of rows
     full = p.eval_points(pts)
-    singles = np.concatenate([p.eval_points(pts[i : i + 1]) for i in range(len(pts))])
-    assert np.array_equal(singles, full)
-    for lo, hi in [(0, 7), (13, 500), (999, 1000), (100, 1000)]:
+    singles = np.concatenate([p.eval_points(pts[i : i + 1]) for i in range(1000)])
+    assert np.array_equal(singles, full[:1000])
+    for lo, hi in [(0, 7), (13, 500), (999, 1000), (100, 1000), (2700, 2800), (1, 6000)]:
         assert np.array_equal(p.eval_points(pts[lo:hi]), full[lo:hi])
 
 
