@@ -17,9 +17,13 @@ value (four-case arctangent ladder), the n-step phase recursion
 the normalized sequence zeta_n = exp(2 pi i theta_n / n), and the two cluster
 set descriptions whose forced equality drives the rigidity argument.
 
-All of these read one vectorized orbit pass over an array of steps j: the
+The Birkhoff average and ``propagate`` read p along the orbit by its
+characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
+from two small exp tables per term (``_orbit_values``).  The phase entry
+points read one vectorized orbit pass over an array of steps j: the
 long-double lift t - j alpha, the reduced points, one ``eval_points`` call
-and one array version of the branch ladder; no orbit step is a Python loop.
+(Zak-field sources have no characters) and one array version of the branch
+ladder.  No orbit step is a Python loop.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 from .errors import NumericalFailure, PhaseUndefined
 from .numerics import (
     Coordinate,
+    STEP_BLOCK,
     QuadratureSpec,
     TorusPoint,
     fixed_order_matmul,
@@ -41,9 +46,11 @@ from .numerics import (
     product_grid,
     reduce_mod1,
     split_inner_product,
+    step_residue_tables,
+    step_residues,
 )
-# haar_sample_points is unused here but stays a module attribute: the traced
-# benchmark (bench/tracing.py) rebinds cocycle.haar_sample_points
+# haar_sample_points and orbit_points are unused here but stay module
+# attributes: the traced benchmark (bench/tracing.py) rebinds both
 from .orbit import Gamma, SubgroupH, haar_sample_points, orbit_points  # noqa: F401
 from .trigpoly import TrigPolynomial
 from .zak import GRID_BUDGET_DEFAULT
@@ -117,6 +124,42 @@ class ClusterSet:
     generator_angle: float  # angle of e^{-pi i <a,b>} in turns, mod 1
 
 
+def _e(x) -> np.ndarray:
+    """e(x) = exp(2 pi i x) of long-double turns x, reduced mod 1 first."""
+    return np.exp(2j * np.pi * np.mod(x, np.longdouble(1.0)).astype(float))
+
+
+def _orbit_values(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int) -> np.ndarray:
+    """p(base + j gamma) for j < n, by characters, with no orbit points.
+
+    Term k adds c_k e(<f_k, base>) w_k^j with w_k = e(theta_k) and theta_k =
+    <f_k, gamma>.  For j = q B + r (B = STEP_BLOCK) that is the outer product
+    of a table over the block starts, c_k e(<f_k, base>) e(theta_k q B), and
+    one over the offsets, e(theta_k r).  A phase is its exact rational residue
+    over den plus the step times the long-double irrational part of theta_k,
+    reduced mod 1 first, so the value at a step does not depend on n.
+    """
+    m = gamma.dimension
+    if p.dimension != m or len(base) != m:
+        raise ValueError("dimension mismatch")
+    starts = np.arange(-(-n // STEP_BLOCK), dtype=np.longdouble) * STEP_BLOCK
+    offsets = np.arange(min(STEP_BLOCK, n), dtype=np.longdouble)
+    z = np.array(base.coords, dtype=np.longdouble)
+    out = np.zeros((len(starts), len(offsets)), dtype=complex)
+    for freq, coeff in p.terms:
+        rat, irr, _ = split_inner_product(freq, gamma.coords)
+        irr = np.mod(irr, np.longdouble(1.0))
+        den = np.longdouble(rat.denominator)
+        rat_starts, rat_offsets = (
+            np.asarray(t, dtype=np.longdouble) / den for t in step_residue_tables(rat, n)
+        )
+        lead = coeff * _e(np.dot(freq, z))
+        out += (lead * _e(rat_starts + starts * irr))[:, None] * _e(
+            rat_offsets + offsets * irr
+        )
+    return out.ravel()[:n]
+
+
 def propagate(
     F0: float,
     base: TorusPoint,
@@ -127,9 +170,10 @@ def propagate(
 ) -> CocycleTrajectory:
     """Accumulate logF[n] = ln F0 + sum_{j<n} ln |p(base + j gamma)|.
 
-    Steps where |p| falls under the threshold contribute nothing and are
-    recorded; all later values carry a non-comparable flag.  F0 = 0 encodes a
-    zero of F: the whole forward orbit stays at log-value -inf.
+    The values of p along the orbit come from ``_orbit_values``.  Steps where
+    |p| falls under the threshold contribute nothing and are recorded; all
+    later values carry a non-comparable flag.  F0 = 0 encodes a zero of F:
+    the whole forward orbit stays at log-value -inf.
     """
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
@@ -137,8 +181,7 @@ def propagate(
         raise ValueError("skip threshold must be positive")
     if F0 < 0:
         raise ValueError("F0 must be >= 0")
-    pts = orbit_points(base, gamma, n_max)
-    q = np.abs(q_source.eval_points(pts))
+    q = np.abs(_orbit_values(q_source, base, gamma, n_max))
     good = q >= skip_threshold
     contrib = np.where(good, np.log(np.where(good, q, 1.0)), 0.0)
     log_f0 = math.log(F0) if F0 > 0 else -math.inf
@@ -168,11 +211,14 @@ def theta_birkhoff(
     n: int,
     delta: float = 1e-8,
 ) -> ThetaEstimate:
-    """(1/n) sum_{j<n} ln |p(lambda + j gamma)| over the non-skipped steps."""
+    """(1/n) sum_{j<n} ln |p(lambda + j gamma)| over the non-skipped steps.
+
+    The values along the orbit come from ``_orbit_values``, by characters; the
+    logs of the steps with |p| >= delta are summed exactly (``math.fsum``).
+    """
     if n < 1000:
         raise ValueError("Birkhoff averaging needs n >= 1000")
-    pts = orbit_points(lam, gamma, n)
-    q = np.abs(p.eval_points(pts))
+    q = np.abs(_orbit_values(p, lam, gamma, n))
     good = q >= delta
     total = math.fsum(np.log(q[good]))
     return ThetaEstimate(
@@ -622,11 +668,9 @@ def cluster_set_c2(
         c = beta[i]
         if c.is_rational:
             f = c.fraction
-            resid = (
-                np.arange(1, n_max + 1, dtype=np.int64) * (f.numerator % f.denominator)
-            ) % f.denominator
+            resid = np.asarray(step_residues(f, n_max + 1)[1:], dtype=np.longdouble)
             frac = np.mod(
-                np.longdouble(omega[i]) + resid.astype(np.longdouble) / f.denominator,
+                np.longdouble(omega[i]) + resid / f.denominator,
                 np.longdouble(1.0),
             )
         else:

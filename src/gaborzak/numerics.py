@@ -1,5 +1,6 @@
 """Exact/float coordinate arithmetic, torus reduction, deterministic summation,
-the exact/long-double inner product and product grids.
+the exact/long-double inner product, exact orbit-step residues and product
+grids.
 
 Coordinates are either exact rationals (stored as ``fractions.Fraction`` in
 lowest terms) or tagged irrationals (a float64 value plus an optional label
@@ -27,6 +28,9 @@ __all__ = [
     "mod1_dist",
     "split_inner_product",
     "inner_product_mod1_dist",
+    "STEP_BLOCK",
+    "step_residue_tables",
+    "step_residues",
     "product_grid",
     "fixed_order_matmul",
     "parse_coordinate",
@@ -298,6 +302,35 @@ def inner_product_mod1_dist(a, b) -> float:
         return float(min(frac, 1 - frac))
     total = irr + np.longdouble(rat.numerator) / np.longdouble(rat.denominator)
     return float(abs(total - np.rint(total)))
+
+
+STEP_BLOCK = 1024  # orbit steps j = q * STEP_BLOCK + r, with r < STEP_BLOCK
+
+
+def step_residue_tables(frac: Fraction, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact residues (s * num) mod den of frac = num/den at the steps
+    s = q * STEP_BLOCK for q < ceil(count / STEP_BLOCK), and s = r for
+    r < min(STEP_BLOCK, count).
+
+    They are Python-int products reduced mod den, so no step overflows.  They
+    come back as int64 while den < 2**62, where a block residue plus an offset
+    residue still fits, and as Python ints in object arrays past that.
+    """
+    num, den = frac.numerator, frac.denominator
+    dtype = np.int64 if den < 1 << 62 else object
+    rows = -(-count // STEP_BLOCK)
+    starts = np.array([q * STEP_BLOCK * num % den for q in range(rows)], dtype=dtype)
+    offsets = np.array([r * num % den for r in range(min(STEP_BLOCK, count))], dtype=dtype)
+    return starts, offsets
+
+
+def step_residues(frac: Fraction, count: int) -> np.ndarray:
+    """(j * num) mod den for j < count, exact for any denominator: the sum of
+    the residues of j's block start and offset, less den once it reaches den."""
+    starts, offsets = step_residue_tables(frac, count)
+    res = (starts[:, None] + offsets).ravel()[:count]
+    res[res >= frac.denominator] -= frac.denominator
+    return res
 
 
 def product_grid(axis: np.ndarray, k: int) -> np.ndarray:

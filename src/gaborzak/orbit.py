@@ -32,6 +32,7 @@ from .numerics import (
     parse_coordinate,
     product_grid,
     reduce_mod1,
+    step_residues,
 )
 
 __all__ = [
@@ -376,8 +377,7 @@ def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
     for i, c in enumerate(gamma.coords):
         if c.is_rational:
             f = c.fraction
-            residues = (j * (f.numerator % f.denominator)) % f.denominator
-            vals = (z0[i] + residues / f.denominator) % 1.0
+            vals = (z0[i] + step_residues(f, count) / f.denominator) % 1.0
         else:
             acc = np.mod(
                 j.astype(np.longdouble) * c.longdouble() + np.longdouble(z0[i]),

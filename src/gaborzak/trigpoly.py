@@ -106,6 +106,10 @@ class TrigPolynomial:
         """Vectorized values at an (n, m) array of points, a block of rows at a
         time; phases sum in a fixed order, so no value depends on its batch."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.shape[1] != self.dimension:
+            raise ValueError(
+                f"points have dimension {pts.shape[1]}, polynomial {self.dimension}"
+            )
         out = np.zeros(len(pts), dtype=complex)
         rows = max(1, _EVAL_BLOCK // max(1, len(self.terms)))
         for lo in range(0, len(pts), rows):

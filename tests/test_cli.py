@@ -185,6 +185,25 @@ class TestTheta:
         assert data["method"] == "birkhoff"
         assert abs(data["value"] - math.log(2)) < 5e-3
 
+    @pytest.mark.parametrize("dimension,gamma,lam", [
+        (3, "sqrt2,sqrt3", "0.1,0.2"),
+        (2, "sqrt2,sqrt3,sqrt5", "0.1,0.2,0.3"),
+    ])
+    def test_birkhoff_dimension_mismatch_is_exit_code_2(
+        self, tmp_path, capsys, dimension, gamma, lam
+    ):
+        # 1 + 0.5 e(t_m) once read only the columns it had points for
+        top = (0,) * (dimension - 1) + (1,)
+        p = TrigPolynomial(dimension, [((0,) * dimension, 1.0), (top, 0.5)])
+        path = tmp_path / "p.json"
+        save_polynomial(p, str(path))
+        args = [
+            "theta", "--method", "birkhoff", "--poly", str(path), "--gamma", gamma,
+            "--lambda", lam, "--n", "1000",
+        ]
+        assert main(args) == 2
+        assert "dimension mismatch" in capsys.readouterr().err
+
     def test_unresolvable_zero_set_is_exit_code_3(self, tmp_path):
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
         path = tmp_path / "diag.json"

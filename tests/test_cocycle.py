@@ -9,6 +9,7 @@ from gaborzak import cocycle
 from gaborzak.cocycle import (
     _REFINE_CELL_BUDGET,
     _REFINE_DEPTH_CAP,
+    _orbit_values,
     _phase_cocycle_rhs,
     SyntheticPhaseField,
     ThetaEstimate,
@@ -122,6 +123,69 @@ class TestPropagate:
             propagate(1.0, self.base, self.gamma, P2, 10, skip_threshold=0.0)
 
 
+def _random_poly(m, terms, seed):
+    rng = np.random.default_rng(seed)
+    freqs = rng.integers(-3, 4, size=(terms, m))
+    coeffs = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    return TrigPolynomial(m, [(tuple(f), c) for f, c in zip(freqs, coeffs)])
+
+
+class TestOrbitValues:
+    @pytest.mark.parametrize("tokens", [
+        "sqrt2",
+        "3/7",
+        "1/3,sqrt2",
+        "irr:0.2718281828459045,-sqrt3",
+        "1/2,1/3,2/7",
+        "sqrt2,sqrt3,sqrt5",
+        "sqrt2,1/3,irr:0.7071,-sqrt5",
+        "5/11,-1/4,13/17,pi",
+    ])
+    def test_matches_eval_points_of_orbit_points(self, tokens):
+        gamma = Gamma.from_tokens(tokens)
+        m = gamma.dimension
+        p = _random_poly(m, 5, m)
+        base = reduce_mod1(np.linspace(0.1, 0.9, m))
+        n = 10**6
+        got = _orbit_values(p, base, gamma, n)
+        idx = np.concatenate([np.arange(2000), np.random.default_rng(0).integers(0, n, 2000),
+                              np.arange(n - 2000, n)])
+        want = p.eval_points(orbit_points(base, gamma, n)[idx])
+        scale = sum(abs(c) for _, c in p.terms)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got[idx] - want)) <= 1e-11 * scale
+
+    def test_values_do_not_depend_on_the_orbit_length(self):
+        gamma = Gamma.from_tokens("1/3,sqrt2")
+        base = reduce_mod1([0.1, 0.7])
+        for p in (P1, P2, _random_poly(2, 6, 7)):
+            long = _orbit_values(p, base, gamma, 10**6)
+            assert np.array_equal(_orbit_values(p, base, gamma, 5000), long[:5000])
+
+    def test_rational_gamma_is_periodic(self):
+        # the orbit of (1/3, 2/7) has period 21
+        values = _orbit_values(P2, reduce_mod1([0.1, 0.2]), Gamma.from_tokens("1/3,2/7"), 5000)
+        assert np.max(np.abs(values[21:] - values[:-21])) <= 1e-14
+
+    @pytest.mark.parametrize("tokens", [
+        "99999999999999/100000000000000,sqrt2",
+        f"{3**40 + 2}/{3**40 - 2},sqrt2",  # den > 2**62: Python-int residues
+    ])
+    def test_exact_past_int64_residue_products(self, tokens):
+        gamma = Gamma.from_tokens(tokens)
+        base = reduce_mod1([0.3, 0.6])
+        values = _orbit_values(P2, base, gamma, 200_001)
+        for n in (92_233, 92_234, 200_000):
+            want = P2.eval(orbit_iterate(base, gamma, n))
+            assert abs(values[n] - want) <= 1e-11 * 1.5, n  # sum |c_k| of P2 is 1.5
+
+    def test_zero_polynomial_skips_every_step(self):
+        zero = TrigPolynomial(2, [])
+        est = theta_birkhoff(zero, reduce_mod1([0.1, 0.2]), Gamma.from_tokens("sqrt2,sqrt3"), 1000)
+        assert est.skipped_fraction == 1.0
+        assert est.value == 0.0
+
+
 class TestThetaBirkhoff:
     def test_smooth_coset(self):
         est = theta_birkhoff(
@@ -154,6 +218,20 @@ class TestThetaBirkhoff:
     def test_needs_minimum_samples(self):
         with pytest.raises(ValueError):
             theta_birkhoff(P1, reduce_mod1([0, 0]), Gamma.from_tokens("0,sqrt2"), 999)
+
+    @pytest.mark.parametrize("dimension,tokens,lam", [
+        (3, "sqrt2,sqrt3", [0.1, 0.2]),
+        (2, "sqrt2,sqrt3,sqrt5", [0.1, 0.2, 0.3]),
+        (2, "sqrt2,sqrt3", [0.1, 0.2, 0.3]),
+    ])
+    def test_dimension_mismatch(self, dimension, tokens, lam):
+        top = (0,) * (dimension - 1) + (1,)
+        p = TrigPolynomial(dimension, [((0,) * dimension, 1.0), (top, 0.5)])
+        gamma, base = Gamma.from_tokens(tokens), reduce_mod1(lam)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            theta_birkhoff(p, base, gamma, 1000)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            propagate(1.0, base, gamma, p, 1000)
 
 
 class TestThetaHaar:
@@ -697,6 +775,12 @@ class TestClusterSets:
         ]
         for got, want in zip(pts, direct):
             assert abs(got - want) < 1e-12
+
+    def test_c2_is_exact_past_int64_residue_products(self):
+        # omega + n beta = 0.25 - n 1e-14 mod 1; n * den passes 2**63 at n = 92,234
+        beta = (mk("99999999999999/100000000000000"),)
+        pts = cluster_set_c2((mk("1"),), beta, reduce_mod1([0.25]), 100_000)
+        assert max(abs(p + 1j) for p in pts) < 1e-8
 
     def test_c2_irrational_beta_fills_circle(self):
         pts = cluster_set_c2((mk("1"),), (mk("sqrt2"),), reduce_mod1([0.0]), 4000)

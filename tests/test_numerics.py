@@ -21,6 +21,7 @@ from gaborzak.numerics import (
     reduce_mod1,
     split_inner_product,
     stable_sum,
+    step_residues,
 )
 
 
@@ -134,6 +135,19 @@ class TestInnerProduct:
         assert inner_product_mod1_dist((1,), sqrt2) == pytest.approx(math.sqrt(2) - 1)
         # cancelling irrational products leave an exact integer
         assert inner_product_mod1_dist((1, 1), sqrt2 + (-sqrt2[0],)) == 0.0
+
+
+@pytest.mark.parametrize("frac", [
+    Fraction(2, 7),
+    Fraction(-3, 5),
+    Fraction(99999999999999, 10**14),
+    Fraction(3**40 + 2, 3**40 - 2),  # den > 2**62: Python-int residues
+])
+@pytest.mark.parametrize("count", [1, 1023, 1024, 5000, 200_001])
+def test_step_residues_are_exact(frac, count):
+    # j * 10**14 passes 2**63 at j = 92,234
+    want = [j * frac.numerator % frac.denominator for j in range(count)]
+    assert step_residues(frac, count).tolist() == want
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

@@ -230,6 +230,15 @@ class TestOrbitIteration:
             d = np.abs(pts[n] - zn.array())
             assert np.all(np.minimum(d, 1 - d) < 1e-12)
 
+    def test_points_are_exact_past_int64_residue_products(self):
+        # j * den passes 2**63 at j = 92,234 for den = 10**14
+        g = Gamma.from_tokens("99999999999999/100000000000000,sqrt2")
+        z0 = reduce_mod1([0.3, 0.6])
+        pts = orbit_points(z0, g, 200_001)
+        for n in (92_233, 92_234, 200_000):
+            d = np.abs(pts[n] - orbit_iterate(z0, g, n).array())
+            assert np.all(np.minimum(d, 1 - d) < 1e-12), n
+
     def test_equidistribution_weyl_bound(self):
         # |(1/n) sum e^{2 pi i <mu, z_j>}| <= 5/sqrt(n) for dense gamma
         g = Gamma.from_tokens("sqrt2,sqrt3")

@@ -51,6 +51,13 @@ def test_eval_points_is_independent_of_the_batch(m):
         assert np.array_equal(p.eval_points(pts[lo:hi]), full[lo:hi])
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_eval_points_rejects_a_point_width_other_than_the_dimension(width):
+    p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), 0.5)])
+    with pytest.raises(ValueError, match="dimension"):
+        p.eval_points(np.zeros((5, width)))
+
+
 def test_eval_grid_matches_pointwise():
     M = 16
     grid = P1.eval_grid_2d(M)
