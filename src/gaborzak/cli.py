@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -54,7 +53,7 @@ from .numerics import (
 from .orbit import Gamma, classify, subgroup_closure
 from .trigpoly import TrigPolynomial, load_polynomial, min_modulus
 from .windows import GaussianWindow, HermiteWindow, sampled_window_from_csv
-from .zak import GRID_BUDGET_DEFAULT, zak_transform
+from .zak import zak_transform
 
 __all__ = [
     "main",
@@ -89,37 +88,27 @@ def remark2_polynomial() -> TrigPolynomial:
     return TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
 
 
-def _map_ordered(fn, items, threads: int):
+def _haar_curve(p, tokens: str, bases, points: int, threads: int) -> list[float]:
+    """Haar Theta of p over the orbit closure H of the gamma that ``tokens``
+    name, at each base point; threads only schedule the base points."""
+    gamma = Gamma.from_tokens(tokens)
+    H = subgroup_closure(gamma, classify(gamma))
+    quad = QuadratureSpec("composite-midpoint", points, True)
+
+    def one(base):
+        return theta_haar(p, reduce_mod1(base), H, quad).value
+
     if threads <= 1:
-        return [fn(x) for x in items]
+        return [one(base) for base in bases]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _vertical_subgroup():
-    """H = {0} x T, the orbit closure of translation by (0, sqrt2)."""
-    gamma = Gamma.from_tokens("0,sqrt2")
-    return subgroup_closure(gamma, classify(gamma))
-
-
-def _horizontal_subgroup():
-    """H = T x {0}, the orbit closure of translation by (sqrt2, 0)."""
-    gamma = Gamma.from_tokens("sqrt2,0")
-    return subgroup_closure(gamma, classify(gamma))
+        return list(pool.map(one, bases))
 
 
 def remark1_curve(points: int = 1024, t_count: int = 101, threads: int = 1):
-    """(t, theta_quadrature, theta_closed_form) rows at equispaced t."""
-    p = remark1_polynomial()
-    H = _vertical_subgroup()
-    quad = QuadratureSpec("composite-midpoint", points, True)
+    """(t, theta_quadrature, theta_closed_form) rows at equispaced t; H = {0} x T."""
     ts = [k / (t_count - 1) for k in range(t_count)]
-
-    def one(t):
-        est = theta_haar(p, reduce_mod1([t, 0.0]), H, quad)
-        return (t, est.value, remark1_closed_form(t))
-
-    return _map_ordered(one, ts, threads)
+    thetas = _haar_curve(remark1_polynomial(), "0,sqrt2", [[t, 0.0] for t in ts], points, threads)
+    return [(t, v, remark1_closed_form(t)) for t, v in zip(ts, thetas)]
 
 
 def remark2_curve(
@@ -128,35 +117,15 @@ def remark2_curve(
     min_grid: int = 1024,
     threads: int = 1,
 ):
-    """((w, theta) rows, grid minimum of |p|)."""
+    """((w, theta) rows, grid minimum of |p|); H = T x {0}."""
     p = remark2_polynomial()
-    H = _horizontal_subgroup()
-    quad = QuadratureSpec("composite-midpoint", points, True)
     ws = [k / w_count for k in range(w_count)]
-
-    def one(w):
-        est = theta_haar(p, reduce_mod1([0.0, w]), H, quad)
-        return (w, est.value)
-
-    rows = _map_ordered(one, ws, threads)
-    grid_min = min_modulus(p, min_grid).minimum
-    return rows, grid_min
+    thetas = _haar_curve(p, "sqrt2,0", [[0.0, w] for w in ws], points, threads)
+    return list(zip(ws, thetas)), min_modulus(p, min_grid).minimum
 
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def _write_text(path, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _pair(z: complex) -> list[float]:
@@ -172,64 +141,46 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _window_from_args(args):
-    kind = getattr(args, "window", "gaussian")
-    if kind == "gaussian":
-        return GaussianWindow()
-    if kind == "hermite":
+    if args.window == "hermite":
         return HermiteWindow(order=args.order)
-    if kind == "sampled":
+    if args.window == "sampled":
         if args.window_file is None:
             raise ValueError("--window sampled requires --window-file")
         return sampled_window_from_csv(args.window_file)
-    raise ValueError(f"unknown window kind {kind!r}")
+    return GaussianWindow()
 
 
-def _add_window_flags(sp):
-    sp.add_argument(
-        "--window",
-        choices=["gaussian", "hermite", "sampled"],
-        default="gaussian",
-    )
-    sp.add_argument("--order", type=int, default=0, help="Hermite order")
-    sp.add_argument("--window-file", default=None, help="CSV of samples")
-
-
-def _grid_budget() -> int:
-    return int(os.environ.get("GRL_MAX_GRID", str(GRID_BUDGET_DEFAULT)))
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its artifact, which main alone writes: a dict
+# (JSON), CSV text, or CSV text with summary lines printed after it
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     gamma = Gamma.from_tokens(args.gamma)
     cls = classify(gamma, search_bound=args.search_bound, tolerance=args.tolerance)
-    out = {
+    return {
         "kind": cls.kind,
         "order": cls.order,
         "relations": [list(r) for r in cls.relations],
         "search_bound": cls.search_bound,
         "tolerance": cls.tolerance,
     }
-    _write_text(args.out, _json_text(out))
-    return 0
 
 
-def _gram_result(args):
+def _cmd_gram(args):
     cfg = config_from_json(args.config)
     if args.method == "closed-form":
-        return gaussian_gram_closed_form(cfg), cfg
-    w = _window_from_args(args)
-    if args.method == "zak":
-        return gram_matrix_zak(w, cfg, resolution=args.resolution), cfg
-    quad = QuadratureSpec(args.scheme, args.points, False)
-    return gram_matrix(w, cfg, quad), cfg
-
-
-def _cmd_gram(args) -> int:
-    gram, _ = _gram_result(args)
-    out = {
+        gram = gaussian_gram_closed_form(cfg)
+    elif args.method == "zak":
+        gram = gram_matrix_zak(_window_from_args(args), cfg, resolution=args.resolution)
+    else:
+        w = _window_from_args(args)
+        gram = gram_matrix(w, cfg, QuadratureSpec(args.scheme, args.points, False))
+    return {
         "matrix": [[_pair(v) for v in row] for row in gram.matrix],
         "eigenvalues": [float(v) for v in gram.eigenvalues],
         "smallest_eigenvalue": gram.smallest_eigenvalue,
@@ -237,11 +188,9 @@ def _cmd_gram(args) -> int:
         "method": gram.method,
         "independent": bool(gram.smallest_eigenvalue > 0.0),
     }
-    _write_text(args.out, _json_text(out))
-    return 0
 
 
-def _cmd_residual(args) -> int:
+def _cmd_residual(args):
     cfg = config_from_json(args.config)
     w = _window_from_args(args)
     quad = QuadratureSpec(args.scheme, args.points, False)
@@ -253,42 +202,32 @@ def _cmd_residual(args) -> int:
         resolution=args.resolution,
         target_index=args.target,
     )
-    out = {
+    return {
         "residual": residual,
         "coefficients": [_pair(c) for c in coeffs.c],
         "target_index": coeffs.target_index,
         "method": args.method,
     }
-    _write_text(args.out, _json_text(out))
-    return 0
 
 
-def _cmd_zak(args) -> int:
-    w = _window_from_args(args)
+def _cmd_zak(args):
     Z = zak_transform(
-        w,
+        _window_from_args(args),
         resolution=args.resolution,
         truncation=args.truncation,
         tail_target=args.tail_target,
-        grid_budget=_grid_budget(),
     )
     d = Z.dimension
     M = Z.resolution
-    labels = (
-        ["t", "omega"]
-        if d == 1
-        else [f"t{i+1}" for i in range(d)] + [f"omega{i+1}" for i in range(d)]
-    )
+    labels = [f"{name}{i + 1}" if d > 1 else name for name in ("t", "omega") for i in range(d)]
     # Python's complex abs (hypot): np.abs's SIMD loop differs in the last bit
     axis = [repr(i / M) for i in range(M)]
     cells = zip(itertools.product(axis, repeat=2 * d), Z.values.reshape(-1).tolist())
     rows = (f"{','.join(c)},{z.real!r},{z.imag!r},{abs(z)!r}" for c, z in cells)
-    lines = [",".join(labels + ["re", "im", "abs"]), *rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return 0
+    return _csv(",".join(labels + ["re", "im", "abs"]), rows)
 
 
-def _cmd_theta(args) -> int:
+def _cmd_theta(args):
     p = load_polynomial(args.poly)
     gamma = Gamma.from_tokens(args.gamma)
     lam = reduce_mod1(_parse_floats(args.lam))
@@ -301,16 +240,14 @@ def _cmd_theta(args) -> int:
         H = subgroup_closure(gamma, cls)
         quad = QuadratureSpec(args.scheme, args.points, True)
         est = theta_haar(p, lam, H, quad, delta=args.delta)
-    out = {
+    return {
         "value": est.value,
         "method": est.method,
         "skipped_fraction": est.skipped_fraction,
     }
-    _write_text(args.out, _json_text(out))
-    return 0
 
 
-def _cmd_phase_check(args) -> int:
+def _cmd_phase_check(args):
     p = load_polynomial(args.poly)
     base = reduce_mod1(_parse_floats(args.base))
     alpha = _parse_coords(args.alpha)
@@ -324,16 +261,14 @@ def _cmd_phase_check(args) -> int:
         diff = abs(lhs - rhs_n) % 1.0
         worst = max(worst, min(diff, 1.0 - diff))
     inner = math.fsum(a.float() * b.float() for a, b in zip(alpha, beta))
-    out = {
+    return {
         "max_mod1_error": worst,
         "steps": args.n,
         "inner_product_alpha_beta": inner,
     }
-    _write_text(args.out, _json_text(out))
-    return 0
 
 
-def _cmd_cluster(args) -> int:
+def _cmd_cluster(args):
     alpha = _parse_coords(args.alpha)
     beta = _parse_coords(args.beta)
     d = len(alpha)
@@ -347,14 +282,10 @@ def _cmd_cluster(args) -> int:
         if irr != 0.0:  # irrational products that cancel keep the result exact
             total = np.longdouble(rat.numerator) / rat.denominator + irr
             ab = Coordinate.irrational(float(total))
-    omega = (
-        reduce_mod1(_parse_floats(args.omega))
-        if args.omega
-        else reduce_mod1([0.0] * d)
-    )
+    omega = reduce_mod1(_parse_floats(args.omega) if args.omega else [0.0] * d)
     c1 = cluster_set_c1(ab)
     c2 = cluster_set_c2(alpha, beta, omega, args.n_max)
-    out = {
+    return {
         "c1": {
             "kind": c1.kind,
             "generator_angle": c1.generator_angle,
@@ -363,47 +294,38 @@ def _cmd_cluster(args) -> int:
         "c2": [_pair(v) for v in c2],
         "consistent": cluster_sets_match(c1, c2),
     }
-    _write_text(args.out, _json_text(out))
-    return 0
 
 
-def _cmd_dual(args) -> int:
-    cfg = config_from_json(args.config)
-    dual = fourier_dual_config(cfg)
-    _write_text(args.out, _json_text(config_to_json(dual)))
-    return 0
+def _cmd_dual(args):
+    return config_to_json(fourier_dual_config(config_from_json(args.config)))
 
 
-def _cmd_remark1(args) -> int:
+def _cmd_remark1(args):
     rows = remark1_curve(
         points=args.points, t_count=args.t_count, threads=args.threads
     )
-    lines = ["t,theta_quadrature,theta_closed_form"]
-    lines += [f"{t!r},{q!r},{c!r}" for t, q, c in rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
     max_err = max(abs(q - c) for _, q, c in rows)
-    print(f"max |theta_quadrature - theta_closed_form| = {max_err:.6e}")
-    return 0
+    csv = _csv("t,theta_quadrature,theta_closed_form",
+               (f"{t!r},{q!r},{c!r}" for t, q, c in rows))
+    return csv, [f"max |theta_quadrature - theta_closed_form| = {max_err:.6e}"]
 
 
-def _cmd_remark2(args) -> int:
+def _cmd_remark2(args):
     rows, grid_min = remark2_curve(
         points=args.points,
         w_count=args.w_count,
         min_grid=args.min_grid,
         threads=args.threads,
     )
-    lines = ["w,theta"]
-    lines += [f"{w!r},{v!r}" for w, v in rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
     max_theta = max(abs(v) for _, v in rows)
-    print(f"grid min |p| = {grid_min!r}")
-    print(f"max |theta| = {max_theta:.6e}")
-    return 0
+    csv = _csv("w,theta", (f"{w!r},{v!r}" for w, v in rows))
+    return csv, [f"grid min |p| = {grid_min!r}", f"max |theta| = {max_theta:.6e}"]
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+_SCHEMES = ["composite-midpoint", "gauss-legendre"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -422,88 +344,72 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
-    sp = sub.add_parser("classify", help="orbit-closure trichotomy for gamma")
-    sp.add_argument("--gamma", required=True, help='e.g. "1/2,1/3" or "0,sqrt2"')
-    sp.add_argument("--search-bound", type=int, default=50)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_classify)
+    # flags that several subcommands share, declared once as parent parsers
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="configuration JSON path")
+    window = argparse.ArgumentParser(add_help=False)
+    window.add_argument("--window", choices=["gaussian", "hermite", "sampled"], default="gaussian")
+    window.add_argument("--order", type=int, default=0, help="Hermite order")
+    window.add_argument("--window-file", default=None, help="CSV of samples")
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--points", type=int, default=512)
+    quadrature.add_argument("--scheme", choices=_SCHEMES, default="composite-midpoint")
+    quadrature.add_argument("--resolution", type=int, default=64)
+    haar = argparse.ArgumentParser(add_help=False)
+    haar.add_argument("--points", type=int, default=1024, help="Haar grid points")
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--search-bound", type=int, default=50)
+    search.add_argument("--tolerance", type=float, default=1e-9)
 
-    sp = sub.add_parser("gram", help="Gram matrix with independence certificate")
-    sp.add_argument("--config", required=True, help="configuration JSON path")
+    def command(name, func, summary, *parents):
+        sp = sub.add_parser(name, help=summary, parents=[*parents, out])
+        sp.set_defaults(func=func)
+        return sp
+
+    sp = command("classify", _cmd_classify, "orbit-closure trichotomy for gamma", search)
+    sp.add_argument("--gamma", required=True, help='e.g. "1/2,1/3" or "0,sqrt2"')
+
+    sp = command("gram", _cmd_gram, "Gram matrix with independence certificate",
+                 config, window, quadrature)
     sp.add_argument(
         "--method",
         choices=["quadrature", "closed-form", "zak"],
         default="quadrature",
     )
-    _add_window_flags(sp)
-    sp.add_argument("--points", type=int, default=512)
-    sp.add_argument(
-        "--scheme",
-        choices=["composite-midpoint", "gauss-legendre"],
-        default="composite-midpoint",
-    )
-    sp.add_argument("--resolution", type=int, default=64)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_gram)
 
-    sp = sub.add_parser("residual", help="least-squares dependence residual")
-    sp.add_argument("--config", required=True)
+    sp = command("residual", _cmd_residual, "least-squares dependence residual",
+                 config, window, quadrature)
     sp.add_argument(
         "--method", choices=["time-domain", "zak-domain"], default="time-domain"
     )
-    _add_window_flags(sp)
-    sp.add_argument("--points", type=int, default=512)
-    sp.add_argument(
-        "--scheme",
-        choices=["composite-midpoint", "gauss-legendre"],
-        default="composite-midpoint",
-    )
-    sp.add_argument("--resolution", type=int, default=64)
     sp.add_argument("--target", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_residual)
 
-    sp = sub.add_parser("zak", help="Zak transform sampled on a torus grid")
-    _add_window_flags(sp)
+    sp = command("zak", _cmd_zak, "Zak transform sampled on a torus grid", window)
     sp.add_argument("--resolution", type=int, default=64)
     sp.add_argument("--truncation", type=int, default=None)
     sp.add_argument("--tail-target", type=float, default=1e-10)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_zak)
 
-    sp = sub.add_parser("theta", help="log-growth functional along an orbit")
+    sp = command("theta", _cmd_theta, "log-growth functional along an orbit", haar, search)
     sp.add_argument("--poly", required=True, help="polynomial JSON path")
     sp.add_argument("--gamma", required=True)
     sp.add_argument("--lambda", dest="lam", required=True, help="base point")
     sp.add_argument("--method", choices=["birkhoff", "haar"], default="haar")
     sp.add_argument("--n", type=int, default=10**6, help="Birkhoff orbit length")
-    sp.add_argument("--points", type=int, default=1024, help="Haar grid points")
-    sp.add_argument(
-        "--scheme",
-        choices=["composite-midpoint", "gauss-legendre"],
-        default="composite-midpoint",
-    )
+    sp.add_argument("--scheme", choices=_SCHEMES, default="composite-midpoint")
     sp.add_argument("--delta", type=float, default=1e-8)
-    sp.add_argument("--search-bound", type=int, default=50)
-    sp.add_argument("--tolerance", type=float, default=1e-9)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_theta)
 
-    sp = sub.add_parser(
-        "phase-check",
-        help="n-step phase identity on a synthetic field",
-    )
+    sp = command("phase-check", _cmd_phase_check,
+                 "n-step phase identity on a synthetic field")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--base", required=True, help="torus base point floats")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--n", type=int, default=64)
     sp.add_argument("--theta0", type=float, default=0.0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_phase_check)
 
-    sp = sub.add_parser("cluster", help="cluster sets of the normalized phases")
+    sp = command("cluster", _cmd_cluster, "cluster sets of the normalized phases")
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta", required=True)
     sp.add_argument("--omega", default=None)
@@ -514,26 +420,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exact <alpha,beta> token overriding the numeric product "
         '(e.g. "2" or "1/2" when the labels multiply to a rational)',
     )
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_cluster)
 
-    sp = sub.add_parser("dual", help="Fourier-dual configuration")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_dual)
+    command("dual", _cmd_dual, "Fourier-dual configuration", config)
 
-    sp = sub.add_parser("remark1", help="Theta profile vs Jensen closed form")
-    sp.add_argument("--points", type=int, default=1024)
+    sp = command("remark1", _cmd_remark1, "Theta profile vs Jensen closed form", haar)
     sp.add_argument("--t-count", type=int, default=101)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_remark1)
 
-    sp = sub.add_parser("remark2", help="positive-modulus example diagnostics")
-    sp.add_argument("--points", type=int, default=1024)
+    sp = command("remark2", _cmd_remark2, "positive-modulus example diagnostics", haar)
     sp.add_argument("--w-count", type=int, default=32)
     sp.add_argument("--min-grid", type=int, default=1024)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_remark2)
 
     return ap
 
@@ -556,7 +451,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        artifact = args.func(args)
+        text, summary = artifact if isinstance(artifact, tuple) else (artifact, [])
+        if isinstance(text, dict):
+            text = json.dumps(text, sort_keys=True, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        for line in summary:
+            print(line)
+        return 0
     except AmbiguousClassification as exc:
         print(f"ambiguous classification: {exc}", file=sys.stderr)
         return 4

@@ -626,13 +626,19 @@ def phase_mean_along_orbit(
 def cluster_set_c1(inner_product_alpha_beta: Coordinate) -> ClusterSet:
     """Closure of {e^{-pi i (n-1) <a,b>} : n in N}: the cyclic group generated
     by e^{-pi i <a,b>} when <a,b> is rational (2q/gcd(p,2q) points), the whole
-    circle otherwise."""
+    circle otherwise.  More than 10**6 points raise ValueError, as in
+    ``subgroup_closure``."""
     ab = inner_product_alpha_beta
     if ab.is_rational:
         fr = ab.fraction
         pnum, q = fr.numerator, fr.denominator
         gen_angle = Fraction(-pnum, 2 * q)
         order = (2 * q) // math.gcd(pnum, 2 * q) if pnum != 0 else 1
+        if order > 10**6:
+            raise ValueError(
+                f"<alpha, beta> = {fr} has denominator {q}: its cluster set "
+                f"of {order} points is too large to materialize"
+            )
         pts = []
         for k in range(order):
             ang = (k * gen_angle) % 1

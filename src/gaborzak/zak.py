@@ -162,21 +162,21 @@ def zak_transform(
     resolution: int,
     truncation: int | None = None,
     tail_target: float = 1e-10,
-    grid_budget: int = GRID_BUDGET_DEFAULT,
 ) -> ZakGrid:
     """Fill the (M,)*2d grid of truncated Zak values.
 
     With truncation=None, K is the smallest radius whose decay-bound tail is
     below tail_target; an explicit K that misses the target raises
-    TruncationError carrying a sufficient radius.
+    TruncationError carrying a sufficient radius.  A grid of more than
+    GRID_BUDGET_DEFAULT values raises ValueError before anything is allocated.
     """
     M = resolution
     d = window.dimension
     if M < 4:
         raise ValueError("resolution must be >= 4")
-    if M ** (2 * d) > grid_budget:
+    if M ** (2 * d) > GRID_BUDGET_DEFAULT:
         raise ValueError(
-            f"grid of {M ** (2 * d)} values exceeds the budget {grid_budget}"
+            f"grid of {M ** (2 * d)} values exceeds the budget {GRID_BUDGET_DEFAULT}"
         )
     bounds = _decay_bounds(window)
     if truncation is None:

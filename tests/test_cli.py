@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from gaborzak import cli
 from gaborzak.cli import main
 from gaborzak.cocycle import theta_haar
 from gaborzak.gabor import GaborConfig, TFPoint, config_to_json
@@ -126,8 +128,6 @@ class TestZak:
     def test_csv_bytes_match_per_value_formatting(
         self, dimension, resolution, tmp_path, monkeypatch
     ):
-        from gaborzak import cli
-
         window = GaussianWindow(dimension)
         monkeypatch.setattr(cli, "_window_from_args", lambda args: window)
         out = tmp_path / "z.csv"
@@ -155,10 +155,16 @@ class TestZak:
         assert len(got) == len(lines) and not differ, f"lines {differ[:3]} differ"
         assert text.endswith("\n")
 
-    def test_grid_budget_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRL_MAX_GRID", "100")
-        args = ["zak", "--resolution", "64", "--out", str(tmp_path / "z.csv")]
-        assert main(args) == 2
+    def test_oversized_grid_is_exit_code_2(self, monkeypatch, capsys):
+        # 4097^2 values is past the 2^24 budget: refused before any lattice sum
+        from gaborzak import zak
+
+        def never(*args, **kwargs):
+            raise AssertionError("_grid_sums was called")
+
+        monkeypatch.setattr(zak, "_grid_sums", never)
+        assert main(["zak", "--resolution", "4097"]) == 2
+        assert "exceeds the budget 16777216" in capsys.readouterr().err
 
 
 class TestTheta:
@@ -360,8 +366,6 @@ class TestRemarkCommands:
     def test_default_curves_never_refine(self, monkeypatch):
         # no default remark cell has a zero within its Lipschitz radius, so
         # the refinement walk cannot change the remark1/remark2 CSVs
-        from gaborzak import cli
-
         estimates = []
 
         def recording(*args, **kwargs):
@@ -431,3 +435,145 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "InfiniteNonDense"
+
+
+# (option strings, default, choices, required, dest, type) of every flag of
+# every subcommand, frozen from the parser that declared each flag per
+# subcommand; None is the top-level parser
+SCHEMES = ["composite-midpoint", "gauss-legendre"]
+PARSER_SURFACE = {
+    None: [
+        (["--threads"], 1, None, False, "threads", "int"),
+    ],
+    'classify': [
+        (["--gamma"], None, None, True, "gamma", None),
+        (["--out"], None, None, False, "out", None),
+        (["--search-bound"], 50, None, False, "search_bound", "int"),
+        (["--tolerance"], 1e-09, None, False, "tolerance", "float"),
+    ],
+    'gram': [
+        (["--config"], None, None, True, "config", None),
+        (["--method"], "quadrature", ["quadrature", "closed-form", "zak"], False, "method", None),
+        (["--order"], 0, None, False, "order", "int"),
+        (["--out"], None, None, False, "out", None),
+        (["--points"], 512, None, False, "points", "int"),
+        (["--resolution"], 64, None, False, "resolution", "int"),
+        (["--scheme"], "composite-midpoint", SCHEMES, False, "scheme", None),
+        (["--window"], "gaussian", ["gaussian", "hermite", "sampled"], False, "window", None),
+        (["--window-file"], None, None, False, "window_file", None),
+    ],
+    'residual': [
+        (["--config"], None, None, True, "config", None),
+        (["--method"], "time-domain", ["time-domain", "zak-domain"], False, "method", None),
+        (["--order"], 0, None, False, "order", "int"),
+        (["--out"], None, None, False, "out", None),
+        (["--points"], 512, None, False, "points", "int"),
+        (["--resolution"], 64, None, False, "resolution", "int"),
+        (["--scheme"], "composite-midpoint", SCHEMES, False, "scheme", None),
+        (["--target"], None, None, False, "target", "int"),
+        (["--window"], "gaussian", ["gaussian", "hermite", "sampled"], False, "window", None),
+        (["--window-file"], None, None, False, "window_file", None),
+    ],
+    'zak': [
+        (["--order"], 0, None, False, "order", "int"),
+        (["--out"], None, None, False, "out", None),
+        (["--resolution"], 64, None, False, "resolution", "int"),
+        (["--tail-target"], 1e-10, None, False, "tail_target", "float"),
+        (["--truncation"], None, None, False, "truncation", "int"),
+        (["--window"], "gaussian", ["gaussian", "hermite", "sampled"], False, "window", None),
+        (["--window-file"], None, None, False, "window_file", None),
+    ],
+    'theta': [
+        (["--delta"], 1e-08, None, False, "delta", "float"),
+        (["--gamma"], None, None, True, "gamma", None),
+        (["--lambda"], None, None, True, "lam", None),
+        (["--method"], "haar", ["birkhoff", "haar"], False, "method", None),
+        (["--n"], 1000000, None, False, "n", "int"),
+        (["--out"], None, None, False, "out", None),
+        (["--points"], 1024, None, False, "points", "int"),
+        (["--poly"], None, None, True, "poly", None),
+        (["--scheme"], "composite-midpoint", SCHEMES, False, "scheme", None),
+        (["--search-bound"], 50, None, False, "search_bound", "int"),
+        (["--tolerance"], 1e-09, None, False, "tolerance", "float"),
+    ],
+    'phase-check': [
+        (["--alpha"], None, None, True, "alpha", None),
+        (["--base"], None, None, True, "base", None),
+        (["--beta"], None, None, True, "beta", None),
+        (["--n"], 64, None, False, "n", "int"),
+        (["--out"], None, None, False, "out", None),
+        (["--poly"], None, None, True, "poly", None),
+        (["--theta0"], 0.0, None, False, "theta0", "float"),
+    ],
+    'cluster': [
+        (["--alpha"], None, None, True, "alpha", None),
+        (["--beta"], None, None, True, "beta", None),
+        (["--inner-product"], None, None, False, "inner_product", None),
+        (["--n-max"], 1000, None, False, "n_max", "int"),
+        (["--omega"], None, None, False, "omega", None),
+        (["--out"], None, None, False, "out", None),
+    ],
+    'dual': [
+        (["--config"], None, None, True, "config", None),
+        (["--out"], None, None, False, "out", None),
+    ],
+    'remark1': [
+        (["--out"], None, None, False, "out", None),
+        (["--points"], 1024, None, False, "points", "int"),
+        (["--t-count"], 101, None, False, "t_count", "int"),
+    ],
+    'remark2': [
+        (["--min-grid"], 1024, None, False, "min_grid", "int"),
+        (["--out"], None, None, False, "out", None),
+        (["--points"], 1024, None, False, "points", "int"),
+        (["--w-count"], 32, None, False, "w_count", "int"),
+    ],
+}
+
+
+def _parser_surface(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            (a.option_strings, a.default, a.choices and list(a.choices), a.required, a.dest,
+             a.type and a.type.__name__)
+            for a in p._actions if a.option_strings and a.dest != "help"
+        )
+        for name, p in {None: parser, **sub.choices}.items()
+    }
+
+
+def test_parser_surface_is_unchanged():
+    surface = _parser_surface(cli._build_parser())
+    assert list(surface) == list(PARSER_SURFACE)
+    for name, rows in PARSER_SURFACE.items():
+        assert surface[name] == rows, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--gamma", "1/2,1/3"],
+    ["gram", "--config", "CFG", "--method", "closed-form"],
+    ["residual", "--config", "CFG", "--points", "128"],
+    ["zak", "--resolution", "8", "--truncation", "6"],
+    ["theta", "--poly", "P1", "--gamma", "0,sqrt2", "--lambda", "0.25,0", "--points", "64"],
+    ["phase-check", "--poly", "P1", "--base", "0.3,0.7", "--alpha", "1", "--beta", "sqrt2",
+     "--n", "8"],
+    ["cluster", "--alpha", "1", "--beta", "1/3", "--n-max", "50"],
+    ["dual", "--config", "CFG"],
+    ["remark1", "--points", "64", "--t-count", "5"],
+    ["remark2", "--points", "64", "--w-count", "4", "--min-grid", "64"],
+], ids=lambda argv: argv[0])
+def test_main_is_the_only_writer(argv, cfg_file, p1_file, tmp_path, capsys):
+    argv = [{"CFG": cfg_file, "P1": p1_file}.get(a, a) for a in argv]
+    out = tmp_path / "artifact"
+    # the subcommand returns its artifact and writes nothing itself
+    args = cli._build_parser().parse_args(argv + ["--out", str(out)])
+    assert args.func(args) is not None
+    assert capsys.readouterr().out == "" and not out.exists()
+    # stdout without --out is the --out file, then the summary lines
+    assert main(argv) == 0
+    to_stdout = capsys.readouterr().out
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert to_stdout.encode() == out.read_bytes() + summary.encode()
+    assert bool(summary) == (argv[0] in ("remark1", "remark2"))

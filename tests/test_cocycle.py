@@ -731,6 +731,12 @@ class TestPhaseMeanAlongOrbit:
 
 
 class TestClusterSets:
+    def test_c1_past_a_million_points_is_refused(self):
+        # <a,b> = 1/10^6 generates 2 * 10^6 roots of unity; the cap is the
+        # component cap of subgroup_closure
+        with pytest.raises(ValueError, match="denominator 1000000"):
+            cluster_set_c1(mk("1/1000000"))
+
     def test_c1_orders(self):
         assert len(cluster_set_c1(mk("2")).points) == 1
         assert len(cluster_set_c1(mk("0")).points) == 1
