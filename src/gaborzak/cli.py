@@ -106,6 +106,8 @@ def _haar_curve(p, tokens: str, bases, points: int, threads: int) -> list[float]
 
 def remark1_curve(points: int = 1024, t_count: int = 101, threads: int = 1):
     """(t, theta_quadrature, theta_closed_form) rows at equispaced t; H = {0} x T."""
+    if t_count < 2:
+        raise ValueError("--t-count must be at least 2")
     ts = [k / (t_count - 1) for k in range(t_count)]
     thetas = _haar_curve(remark1_polynomial(), "0,sqrt2", [[t, 0.0] for t in ts], points, threads)
     return [(t, v, remark1_closed_form(t)) for t, v in zip(ts, thetas)]
@@ -118,6 +120,8 @@ def remark2_curve(
     threads: int = 1,
 ):
     """((w, theta) rows, grid minimum of |p|); H = T x {0}."""
+    if w_count < 1:
+        raise ValueError("--w-count must be at least 1")
     p = remark2_polynomial()
     ws = [k / w_count for k in range(w_count)]
     thetas = _haar_curve(p, "sqrt2,0", [[0.0, w] for w in ws], points, threads)

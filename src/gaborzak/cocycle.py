@@ -19,11 +19,12 @@ set descriptions whose forced equality drives the rigidity argument.
 
 The Birkhoff average and ``propagate`` read p along the orbit by its
 characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
-from two small exp tables per term (``_orbit_values``).  The phase entry
-points read one vectorized orbit pass over an array of steps j: the
-long-double lift t - j alpha, the reduced points, one ``eval_points`` call
-(Zak-field sources have no characters) and one array version of the branch
-ladder.  No orbit step is a Python loop.
+from two small exp tables per term (``_orbit_values``).  The Birkhoff logs and
+the phase mean's lifts are summed with one exact rounding (``exact_sum``).
+The phase entry points read one vectorized orbit pass over an array of steps
+j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
+call (Zak-field sources have no characters) and one array version of the
+branch ladder.  No orbit step is a Python loop.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .numerics import (
     STEP_BLOCK,
     QuadratureSpec,
     TorusPoint,
+    exact_sum,
     fixed_order_matmul,
     inner_product_mod1_dist,
     product_grid,
@@ -214,13 +216,14 @@ def theta_birkhoff(
     """(1/n) sum_{j<n} ln |p(lambda + j gamma)| over the non-skipped steps.
 
     The values along the orbit come from ``_orbit_values``, by characters; the
-    logs of the steps with |p| >= delta are summed exactly (``math.fsum``).
+    logs of the steps with |p| >= delta are summed with one exact rounding
+    (``exact_sum``).
     """
     if n < 1000:
         raise ValueError("Birkhoff averaging needs n >= 1000")
     q = np.abs(_orbit_values(p, lam, gamma, n))
     good = q >= delta
-    total = math.fsum(np.log(q[good]))
+    total = exact_sum(np.log(q[good]))
     return ThetaEstimate(
         value=total / n,
         method="birkhoff",
@@ -329,6 +332,7 @@ def theta_haar(
     comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
     leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
     bounds = np.searchsorted(comp, np.arange(n_reps + 1)).tolist()
+    # fsum per row: rows are short (one point on a finite H), where it beats exact_sum
     contributions = [
         scale * math.fsum(row) + math.fsum(leaves[lo:hi])
         for row, lo, hi in zip(wts * logs, bounds, bounds[1:])
@@ -620,7 +624,7 @@ def phase_mean_along_orbit(
     _, _, raw = _phase_orbit(base, alpha, beta, range(n), phi_source.eval_points, delta)
     # k_j: the integer keeping step j within half a turn of step j - 1's lift
     k = np.concatenate([[0.0], np.cumsum(np.rint(raw[:-1] - raw[1:]))])
-    return math.fsum(raw + k) / n, int(np.sum(np.abs(k)))
+    return exact_sum(raw + k) / n, int(np.sum(np.abs(k)))
 
 
 def cluster_set_c1(inner_product_alpha_beta: Coordinate) -> ClusterSet:

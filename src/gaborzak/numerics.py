@@ -1,4 +1,4 @@
-"""Exact/float coordinate arithmetic, torus reduction, deterministic summation,
+"""Exact/float coordinate arithmetic, torus reduction, exactly rounded summation,
 the exact/long-double inner product, exact orbit-step residues and product
 grids.
 
@@ -25,6 +25,8 @@ __all__ = [
     "reduce_mod1",
     "frac_int_split",
     "stable_sum",
+    "SUM_BLOCK",
+    "exact_sum",
     "mod1_dist",
     "split_inner_product",
     "inner_product_mod1_dist",
@@ -347,6 +349,43 @@ def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(b.shape[0]):
         out += a[:, i, None] * b[i]
     return out
+
+
+SUM_BLOCK = 1 << 16  # values per np.bincount pass of exact_sum
+_EXP_BIAS = 1074  # np.frexp exponents of finite doubles lie in [-1073, 1024]
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a float array, bit for bit, with no Python loop.
+
+    A finite value is m * 2**(e - 53) with an integer |m| < 2**53 (``np.frexp``).
+    Its halves hi = trunc(m / 2**26) and lo = m - hi * 2**26 (as lo / 2**26)
+    are summed per exponent by ``np.bincount``, SUM_BLOCK values at a time, so
+    every partial is below 2**43 units and exact; the int64 bins form one
+    Python int, rounded once (``float(int)`` and int / int round correctly).
+    Non-finite values and overflow give what fsum gives, except that where
+    fsum meets an intermediate overflow but the exact total is finite, that
+    is returned.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    finite, special = np.isfinite(x), None
+    if not finite.all():
+        special, x = x[~finite], x[finite]
+    bins = _EXP_BIAS + 1025
+    acc = np.zeros((2, bins), dtype=np.int64)
+    for start in range(0, x.size, SUM_BLOCK):
+        m, e = np.frexp(x[start:start + SUM_BLOCK])
+        m *= 2.0**27  # hi + lo / 2**26
+        hi = np.trunc(m)
+        m -= hi
+        e += _EXP_BIAS
+        acc[0] += np.bincount(e, hi, bins).astype(np.int64)
+        acc[1] += (np.bincount(e, m, bins) * 2.0**26).astype(np.int64)
+    used = np.flatnonzero(acc.any(axis=0)).tolist() or [0]
+    total = sum(((int(acc[0, b]) << 26) + int(acc[1, b])) << (b - used[0]) for b in used)
+    shift = used[0] - _EXP_BIAS - 53  # total counts units of 2**shift
+    value = float(total << shift) if shift >= 0 else total / (1 << -shift)
+    return value if special is None else math.fsum(special)  # fsum's nan/inf rule
 
 
 def stable_sum(terms: Iterable[complex]) -> complex:

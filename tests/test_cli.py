@@ -363,6 +363,18 @@ class TestRemarkCommands:
             _, v = map(float, ln.split(","))
             assert abs(v) < 1e-6
 
+    @pytest.mark.parametrize("args, flag", [
+        (["remark1", "--t-count", "1"], "--t-count"),
+        (["remark1", "--t-count", "0"], "--t-count"),
+        (["remark2", "--w-count", "0"], "--w-count"),
+    ])
+    def test_too_few_curve_points_is_exit_code_2(self, args, flag, capsys):
+        # --t-count 1 divided by t_count - 1 (a ZeroDivisionError traceback)
+        assert main(args + ["--points", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+
     def test_default_curves_never_refine(self, monkeypatch):
         # no default remark cell has a zero within its Lipschitz radius, so
         # the refinement walk cannot change the remark1/remark2 CSVs

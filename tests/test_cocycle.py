@@ -215,6 +215,14 @@ class TestThetaBirkhoff:
         )
         assert abs(est.value - manual) < 1e-12
 
+    def test_default_orbit_length_sum_is_fsum_bit_for_bit(self):
+        # the P1 coset of the README and CI at the CLI's default n
+        lam, gamma, n = reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), 10**6
+        est = theta_birkhoff(P1, lam, gamma, n)
+        assert est.skipped_fraction == 0.0
+        assert est.value == math.fsum(np.log(np.abs(_orbit_values(P1, lam, gamma, n)))) / n
+        assert est.value == 0.3465729757330665
+
     def test_needs_minimum_samples(self):
         with pytest.raises(ValueError):
             theta_birkhoff(P1, reduce_mod1([0, 0]), Gamma.from_tokens("0,sqrt2"), 999)

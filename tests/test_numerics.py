@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gaborzak.numerics import (
     Coordinate,
     QuadratureSpec,
+    SUM_BLOCK,
     TorusPoint,
     coordinate_from_json,
     coordinate_to_json,
+    exact_sum,
     fixed_order_matmul,
     frac_int_split,
     inner_product_mod1_dist,
@@ -179,6 +181,69 @@ def test_stable_sum_many_small_terms():
 def test_stable_sum_complex_cancellation():
     terms = [complex(1, 1e16), complex(1, -1e16), complex(1, 1)]
     assert stable_sum(terms) == complex(3, 1)
+
+
+def _outcome(total, x):
+    """What a sum of x gives: the exception type, nan, or the float and the
+    sign of its zero."""
+    try:
+        v = total(x)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(v) else (v, math.copysign(1.0, v))
+
+
+_INF = float("inf")
+_SUMMANDS = st.one_of(
+    st.floats(-1e300, 1e300),  # mixed exponents, +-0.0 and edge values
+    st.integers(-(2**52 - 1), 2**52 - 1).map(lambda k: k * 5e-324),  # subnormals
+    st.sampled_from([0.0, -0.0]),
+)
+# around the block boundary; at most 2**16 + 1 values of size <= 1e300 keep
+# every partial sum finite
+_LENGTHS = [0, 1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
+
+
+@st.composite
+def _arrays(draw, summands):
+    values = draw(st.lists(summands, max_size=40))
+    if values:  # cancelling pairs
+        values += [-v for v in draw(st.lists(st.sampled_from(values), max_size=20))]
+    values = draw(st.permutations(values))
+    length = draw(st.sampled_from([len(values)] + _LENGTHS))
+    return np.resize(np.array(values or [0.0]), length)
+
+
+class TestExactSum:
+    @given(_arrays(_SUMMANDS))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, x):
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+    @given(_arrays(st.one_of(_SUMMANDS, st.sampled_from([_INF, -_INF, math.nan]))))
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_values_behave_as_in_fsum(self, x):
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+    @pytest.mark.parametrize("values, want", [
+        ([_INF, 1.0], (_INF, 1.0)),
+        ([-_INF, -_INF, 2.0], (-_INF, -1.0)),
+        ([1.0, math.nan, _INF], "nan"),
+        ([_INF, 3.0, -_INF], ValueError),  # inf - inf
+        ([1.7976931348623157e308, 1e292], OverflowError),
+        ([-1e308, -1e308], OverflowError),
+    ])
+    def test_special_values(self, values, want):
+        x = np.array(values)
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x) == want
+
+    @pytest.mark.parametrize("length", _LENGTHS)
+    def test_full_significands_fill_a_block_exactly(self, length):
+        # m = 2**53 - 1 in one exponent bin gives the largest per-block
+        # partials; the largest subnormal fills the lowest bin
+        x = np.full(length, -np.nextafter(2.0, 0.0))
+        x[1::3] = 2.0**-1022 - 5e-324
+        assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
 
 
 class TestIntegrate1D:
