@@ -19,8 +19,9 @@ set descriptions whose forced equality drives the rigidity argument.
 
 The Birkhoff average and ``propagate`` read p along the orbit by its
 characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
-from two small exp tables per term (``_orbit_values``).  The Birkhoff logs and
-the phase mean's lifts are summed with one exact rounding (``exact_sum``).
+from two small exp tables per term (``_orbit_values``).  The Birkhoff logs, the
+phase mean's lifts and each component of a Haar grid are summed with one exact
+rounding (``exact_sum``).
 The phase entry points read one vectorized orbit pass over an array of steps
 j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
 call (Zak-field sources have no characters) and one array version of the
@@ -296,8 +297,8 @@ def theta_haar(
     composite midpoint on the equispaced Haar grid) is evaluated on every
     torsion component in one ``eval_points`` call.  Cells near a zero of p
     under the refined midpoint rule, and the nodes of a finite H, go into
-    one ``_refine_cells`` walk; the rest are plain.  Theta is the fsum per
-    component, then over the components, over their count.  A grid of more
+    one ``_refine_cells`` walk; the rest are plain.  Theta is the exact sum
+    per component, then over the components, over their count.  A grid of more
     than ``GRID_BUDGET_DEFAULT`` points raises ValueError unallocated.
     """
     n = quad.points_per_axis
@@ -332,9 +333,8 @@ def theta_haar(
     comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
     leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
     bounds = np.searchsorted(comp, np.arange(n_reps + 1)).tolist()
-    # fsum per row: rows are short (one point on a finite H), where it beats exact_sum
     contributions = [
-        scale * math.fsum(row) + math.fsum(leaves[lo:hi])
+        scale * exact_sum(row) + exact_sum(leaves[lo:hi])
         for row, lo, hi in zip(wts * logs, bounds, bounds[1:])
     ]
     unresolved = _tally(stats["at_cap"]) / n_reps

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaborzak.numerics import (
     Coordinate,
     QuadratureSpec,
+    SHORT_SUM,
     SUM_BLOCK,
     TorusPoint,
     coordinate_from_json,
@@ -199,9 +200,9 @@ _SUMMANDS = st.one_of(
     st.integers(-(2**52 - 1), 2**52 - 1).map(lambda k: k * 5e-324),  # subnormals
     st.sampled_from([0.0, -0.0]),
 )
-# around the block boundary; at most 2**16 + 1 values of size <= 1e300 keep
-# every partial sum finite
-_LENGTHS = [0, 1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
+# around the fsum cutoff and the block boundary; at most 2**16 + 1 values of
+# size <= 1e300 keep every partial sum finite
+_LENGTHS = [0, 1, SHORT_SUM - 1, SHORT_SUM, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1]
 
 
 @st.composite
@@ -215,14 +216,9 @@ def _arrays(draw, summands):
 
 
 class TestExactSum:
-    @given(_arrays(_SUMMANDS))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_fsum_bit_for_bit(self, x):
-        assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
-
     @given(_arrays(st.one_of(_SUMMANDS, st.sampled_from([_INF, -_INF, math.nan]))))
-    @settings(max_examples=200, deadline=None)
-    def test_non_finite_values_behave_as_in_fsum(self, x):
+    @settings(max_examples=500, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, x):
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
 
     @pytest.mark.parametrize("values, want", [
@@ -236,6 +232,16 @@ class TestExactSum:
     def test_special_values(self, values, want):
         x = np.array(values)
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x) == want
+
+    @pytest.mark.parametrize("length, want", [
+        (SHORT_SUM - 1, OverflowError),  # fsum itself
+        (SHORT_SUM + 1, (1e308, 1.0)),  # the bins: the exact total
+    ])
+    def test_intermediate_overflow(self, length, want):
+        x = np.zeros(length)
+        x[:3] = [1e308, 1e308, -1e308]
+        assert _outcome(math.fsum, x) == OverflowError
+        assert _outcome(exact_sum, x) == want
 
     @pytest.mark.parametrize("length", _LENGTHS)
     def test_full_significands_fill_a_block_exactly(self, length):
