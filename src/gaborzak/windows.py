@@ -37,6 +37,15 @@ __all__ = [
 ]
 
 
+def _squared_norm(pts: np.ndarray) -> np.ndarray:
+    """|t|^2 over the last axis, summed column by column in order: bit for
+    bit np.sum(pts * pts, axis=-1) without the (..., d) array of squares."""
+    r2 = pts[..., 0] * pts[..., 0]
+    for j in range(1, pts.shape[-1]):
+        r2 += pts[..., j] * pts[..., j]
+    return r2
+
+
 @dataclass(frozen=True)
 class DecayBound:
     constant: float
@@ -71,7 +80,7 @@ class GaussianWindow(Window):
             raise ValueError(
                 f"window dimension {self.dimension}, got points of dimension {pts.shape[-1]}"
             )
-        r2 = np.sum(pts * pts, axis=-1)
+        r2 = _squared_norm(pts)
         amp = 2.0 ** (self.dimension / 4.0)
         return amp * np.exp(-math.pi * r2)
 
@@ -169,7 +178,7 @@ def decay_bounds(w: Window, orders, grid_step: float = 1.0 / 64) -> list[DecayBo
     ax = np.arange(-radius, radius + grid_step / 2, grid_step)
     pts = product_grid(ax, w.dimension)
     vals = np.abs(w.eval_many(pts))
-    base = 1.0 + np.sqrt(np.sum(pts * pts, axis=-1))
+    base = 1.0 + np.sqrt(_squared_norm(pts))
     return [
         DecayBound(constant=float(np.max(vals * base**order)), order=int(order))
         for order in orders

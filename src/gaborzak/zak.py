@@ -5,8 +5,10 @@
 truncated at |kappa|_inf <= K, with K chosen so a decay-bound tail estimate
 is below target.  Grid values come from one FFT over the folded lattice index
 (f(t + kappa) summed into bin kappa mod M).  Off-grid values are always fresh
-direct sums, never interpolation: the downstream cocycle machinery shifts by
-irrational amounts, and interpolation error would contaminate it.
+direct sums in the same kappa order, never interpolation: the downstream
+cocycle machinery shifts by irrational amounts, and interpolation error would
+contaminate it.  Over a product of t and w points they factor: each kappa
+takes one f(t + kappa) per t and one phase e^{-2 pi i <w, kappa>} per w.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ def _kappa_tuples(K: int, d: int) -> list[tuple[int, ...]]:
     return sorted(itertools.product(range(-K, K + 1), repeat=d))
 
 
+def _shell_term(constant: float, order: int, s: int, d: int) -> float:
+    return constant * ((2 * s + 1) ** d - (2 * s - 1) ** d) * float(s) ** (-order)
+
+
 def _tail_sum(constant: float, order: int, K: int, d: int) -> float:
     """Upper bound on the dropped mass sum_{|kappa|_inf > K} sup_t |f(t+kappa)|
     using |f(u)| <= C (1+|u|_inf)^{-order} and |t+kappa|_inf >= |kappa|_inf - 1
@@ -56,8 +62,7 @@ def _tail_sum(constant: float, order: int, K: int, d: int) -> float:
     total = 0.0
     s = K + 1
     while True:
-        shell = (2 * s + 1) ** d - (2 * s - 1) ** d
-        term = constant * shell * float(s) ** (-order)
+        term = _shell_term(constant, order, s, d)
         total += term
         if term < 1e-3 * max(total, 1e-300) and s > K + 8:
             rest = 2 * d * 3 ** (d - 1) * constant * float(s) ** (d - order)
@@ -82,7 +87,9 @@ def _best_tail(bounds, K: int, d: int) -> float:
 
 def _choose_truncation(bounds: list, d: int, target: float) -> tuple[int, float]:
     for K in range(1, 61):
-        tail = _best_tail(bounds, K, d)
+        # a tail sum is never below its first term: skip orders that miss with it
+        live = [b for b in bounds if _shell_term(b.constant, b.order, K + 1, d) < target]
+        tail = _best_tail(live, K, d)
         if tail < target:
             return K, tail
     raise TruncationError(
@@ -93,19 +100,21 @@ def _choose_truncation(bounds: list, d: int, target: float) -> tuple[int, float]
 
 
 def _lattice_sums(window: Window, tpts: np.ndarray, opts: np.ndarray, K: int) -> np.ndarray:
-    """Fresh truncated Zak sums at arbitrary real arguments.
+    """Fresh truncated Zak sums at every pair (t_a, w_b) of the (n_t, d) and
+    (n_w, d) argument arrays, as an (n_t, n_w) array.
 
-    tpts, opts: (n, d) arrays; the kappa loop runs in fixed lexicographic
-    order so results are bitwise reproducible regardless of threading."""
-    n, d = tpts.shape
-    out = np.zeros(n, dtype=complex)
+    Each kappa, in fixed lexicographic order, adds f(t + kappa) times the
+    phase row e^{-2 pi i <w, kappa>}, so results are bitwise reproducible
+    regardless of threading and equal to summing pair by pair."""
+    d = tpts.shape[1]
+    out = np.zeros((tpts.shape[0], opts.shape[0]), dtype=complex)
     for kappa in _kappa_tuples(K, d):
         f = np.asarray(window.eval_many(tpts + np.array(kappa, dtype=float)))
-        phase = np.zeros(n)
+        phase = np.zeros(opts.shape[0])
         for axis in range(d):
             if kappa[axis] != 0:
                 phase = phase + opts[:, axis] * kappa[axis]
-        out = out + f * np.exp(-2j * np.pi * phase)
+        out += f[:, None] * np.exp(-2j * np.pi * phase)
     return out
 
 
@@ -120,7 +129,7 @@ def _grid_sums(window: Window, M: int, K: int) -> np.ndarray:
     for kappa in _kappa_tuples(K, d):
         f = window.eval_many(t_flat + np.array(kappa, dtype=float))
         bins[(slice(None),) + tuple(k % M for k in kappa)] += f
-    return np.fft.fftn(bins, axes=tuple(range(1, d + 1)))
+    return np.fft.fftn(bins, axes=tuple(range(1, d + 1)), out=bins)
 
 
 @dataclass(frozen=True)
@@ -141,10 +150,8 @@ class ZakGrid:
     def grid_mean_square(self) -> float:
         """(1/M^{2d}) sum |Zf|^2: the grid-scale L^2([0,1)^{2d}) mass, equal
         to ||f||_2^2 in the exact (unitary) limit."""
-        return float(np.mean(np.abs(self.values) ** 2))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        mod = np.abs(self.values)
+        return float(np.mean(np.multiply(mod, mod, out=mod)))
 
     def point_value(self, t, omega) -> complex:
         """Fresh truncated sum at real (possibly unreduced) arguments."""
@@ -212,27 +219,29 @@ def zak_point(window: Window, t, omega, truncation: int) -> complex:
     the integer part of the shift)."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if len(t) != window.dimension or len(omega) != window.dimension:
+        raise ValueError(f"window dimension {window.dimension}, got t, omega of "
+                         f"lengths {len(t)}, {len(omega)}")
     margin = int(np.ceil(np.max(np.abs(t)))) if t.size else 0
     K = truncation + max(0, margin)
-    return complex(_lattice_sums(window, t[None, :], omega[None, :], K)[0])
+    return complex(_lattice_sums(window, t[None, :], omega[None, :], K)[0, 0])
 
 
 def quasi_periodicity_residual(Z: ZakGrid) -> float:
     """max over the grid and over unit shifts e_l of
     |Zf(t+e_l, w) - e^{2 pi i w_l} Zf(t, w)| and |Zf(t, w+e_l) - Zf(t, w)|,
     with shifted values recomputed as fresh sums."""
-    d, M = Z.dimension, Z.resolution
-    flat = product_grid(Z.axis, 2 * d)
-    tpts, opts = flat[:, :d], flat[:, d:]
-    base = Z.values.ravel()
+    d = Z.dimension
+    grid = product_grid(Z.axis, d)
+    base = Z.values.reshape(len(grid), len(grid))
     worst = 0.0
     for axis_i in range(d):
         shift = np.zeros(d)
         shift[axis_i] = 1.0
-        t_shift = _lattice_sums(Z.window, tpts + shift, opts, Z.truncation + 1)
-        expected = np.exp(2j * np.pi * opts[:, axis_i]) * base
+        t_shift = _lattice_sums(Z.window, grid + shift, grid, Z.truncation + 1)
+        expected = np.exp(2j * np.pi * grid[:, axis_i]) * base
         worst = max(worst, float(np.max(np.abs(t_shift - expected))))
-        o_shift = _lattice_sums(Z.window, tpts, opts + shift, Z.truncation)
+        o_shift = _lattice_sums(Z.window, grid, grid + shift, Z.truncation)
         worst = max(worst, float(np.max(np.abs(o_shift - base))))
     return worst
 
@@ -252,11 +261,12 @@ def functional_equation_residual(Z: ZakGrid, p, alpha, beta) -> float:
     if a.shape != (d,) or b.shape != (d,):
         raise ValueError("alpha and beta must each have length d")
     flat = product_grid(Z.axis, 2 * d)
-    tpts, opts = flat[:, :d], flat[:, d:]
+    grid = product_grid(Z.axis, d)
     lhs = p.eval_points(flat) * Z.values.ravel()
     margin = int(np.ceil(np.max(np.abs(a)))) + 1 if d else 1
-    shifted = _lattice_sums(Z.window, tpts - a, opts + b, Z.truncation + margin)
-    mod_phase = np.exp(-2j * np.pi * (tpts @ b))
+    shifted = _lattice_sums(Z.window, grid - a, grid + b, Z.truncation + margin).ravel()
+    # on the 2d rows: a BLAS product's last bit can depend on a row's batch position
+    mod_phase = np.exp(-2j * np.pi * (flat[:, :d] @ b))
     diff = lhs - mod_phase * shifted
     return float(np.sqrt(np.mean(np.abs(diff) ** 2)))
 
@@ -264,14 +274,15 @@ def functional_equation_residual(Z: ZakGrid, p, alpha, beta) -> float:
 def locate_zero_set(Z: ZakGrid, threshold: float | None = None) -> ZeroSet:
     """Grid points where |Zf| falls under the threshold (default
     1e-3 * max |Zf|); row-major grid order."""
+    mod = np.abs(Z.values)
     if threshold is None:
-        threshold = 1e-3 * Z.max_abs()
+        threshold = 1e-3 * float(np.max(mod))
         if threshold == 0.0:  # identically-zero grid: every point qualifies
             threshold = np.finfo(float).tiny
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     M = Z.resolution
-    mask = np.abs(Z.values) < threshold
+    mask = mod < threshold
     pts = []
     for idx in np.argwhere(mask):
         pts.append(TorusPoint(tuple(float(i) / M for i in idx)))

@@ -8,6 +8,7 @@ from gaborzak.windows import (
     GaussianWindow,
     HermiteWindow,
     SampledGridWindow,
+    _squared_norm,
     decay_bound,
     l2_norm,
     sampled_window_from_csv,
@@ -82,3 +83,10 @@ def test_eval_many_shapes():
     cols = g.eval_many(np.array([[0.0], [0.5], [1.0]]))
     assert flat.shape == (3,)
     np.testing.assert_allclose(flat, cols, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_columnwise_squared_norm_is_bitwise_np_sum(d):
+    pts = np.random.default_rng(d).normal(scale=5.0, size=(4099, d))
+    want = np.sum(pts * pts, axis=-1)
+    assert _squared_norm(pts).tobytes() == want.tobytes()

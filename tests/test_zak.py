@@ -31,6 +31,11 @@ def _irrational_atom(d):
     return _AtomAsWindow(GaussianWindow(d), TFPoint(x, y))
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _zero_window():
     ts = np.arange(-3, 3.0001, 1 / 8)
     return SampledGridWindow(values=np.zeros_like(ts), step=1 / 8, radius=3.0)
@@ -223,7 +228,7 @@ def test_one_pass_decay_constants_equal_separate_decay_bounds(window):
     ]
 
 
-@pytest.mark.parametrize(
+_GRID_CASES = pytest.mark.parametrize(
     "window, M, K",
     [
         (GaussianWindow(), 64, 6),
@@ -238,14 +243,128 @@ def test_one_pass_decay_constants_equal_separate_decay_bounds(window):
     ids=["gauss", "hermite3", "sampled", "atom", "gauss-aliased", "gauss-d2-aliased",
          "atom-d2-aliased", "atom-d2"],
 )
+
+
+@_GRID_CASES
 def test_fft_grid_matches_direct_lattice_sums(window, M, K):
-    d = window.dimension
-    flat = product_grid(np.arange(M) / M, 2 * d)
-    direct = zak._lattice_sums(window, flat[:, :d], flat[:, d:], K)
+    grid = product_grid(np.arange(M) / M, window.dimension)
+    direct = zak._lattice_sums(window, grid, grid, K).ravel()
     assert np.max(np.abs(zak._grid_sums(window, M, K).ravel() - direct)) < 1e-14
+
+
+@_GRID_CASES
+def test_in_place_fft_grid_is_bitwise_out_of_place(window, M, K):
+    d = window.dimension
+    t_flat = product_grid(np.arange(M) / M, d)
+    bins = np.zeros((t_flat.shape[0],) + (M,) * d, dtype=complex)
+    for kappa in zak._kappa_tuples(K, d):
+        bins[(slice(None),) + tuple(k % M for k in kappa)] += window.eval_many(
+            t_flat + np.array(kappa, dtype=float)
+        )
+    want = np.fft.fftn(bins, axes=tuple(range(1, d + 1)))
+    assert _same_bits(zak._grid_sums(window, M, K), want)
 
 
 @pytest.mark.parametrize("window", [HermiteWindow(3), GaussianWindow(2)])
 def test_grid_values_are_bitwise_reproducible(window):
     first = zak_transform(window, resolution=16).values
     assert np.array_equal(first, zak_transform(window, resolution=16).values)
+
+
+def _pairwise_lattice_sums(window, tpts, opts, K):
+    """The sums one (t, w) row at a time: one window value and one complex
+    exponential per row and kappa, as the Zak layer once evaluated them."""
+    n, d = tpts.shape
+    out = np.zeros(n, dtype=complex)
+    for kappa in zak._kappa_tuples(K, d):
+        f = np.asarray(window.eval_many(tpts + np.array(kappa, dtype=float)))
+        phase = np.zeros(n)
+        for axis in range(d):
+            if kappa[axis] != 0:
+                phase = phase + opts[:, axis] * kappa[axis]
+        out = out + f * np.exp(-2j * np.pi * phase)
+    return out
+
+
+def _pairwise_quasi_periodicity(Z):
+    d = Z.dimension
+    flat = product_grid(Z.axis, 2 * d)
+    tpts, opts = flat[:, :d], flat[:, d:]
+    base = Z.values.ravel()
+    worst = 0.0
+    for axis_i in range(d):
+        shift = np.zeros(d)
+        shift[axis_i] = 1.0
+        t_shift = _pairwise_lattice_sums(Z.window, tpts + shift, opts, Z.truncation + 1)
+        expected = np.exp(2j * np.pi * opts[:, axis_i]) * base
+        worst = max(worst, float(np.max(np.abs(t_shift - expected))))
+        o_shift = _pairwise_lattice_sums(Z.window, tpts, opts + shift, Z.truncation)
+        worst = max(worst, float(np.max(np.abs(o_shift - base))))
+    return worst
+
+
+def _pairwise_functional_equation(Z, p, a, b):
+    d = Z.dimension
+    flat = product_grid(Z.axis, 2 * d)
+    tpts, opts = flat[:, :d], flat[:, d:]
+    lhs = p.eval_points(flat) * Z.values.ravel()
+    margin = int(np.ceil(np.max(np.abs(a)))) + 1
+    shifted = _pairwise_lattice_sums(Z.window, tpts - a, opts + b, Z.truncation + margin)
+    diff = lhs - np.exp(-2j * np.pi * (tpts @ b)) * shifted
+    return float(np.sqrt(np.mean(np.abs(diff) ** 2)))
+
+
+@pytest.mark.parametrize(
+    "window, M",
+    [(GaussianWindow(), 16), (HermiteWindow(3), 16), (_sampled_gaussian(), 8), (GaussianWindow(2), 4)],
+    ids=["gauss", "hermite3", "sampled", "gauss-d2"],
+)
+def test_product_form_sums_are_bitwise_the_pairwise_sums(window, M):
+    d = window.dimension
+    Z = zak_transform(window, resolution=M)
+    assert quasi_periodicity_residual(Z) == _pairwise_quasi_periodicity(Z)
+    p = TrigPolynomial(2 * d, [((0,) * 2 * d, 1.0), ((-1,) + (0,) * (2 * d - 1), 0.5)])
+    alpha = tuple(parse_coordinate(tok) for tok in ("-7/3", "sqrt2")[:d])
+    beta = tuple(parse_coordinate(tok) for tok in ("sqrt3", "1/5")[:d])
+    a = np.array([c.float() for c in alpha])
+    b = np.array([c.float() for c in beta])
+    assert functional_equation_residual(Z, p, alpha, beta) == _pairwise_functional_equation(
+        Z, p, a, b
+    )
+    for t, w in [(-2.3, 0.41), (1.7, -0.6), (0.25, 0.5)]:
+        t_pt, w_pt = np.full(d, t), np.full(d, w)
+        K = Z.truncation + math.ceil(abs(t))
+        want = _pairwise_lattice_sums(window, t_pt[None, :], w_pt[None, :], K)[0]
+        assert _same_bits(zak_point(window, t_pt, w_pt, Z.truncation), want)
+
+
+@pytest.mark.parametrize(
+    "window", [GaussianWindow(), GaussianWindow(2), HermiteWindow(3), _sampled_gaussian()]
+)
+def test_pruned_truncation_choice_equals_the_full_scan(window):
+    bounds = zak._decay_bounds(window)
+    d = window.dimension
+    for target in (1e-4, 1e-8, 1e-10, 1e-13, 1e-16):
+        want = next(
+            ((K, zak._best_tail(bounds, K, d)) for K in range(1, 61)
+             if zak._best_tail(bounds, K, d) < target),
+            None,
+        )
+        if want is None:
+            with pytest.raises(TruncationError):
+                zak._choose_truncation(bounds, d, target)
+        else:
+            assert zak._choose_truncation(bounds, d, target) == want
+
+
+def test_zak_point_rejects_a_wrong_argument_length():
+    # a surplus omega entry was ignored, a missing one raised IndexError
+    with pytest.raises(ValueError, match="dimension 1"):
+        zak_point(GaussianWindow(1), 0.3, [0.7, 0.2], 6)
+    with pytest.raises(ValueError, match="dimension 2"):
+        zak_point(GaussianWindow(2), [0.3, 0.1], [0.7], 6)
+    with pytest.raises(ValueError, match="dimension 1"):
+        zak_point(GaussianWindow(1), [0.3, 0.1], 0.7, 6)
+    Z = zak_transform(GaussianWindow(), resolution=8)
+    with pytest.raises(ValueError, match="dimension 1"):
+        Z.point_value([0.3], [0.7, 0.2])
