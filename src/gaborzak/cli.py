@@ -238,11 +238,9 @@ def _cmd_theta(args):
     if args.method == "birkhoff":
         est = theta_birkhoff(p, lam, gamma, args.n, delta=args.delta)
     else:
-        cls = classify(
-            gamma, search_bound=args.search_bound, tolerance=args.tolerance
-        )
+        cls = classify(gamma, search_bound=args.search_bound, tolerance=args.tolerance)
         H = subgroup_closure(gamma, cls)
-        quad = QuadratureSpec(args.scheme, args.points, True)
+        quad = QuadratureSpec("composite-midpoint", args.points, True)
         est = theta_haar(p, lam, H, quad, delta=args.delta)
     return {
         "value": est.value,
@@ -257,13 +255,11 @@ def _cmd_phase_check(args):
     alpha = _parse_coords(args.alpha)
     beta = _parse_coords(args.beta)
     field = SyntheticPhaseField(p, base, alpha, beta, theta0=args.theta0)
+    field.phase_lift(args.n)  # one orbit pass fills the cache
     steps = range(1, args.n + 1)
-    rhs = _phase_cocycle_rhs(args.theta0, p, base, alpha, beta, steps).tolist()
-    worst = 0.0
-    for n, rhs_n in zip(steps, rhs):
-        lhs = field.phase_at_step(n)
-        diff = abs(lhs - rhs_n) % 1.0
-        worst = max(worst, min(diff, 1.0 - diff))
+    rhs = _phase_cocycle_rhs(args.theta0, p, base, alpha, beta, steps)
+    diff = np.abs(np.array([field.phase_at_step(n) for n in steps]) - rhs) % 1.0
+    worst = float(np.max(np.minimum(diff, 1.0 - diff), initial=0.0))
     inner = math.fsum(a.float() * b.float() for a, b in zip(alpha, beta))
     return {
         "max_mod1_error": worst,
@@ -329,8 +325,6 @@ def _cmd_remark2(args):
 # ---------------------------------------------------------------------------
 # parser
 
-_SCHEMES = ["composite-midpoint", "gauss-legendre"]
-
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -359,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     window.add_argument("--window-file", default=None, help="CSV of samples")
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--points", type=int, default=512)
-    quadrature.add_argument("--scheme", choices=_SCHEMES, default="composite-midpoint")
+    quadrature.add_argument("--scheme", choices=["composite-midpoint", "gauss-legendre"],
+                            default="composite-midpoint")
     quadrature.add_argument("--resolution", type=int, default=64)
     haar = argparse.ArgumentParser(add_help=False)
     haar.add_argument("--points", type=int, default=1024, help="Haar grid points")
@@ -401,7 +396,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", required=True, help="base point")
     sp.add_argument("--method", choices=["birkhoff", "haar"], default="haar")
     sp.add_argument("--n", type=int, default=10**6, help="Birkhoff orbit length")
-    sp.add_argument("--scheme", choices=_SCHEMES, default="composite-midpoint")
     sp.add_argument("--delta", type=float, default=1e-8)
 
     sp = command("phase-check", _cmd_phase_check,

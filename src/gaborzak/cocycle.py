@@ -6,7 +6,9 @@ accumulating ln q along the orbit.  Its log-growth functional
     Theta(lambda) = integral over H of ln q(lambda + h) dm_H(h)
 
 is computed two ways: a Birkhoff average along the orbit and a Haar-grid
-quadrature on the closure subgroup H (they agree by unique ergodicity).
+quadrature on the closure subgroup H (they agree by unique ergodicity), whose
+one rule is the composite midpoint refined near zeros of p.  Either raises
+NumericalFailure when zeros of p leave 1% of its steps or of H unresolved.
 
 The phase side implements the measurable branch theta of a nonzero complex
 value (four-case arctangent ladder), the n-step phase recursion
@@ -30,7 +32,6 @@ branch ladder.  No orbit step is a Python loop.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,19 +219,26 @@ def theta_birkhoff(
 
     The values along the orbit come from ``_orbit_values``, by characters; the
     logs of the steps with |p| >= delta are summed with one exact rounding
-    (``exact_sum``).
+    (``exact_sum``).  Skipping 1% of the steps or more (an estimate that is
+    not ``reliable``) raises NumericalFailure; delta <= 0 raises ValueError.
     """
     if n < 1000:
         raise ValueError("Birkhoff averaging needs n >= 1000")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     q = np.abs(_orbit_values(p, lam, gamma, n))
     good = q >= delta
     total = exact_sum(np.log(q[good]))
-    return ThetaEstimate(
+    est = ThetaEstimate(
         value=total / n,
         method="birkhoff",
         samples=n,
         skipped_fraction=1.0 - float(np.count_nonzero(good)) / n,
     )
+    if not est.reliable:
+        raise NumericalFailure(f"Birkhoff average skipped a fraction {est.skipped_fraction:.3e}"
+                               f" of its steps with |p| below delta = {delta:g}")
+    return est
 
 
 def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
@@ -293,14 +301,18 @@ def theta_haar(
 ) -> ThetaEstimate:
     """Haar quadrature of ln max(|p|, delta) over the coset lambda + H.
 
-    One product rule in the tangent coordinates of H (Gauss-Legendre, or the
-    composite midpoint on the equispaced Haar grid) is evaluated on every
-    torsion component in one ``eval_points`` call.  Cells near a zero of p
-    under the refined midpoint rule, and the nodes of a finite H, go into
-    one ``_refine_cells`` walk; the rest are plain.  Theta is the exact sum
-    per component, then over the components, over their count.  A grid of more
-    than ``GRID_BUDGET_DEFAULT`` points raises ValueError unallocated.
+    The one rule is the composite midpoint (ln |p| is periodic along H) with
+    ``quad.points_per_axis`` nodes per tangent direction of H, on every torsion
+    component in one ``eval_points`` call.  Cells near a zero of p, and the
+    nodes of a finite H, go into one ``_refine_cells`` walk; the rest are
+    plain.  Theta is the exact sum per component, then over the components,
+    over their count.  A Gauss-Legendre or unrefined ``quad``, delta <= 0 and
+    a grid of more than ``GRID_BUDGET_DEFAULT`` points raise ValueError.
     """
+    if quad.scheme != "composite-midpoint" or not quad.refine_near_singularity:
+        raise ValueError("Haar Theta takes only the refined composite-midpoint rule")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
     n = quad.points_per_axis
     m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
     if p.dimension != m or len(lam) != m:
@@ -310,32 +322,24 @@ def theta_haar(
                          f"budget of {GRID_BUDGET_DEFAULT}; lower --points")
     # midpoint node l/N is the center of a cell of halfwidth 1/(2N) per axis
     hw0 = np.full(t_dim, 0.5 / n)
-    if quad.scheme == "gauss-legendre":
-        x, w = np.polynomial.legendre.leggauss(n)
-        nodes, weights, scale = 0.5 * (x + 1.0), 0.5 * w, 1.0
-    else:
-        nodes, weights, scale = np.arange(n) / n, np.ones(n), float(np.prod(2.0 * hw0))
-    refine = quad.refine_near_singularity and quad.scheme == "composite-midpoint"
-    ygrid = product_grid(nodes, t_dim)
-    wts = functools.reduce(np.multiply.outer, [weights] * t_dim, np.ones(())).ravel()
+    vol = float(np.prod(2.0 * hw0))
+    ygrid = product_grid(np.arange(n) / n, t_dim)
     dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
     bases = lam.array() + np.array([r.coords for r in H.torsion_representatives])
     grid = bases[:, None, :] + fixed_order_matmul(ygrid, dirs)
     grid = p.eval_points(np.mod(grid, 1.0, out=grid).reshape(-1, m))  # points -> values
     vals = np.abs(grid).reshape(n_reps, len(ygrid))
     lips = np.array([p.lipschitz_along(b) for b in H.connected_directions])
-    plain = ((vals > 2.0 * float(np.dot(lips, hw0))) | (not refine)) & (t_dim > 0)
+    plain = (vals > 2.0 * float(np.dot(lips, hw0))) & (t_dim > 0)
     logs = np.where(plain, np.log(np.maximum(vals, delta)), 0.0)
-    clamped = plain & ~(vals >= delta)
-    stats = {"clamped": [np.zeros(n_reps)], "at_cap": [np.zeros(n_reps)], "splits": 0}
-    for c in np.flatnonzero(clamped.any(axis=1)):
-        stats["clamped"][0][c] = scale * np.sum(wts[clamped[c]])
+    clamped = vol * np.count_nonzero(plain & ~(vals >= delta), axis=1)
+    stats = {"clamped": [clamped], "at_cap": [np.zeros(n_reps)], "splits": 0}
     comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
     leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
     bounds = np.searchsorted(comp, np.arange(n_reps + 1)).tolist()
     contributions = [
-        scale * exact_sum(row) + exact_sum(leaves[lo:hi])
-        for row, lo, hi in zip(wts * logs, bounds, bounds[1:])
+        vol * exact_sum(row) + exact_sum(leaves[lo:hi])
+        for row, lo, hi in zip(logs, bounds, bounds[1:])
     ]
     unresolved = _tally(stats["at_cap"]) / n_reps
     if unresolved > 1e-2:
@@ -589,6 +593,7 @@ def normalized_phase_sequence(
     if any(n < 1 for n in ns):
         raise ValueError("n values must be >= 1")
     if isinstance(field, SyntheticPhaseField):
+        field.phase_lift(max(ns, default=0))  # one orbit pass fills the cache
         thetas = np.array([field.phase_lift(n) for n in ns])
     else:
         d = len(alpha)

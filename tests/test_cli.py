@@ -220,6 +220,29 @@ class TestTheta:
         ]
         assert main(args) == 3
 
+    def test_birkhoff_on_a_zero_coset_is_exit_code_3(self, tmp_path, capsys):
+        # 1 - e(t - w) vanishes on the whole diagonal coset: every step is
+        # skipped, and the average once wrote "value": 0.0 ("balanced")
+        p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
+        path = tmp_path / "diag.json"
+        save_polynomial(p, str(path))
+        args = [
+            "theta", "--poly", str(path), "--gamma", "sqrt2,sqrt2",
+            "--lambda", "0,0", "--method", "birkhoff",
+        ]
+        assert main(args) == 3
+        assert "skipped a fraction 1.000e+00" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["birkhoff", "haar"])
+    def test_nonpositive_delta_is_exit_code_2(self, p1_file, capsys, method):
+        # --delta 0 once wrote "value": -Infinity, which is not JSON
+        args = [
+            "theta", "--poly", p1_file, "--gamma", "0,sqrt2", "--lambda", "0.25,0",
+            "--method", method, "--n", "1000", "--points", "64", "--delta", "0",
+        ]
+        assert main(args) == 2
+        assert "delta must be positive" in capsys.readouterr().err
+
     def test_oversized_haar_grid_is_exit_code_2(self, tmp_path, capsys):
         p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
         path = tmp_path / "q.json"
@@ -250,7 +273,7 @@ def test_phase_check(tmp_path):
 
 def test_phase_check_walks_the_orbit_once(tmp_path, monkeypatch):
     # the right-hand side for every n <= N comes from one pass over N steps,
-    # and the field extends its cache one step per n: 2N points, not N^2/2
+    # and the field fills its cache in another: 2N points, not N^2/2
     from gaborzak import cocycle
 
     steps = []
@@ -272,6 +295,29 @@ def test_phase_check_walks_the_orbit_once(tmp_path, monkeypatch):
     assert main(args) == 0
     assert sum(steps) == 200
     assert _load(tmp_path / "pc.json")["max_mod1_error"] < 1e-8
+
+
+def test_phase_check_evaluates_p_twice(tmp_path, monkeypatch):
+    # one eval_points call for the right-hand side and one for the field's
+    # lifts, where a cache extended per step made N + 1
+    calls = []
+    original = TrigPolynomial.eval_points
+
+    def counting(self, pts):
+        calls.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(TrigPolynomial, "eval_points", counting)
+    p2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
+    path = tmp_path / "p2.json"
+    save_polynomial(p2, str(path))
+    args = [
+        "phase-check", "--poly", str(path), "--base", "0.3,0.7",
+        "--alpha", "1/2", "--beta", "sqrt2", "--out", str(tmp_path / "pc.json"),
+    ]
+    assert main(args) == 0
+    assert len(calls) <= 2
+    assert sum(calls) == 128
 
 
 def test_phase_check_vanishing_base_is_exit_code_3(p1_file, capsys):
@@ -504,7 +550,6 @@ PARSER_SURFACE = {
         (["--out"], None, None, False, "out", None),
         (["--points"], 1024, None, False, "points", "int"),
         (["--poly"], None, None, True, "poly", None),
-        (["--scheme"], "composite-midpoint", SCHEMES, False, "scheme", None),
         (["--search-bound"], 50, None, False, "search_bound", "int"),
         (["--tolerance"], 1e-09, None, False, "tolerance", "float"),
     ],

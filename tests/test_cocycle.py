@@ -180,10 +180,10 @@ class TestOrbitValues:
             assert abs(values[n] - want) <= 1e-11 * 1.5, n  # sum |c_k| of P2 is 1.5
 
     def test_zero_polynomial_skips_every_step(self):
+        # every step is skipped: a value of 0.0 would read as "balanced"
         zero = TrigPolynomial(2, [])
-        est = theta_birkhoff(zero, reduce_mod1([0.1, 0.2]), Gamma.from_tokens("sqrt2,sqrt3"), 1000)
-        assert est.skipped_fraction == 1.0
-        assert est.value == 0.0
+        with pytest.raises(NumericalFailure, match="fraction 1.000e\\+00 .* delta = 1e-08"):
+            theta_birkhoff(zero, reduce_mod1([0.1, 0.2]), Gamma.from_tokens("sqrt2,sqrt3"), 1000)
 
 
 class TestThetaBirkhoff:
@@ -263,21 +263,27 @@ class TestThetaHaar:
         assert 0 < est.splits < _REFINE_CELL_BUDGET
         assert 0 < est.unresolved_volume <= 2 * 2.0**-_REFINE_DEPTH_CAP / 1024
 
-    def test_gauss_legendre_on_smooth_coset(self):
-        quad = QuadratureSpec("gauss-legendre", 64, False)
-        est = theta_haar(P1, reduce_mod1([0.0, 0.0]), VERT, quad)
-        assert abs(est.value - math.log(2)) < 1e-10
+    @pytest.mark.parametrize(
+        "quad",
+        [
+            QuadratureSpec("gauss-legendre", 64, True),
+            QuadratureSpec("gauss-legendre", 64, False),
+            QuadratureSpec("composite-midpoint", 64, False),
+        ],
+    )
+    def test_only_the_refined_midpoint_rule_is_accepted(self, quad):
+        with pytest.raises(ValueError, match="refined composite-midpoint"):
+            theta_haar(P1, reduce_mod1([0.0, 0.0]), VERT, quad)
 
     def test_nonvanishing_poly_frozen_values(self):
-        quad = QuadratureSpec("composite-midpoint", 1024, False)
         for t, want in P2_VERTICAL_THETA.items():
-            est = theta_haar(P2, reduce_mod1([t, 0.0]), VERT, quad)
+            est = theta_haar(P2, reduce_mod1([t, 0.0]), VERT, MID_REFINE)
             assert abs(est.value - want) < 1e-10
 
     def test_horizontal_mean_vanishes_for_p2(self):
         # as a function of t the polynomial has all its reciprocal roots
         # inside the unit disk, so the t-mean of the log-modulus is zero
-        quad = QuadratureSpec("composite-midpoint", 512, False)
+        quad = QuadratureSpec("composite-midpoint", 512, True)
         est = theta_haar(P2, reduce_mod1([0.0, 0.37]), HORIZ, quad)
         assert abs(est.value) < 1e-12
 
@@ -328,20 +334,13 @@ class TestThetaHaar:
         with pytest.raises(NumericalFailure, match="volume fraction 5.000e-01"):
             theta_haar(p, reduce_mod1([0.0, 0.0]), H, MID_REFINE)
 
-    @pytest.mark.parametrize(
-        "quad",
-        [
-            QuadratureSpec("composite-midpoint", 8, False),
-            QuadratureSpec("composite-midpoint", 8, True),
-            QuadratureSpec("gauss-legendre", 8, False),
-        ],
-    )
-    def test_exact_zero_on_a_finite_subgroup_is_unresolved(self, quad):
+    def test_exact_zero_on_a_finite_subgroup_is_unresolved(self):
         # 1 - e(t + w) vanishes exactly at the component (0, 0) of the 143
         # points of H = <(1/11, 1/13)>, and nowhere else on it
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), -1.0)])
         H = _closure("1/11,1/13")
         assert H.component_count == 143
+        quad = QuadratureSpec("composite-midpoint", 8, True)
         est = theta_haar(p, reduce_mod1([0.0, 0.0]), H, quad)
         assert est.unresolved_volume == 1 / 143
         assert est.skipped_fraction == 1 / 143
@@ -361,18 +360,21 @@ class TestThetaHaar:
         with pytest.raises(ValueError, match="--points"):
             theta_haar(p, reduce_mod1([0.1, 0.2, 0.3, 0.4]), H, quad)
 
-    def test_unrefined_singular_estimate_is_flagged(self):
-        p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
-        quad = QuadratureSpec("composite-midpoint", 32, False)
-        est = theta_haar(p, reduce_mod1([0.0, 0.0]), DIAG, quad)
-        assert est.skipped_fraction == 1.0
-        assert not est.reliable
-        with pytest.raises(ValueError):
-            case3_verdict(est)
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             theta_haar(P1, reduce_mod1([0.3]), VERT, MID_REFINE)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-8, math.nan])
+@pytest.mark.parametrize("method", ["birkhoff", "haar"])
+def test_delta_must_be_positive(method, delta):
+    # delta = 0 used to put ln 0 = -inf into the value
+    lam = reduce_mod1([0.25, 0.0])
+    with pytest.raises(ValueError, match="delta must be positive"):
+        if method == "birkhoff":
+            theta_birkhoff(P1, lam, Gamma.from_tokens("0,sqrt2"), 1000, delta=delta)
+        else:
+            theta_haar(P1, lam, VERT, MID_REFINE, delta=delta)
 
 
 def _recursive_refine_cell(p, bases, c, dirs, center, halfwidth, lips, delta, depth, stats):
@@ -447,9 +449,8 @@ def test_level_walk_matches_depth_first_recursion(tokens, points, monkeypatch):
 
 class TestCase3Verdict:
     def test_three_regimes(self):
-        quad = QuadratureSpec("composite-midpoint", 1024, False)
-        grow = theta_haar(P2, reduce_mod1([0.0, 0.0]), VERT, quad)
-        decay = theta_haar(P2, reduce_mod1([0.1, 0.0]), VERT, quad)
+        grow = theta_haar(P2, reduce_mod1([0.0, 0.0]), VERT, MID_REFINE)
+        decay = theta_haar(P2, reduce_mod1([0.1, 0.0]), VERT, MID_REFINE)
         flat = theta_haar(P1, reduce_mod1([0.4, 0.0]), VERT, MID_REFINE)
         assert case3_verdict(grow) == "growth"
         assert case3_verdict(decay) == "decay"
@@ -665,6 +666,20 @@ class TestNormalizedPhaseSequence:
         assert first == again
         for z in first:
             assert abs(abs(z) - 1.0) < 1e-12
+
+    def test_synthetic_field_is_walked_once(self, monkeypatch):
+        # the lifts up to max(ns) come from one orbit pass, not one per n
+        calls = []
+        original = TrigPolynomial.eval_points
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return original(self, pts)
+
+        field = SyntheticPhaseField(P2, self.BASE, (mk("sqrt2"),), (mk("sqrt3"),))
+        monkeypatch.setattr(TrigPolynomial, "eval_points", counting)
+        normalized_phase_sequence(field, self.BASE, (mk("sqrt2"),), (mk("sqrt3"),), [1, 5, 25, 125])
+        assert calls == [125]
 
     def test_untwisted_sequence_converges_to_branch_mean(self):
         # with beta = 0 the lift is theta0 plus the plain branch sum, so
