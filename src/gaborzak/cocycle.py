@@ -26,8 +26,10 @@ phase mean's lifts and each component of a Haar grid are summed with one exact
 rounding (``exact_sum``).
 The phase entry points read one vectorized orbit pass over an array of steps
 j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
-call (Zak-field sources have no characters) and one array version of the
-branch ladder.  No orbit step is a Python loop.
+call (Zak-field sources have no characters) and the branch ladder as nested
+``np.where``.  A call's fixed cost is a handful of array operations: alpha and
+beta become long doubles once per call (once per synthetic field), with no
+per-step Python loop and no cache.
 """
 
 from __future__ import annotations
@@ -177,13 +179,14 @@ def propagate(
     The values of p along the orbit come from ``_orbit_values``.  Steps where
     |p| falls under the threshold contribute nothing and are recorded; all
     later values carry a non-comparable flag.  F0 = 0 encodes a zero of F:
-    the whole forward orbit stays at log-value -inf.
+    the whole forward orbit stays at log-value -inf.  A threshold that is not
+    positive and an F0 that is not >= 0 (NaN included) raise ValueError.
     """
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
-    if skip_threshold <= 0:
+    if not skip_threshold > 0:
         raise ValueError("skip threshold must be positive")
-    if F0 < 0:
+    if not F0 >= 0:
         raise ValueError("F0 must be >= 0")
     q = np.abs(_orbit_values(q_source, base, gamma, n_max))
     good = q >= skip_threshold
@@ -407,16 +410,16 @@ def _branch_ladder(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     branch values in [0, 1) and case indices into _CASE_TAGS."""
     values = np.asarray(values, dtype=complex)
     finite = np.isfinite(values)
-    if not np.all(finite):
+    if not finite.all():
         raise ValueError(f"phase of non-finite value {values[~finite][0]} is undefined")
-    re, im = values.real, values.imag
-    cases = [re > 0.0, re < 0.0, im > 0.0, im < 0.0]
-    case = np.select(cases, [0, 1, 2, 3], -1)
-    if np.any(case < 0):
+    if (values == 0).any():
         raise ValueError("phase of zero is undefined")
+    pos, neg, up = values.real > 0.0, values.real < 0.0, values.imag > 0.0
+    case = np.where(pos, 0, np.where(neg, 1, np.where(up, 2, 3)))
     with np.errstate(all="ignore"):  # Re = 0 rows are not read
-        slope = np.arctan(im / re)
-    rad = np.select(cases, [slope, slope + math.pi, 0.5 * math.pi, 1.5 * math.pi])
+        slope = np.arctan(values.imag / values.real)
+    axis = np.where(up, 0.5 * math.pi, 1.5 * math.pi)
+    rad = np.where(pos, slope, np.where(neg, slope + math.pi, axis))
     theta = np.mod(rad / (2.0 * math.pi), 1.0)
     # float modulo of a tiny negative angle rounds up to the excluded
     # endpoint; 0 and 1 are the same branch value
@@ -436,24 +439,29 @@ def phase_branch(value: complex) -> PhaseBranch:
     return PhaseBranch(theta=float(theta[0]), case_tag=_CASE_TAGS[case[0]])
 
 
-def _phase_orbit(base, alpha, beta, steps, values=None, delta=1e-8, name="p"):
-    """The orbit z_j = (t - j alpha, w + j beta) at the integer steps j.
+def _ld(coords) -> np.ndarray:  # Coordinates as a long-double array
+    return np.array([c.longdouble() for c in coords])
 
-    Returns the unreduced long-double lift t - j alpha, shape (k, d); the
-    points z_j mod 1 as float64, shape (k, 2d); and, given ``values`` (a map
-    from those points to complex values, such as ``p.eval_points``), their
+
+def _phase_orbit(base, a, b, steps, values=None, delta=1e-8, name="p"):
+    """The orbit z_j = (t - j a, w + j b) at the integer steps j (``_ld`` arrays).
+
+    Returns the unreduced long-double lift t - j a, shape (k, d); the points
+    z_j mod 1 as float64, shape (k, 2d); and, given ``values`` (a map from
+    those points to complex values, such as ``p.eval_points``), their
     measurable branch (else None).  Raises PhaseUndefined at the first step
-    where |value| < delta.
+    where |value| < delta, ValueError for delta <= 0 or NaN.
     """
-    d = len(alpha)
+    if values is not None and not delta > 0:
+        raise ValueError("delta must be positive")
+    d = len(a)
+    if isinstance(steps, range):  # np.arange: no walk over the range's ints
+        steps = np.arange(steps.start, steps.stop)
     steps = np.asarray(steps, dtype=np.int64)
     j = steps.astype(np.longdouble)[:, None]
     coords = np.asarray(base.coords, dtype=np.longdouble)
-    a = np.array([c.longdouble() for c in alpha])
-    b = np.array([c.longdouble() for c in beta])
     t = coords[:d] - j * a
-    z = np.mod(np.concatenate([t, coords[d:] + j * b], axis=1), np.longdouble(1.0))
-    z = z.astype(float)
+    z = np.mod(np.concatenate([t, coords[d:] + j * b], axis=1), np.longdouble(1.0)).astype(float)
     if values is None:
         return t, z, None
     vals = values(z)
@@ -473,15 +481,15 @@ def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns, delta=1e-8):
     d = len(alpha)
     if len(beta) != d or phi_source.dimension != 2 * d or len(base) != 2 * d:
         raise ValueError("dimension mismatch")
+    if np.size(ns) and np.asarray(ns).dtype.kind not in "iu":  # [] comes back float64
+        raise ValueError("n must be an integer")
     ns = np.asarray(ns, dtype=np.int64)
     if ns.min(initial=0) < 0:
         raise ValueError("n must be >= 0")
-    steps = range(int(ns.max(initial=0)))
-    _, _, phi = _phase_orbit(base, alpha, beta, steps, phi_source.eval_points, delta)
+    a, b = _ld(alpha), _ld(beta)
+    _, _, phi = _phase_orbit(base, a, b, range(ns.max(initial=0)), phi_source.eval_points, delta)
     phi_sums = np.concatenate([[0], np.cumsum(phi, dtype=np.longdouble)])[ns]
-    t0 = np.asarray(base.coords[:d], dtype=np.longdouble)
-    b_ld = np.array([c.longdouble() for c in beta])
-    tb = np.dot(t0, b_ld)
+    tb = np.dot(np.asarray(base.coords[:d], dtype=np.longdouble), b)
     ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
     # the rational part of n(n-1)/2 <a,b> is reduced mod 1 exactly
     num, den = ab_rat.numerator, ab_rat.denominator
@@ -512,6 +520,7 @@ def phase_cocycle_iterate(
     phi comes from the measurable branch of p along the orbit (p is periodic,
     so reduced arguments suffice there); the <t,b> term uses the base point's
     representative coordinates, exactly as the one-step relation telescopes.
+    A negative or non-integer n and a delta <= 0 or NaN raise ValueError.
     """
     return float(_phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, [n], delta)[0])
 
@@ -545,6 +554,7 @@ class SyntheticPhaseField:
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.delta = delta
+        self._a, self._b = _ld(alpha), _ld(beta)
         self._lifts = np.array([theta0], dtype=np.longdouble)
 
     def phase_lift(self, n: int) -> float:
@@ -553,15 +563,12 @@ class SyntheticPhaseField:
             raise ValueError("n must be >= 0")
         done = len(self._lifts) - 1
         if n > done:
-            t, _, phi = _phase_orbit(
-                self.base, self.alpha, self.beta, range(done, n),
-                self.phi_source.eval_points, self.delta,
-            )
-            b_ld = np.array([c.longdouble() for c in self.beta])
+            t, _, phi = _phase_orbit(self.base, self._a, self._b, range(done, n),
+                                     self.phi_source.eval_points, self.delta)
             # phi_j and <t_j, beta> enter the running sum as separate terms,
             # in the recursion's order: lifts grow like n^2 <alpha, beta>, and
             # the float64 result would turn any reassociation into ~1e-11 jumps
-            terms = np.stack([phi.astype(np.longdouble), t @ b_ld], axis=1).ravel()
+            terms = np.stack([phi.astype(np.longdouble), t @ self._b], axis=1).ravel()
             lifts = np.cumsum(np.concatenate([self._lifts[-1:], terms]))
             self._lifts = np.concatenate([self._lifts, lifts[2::2]])
         return float(self._lifts[n])
@@ -570,7 +577,7 @@ class SyntheticPhaseField:
         return self.phase_lift(n) % 1.0
 
     def point_at_step(self, n: int) -> TorusPoint:
-        _, z, _ = _phase_orbit(self.base, self.alpha, self.beta, [n])
+        _, z, _ = _phase_orbit(self.base, self._a, self._b, [n])
         return reduce_mod1(z[0])
 
 
@@ -601,7 +608,7 @@ def normalized_phase_sequence(
         def fresh_sums(z):  # one fresh lattice sum per point, never the grid
             return np.array([field.point_value(r[:d], r[d:]) for r in z], dtype=complex)
 
-        t, z, branch = _phase_orbit(base, alpha, beta, ns, fresh_sums, delta, "Zf")
+        t, z, branch = _phase_orbit(base, _ld(alpha), _ld(beta), ns, fresh_sums, delta, "Zf")
         iota = (t - np.mod(t, np.longdouble(1.0))).astype(float)
         corr = np.sum(iota * z[:, d:].astype(np.longdouble), axis=1).astype(float)
         thetas = branch + corr
@@ -626,7 +633,7 @@ def phase_mean_along_orbit(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, _, raw = _phase_orbit(base, alpha, beta, range(n), phi_source.eval_points, delta)
+    _, _, raw = _phase_orbit(base, _ld(alpha), _ld(beta), range(n), phi_source.eval_points, delta)
     # k_j: the integer keeping step j within half a turn of step j - 1's lift
     k = np.concatenate([[0.0], np.cumsum(np.rint(raw[:-1] - raw[1:]))])
     return exact_sum(raw + k) / n, int(np.sum(np.abs(k)))
@@ -676,7 +683,7 @@ def cluster_set_c2(
     d = len(alpha)
     if len(beta) != d or len(omega) != d:
         raise ValueError("dimension mismatch")
-    a_ld = np.array([c.longdouble() for c in alpha])
+    a_ld = _ld(alpha)
     inners = np.zeros(n_max, dtype=np.longdouble)
     nvals = np.arange(1, n_max + 1, dtype=np.longdouble)
     for i in range(d):

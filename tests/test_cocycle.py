@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaborzak import cocycle
 from gaborzak.cocycle import (
@@ -121,6 +121,16 @@ class TestPropagate:
             propagate(-1.0, self.base, self.gamma, P2, 10)
         with pytest.raises(ValueError):
             propagate(1.0, self.base, self.gamma, P2, 10, skip_threshold=0.0)
+
+    def test_nan_threshold_is_refused(self):
+        # a NaN threshold used to skip all 100 steps and return logF[-1] = 0.0
+        with pytest.raises(ValueError, match="skip threshold must be positive"):
+            propagate(1.0, self.base, self.gamma, P2, 100, skip_threshold=math.nan)
+
+    def test_nan_start_is_refused(self):
+        # F0 = NaN used to give a zero orbit, logF all -inf
+        with pytest.raises(ValueError, match="F0 must be >= 0"):
+            propagate(math.nan, self.base, self.gamma, P2, 100)
 
 
 def _random_poly(m, terms, seed):
@@ -475,6 +485,36 @@ def test_balanced_fraction_matches_closed_form():
     assert frac == 3 / 8
 
 
+def _select_ladder(values):
+    """The branch ladder as two np.select calls: the reference for the
+    nested np.where version."""
+    values = np.asarray(values, dtype=complex)
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        raise ValueError(f"phase of non-finite value {values[~finite][0]} is undefined")
+    re, im = values.real, values.imag
+    cases = [re > 0.0, re < 0.0, im > 0.0, im < 0.0]
+    case = np.select(cases, [0, 1, 2, 3], -1)
+    if np.any(case < 0):
+        raise ValueError("phase of zero is undefined")
+    with np.errstate(all="ignore"):
+        slope = np.arctan(im / re)
+    rad = np.select(cases, [slope, slope + math.pi, 0.5 * math.pi, 1.5 * math.pi])
+    theta = np.mod(rad / (2.0 * math.pi), 1.0)
+    theta[theta >= 1.0] = 0.0
+    return theta, case
+
+
+# real and imaginary parts: moderate values, any finite double (subnormals
+# included), signed zeros, the extreme subnormal, huge values, non-finite ones
+_LADDER_PARTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
 class TestPhaseBranch:
     def test_axis_cases(self):
         assert phase_branch(1.0).theta == 0.0
@@ -508,6 +548,39 @@ class TestPhaseBranch:
         base, alpha, beta = reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("1"),)
         with pytest.raises(ValueError, match="non-finite"):
             phase_cocycle_iterate(0.0, p_nan, base, alpha, beta, 3)
+
+    @given(st.lists(st.builds(complex, _LADDER_PARTS, _LADDER_PARTS), min_size=1, max_size=12))
+    @example([complex(-0.0, 0.0)])
+    @example([1j, complex(0.0, -0.0)])
+    @example([complex(-0.0, 5e-324), complex(0.0, -1e300), complex(-5e-324, -0.0)])
+    @example([complex(1e300, -5e-324), complex(-1e-300, 1e300), complex(math.inf, 0.0), 0j])
+    @settings(max_examples=400, deadline=None)
+    def test_where_ladder_matches_select_ladder(self, zs):
+        # the nested np.where ladder gives the np.select ladder's bits,
+        # case indices and errors
+        try:
+            want = _select_ladder(np.array(zs))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cocycle._branch_ladder(np.array(zs))
+            assert str(got.value) == str(exc)
+            return
+        theta, case = cocycle._branch_ladder(np.array(zs))
+        assert theta.tobytes() == want[0].tobytes()
+        assert case.tolist() == want[1].tolist()
+
+    def test_where_ladder_matches_select_ladder_on_many_values(self):
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.uniform(-320, 300, size=(2, 200_000))
+        parts = np.where(rng.random((2, 200_000)) < 0.5, rng.normal(size=(2, 200_000)), scale)
+        parts *= rng.choice([-1.0, 1.0], size=parts.shape)
+        parts[:, :4000] *= rng.random((2, 4000)) < 0.5  # +-0.0 on one or both axes
+        zs = parts[0] + 1j * parts[1]
+        zs[:4000][zs[:4000] == 0] = 1.0
+        theta, case = cocycle._branch_ladder(zs)
+        want = _select_ladder(zs)
+        assert theta.tobytes() == want[0].tobytes()
+        assert np.array_equal(case, want[1])
 
     @given(
         st.complex_numbers(
@@ -585,6 +658,29 @@ class TestPhaseCocycleIterate:
                 one = phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, n)
                 assert mod1_dist(every[n] - one) <= 1e-15, (a_tok, b_tok, n)
 
+    def test_each_call_equals_the_one_pass_bitwise(self):
+        # one call per n, as the benchmark's identity loop makes them, gives
+        # the bits of phase-check's single pass over every n <= 400
+        for a_tok, b_tok in [("sqrt2", "sqrt3"), ("1/3", "2/5"), ("-sqrt5", "1/2")]:
+            alpha, beta = (mk(a_tok),), (mk(b_tok),)
+            every = _phase_cocycle_rhs(0.37, P2, self.BASE, alpha, beta, range(401))
+            each = [phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, n) for n in range(401)]
+            assert np.array(each).tobytes() == every.tobytes(), (a_tok, b_tok)
+
+    def test_non_integer_n_is_refused(self):
+        # 1.5 used to be cast to the n = 1 value and 2.7 to the n = 2 value
+        alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            _phase_cocycle_rhs(0.37, P2, self.BASE, alpha, beta, [3, 1.5])
+        with pytest.raises(ValueError, match="n must be an integer"):
+            phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, 2.7)
+        # Python ints and numpy integers of any width still pass
+        every = _phase_cocycle_rhs(0.37, P2, self.BASE, alpha, beta, np.arange(4, dtype=np.int32))
+        assert every[3] == phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, np.uint8(3))
+        assert every[3] == phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, 3)
+        # no n at all, as phase-check --n 0 asks, is not refused either
+        assert _phase_cocycle_rhs(0.37, P2, self.BASE, alpha, beta, range(1, 1)).shape == (0,)
+
     def test_vanishing_orbit_point_raises_with_step(self):
         # P1(1/3, 1/6) = 0; place the zero at step 1
         base = reduce_mod1([1 / 3, 1 / 6 - 0.25])
@@ -597,6 +693,29 @@ class TestPhaseCocycleIterate:
             phase_cocycle_iterate(0.0, P2, self.BASE, (mk("1"),), (mk("1"),), -1)
         with pytest.raises(ValueError):
             phase_cocycle_iterate(0.0, P2, reduce_mod1([0.3]), (mk("1"),), (mk("1"),), 1)
+
+
+@pytest.fixture(scope="module")
+def gaussian_zak():
+    return zak_transform(GaussianWindow(), resolution=16, truncation=6)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-8, math.nan])
+@pytest.mark.parametrize("entry", ["iterate", "lift", "mean", "normalized"])
+def test_phase_entry_points_refuse_nonpositive_delta(entry, delta, gaussian_zak):
+    # |p| < delta is never true for these deltas, so the PhaseUndefined
+    # guard used to be silently off
+    base, alpha, beta = reduce_mod1([1 / 3, 1 / 6]), (mk("0"),), (mk("0"),)
+    calls = {
+        "iterate": lambda: phase_cocycle_iterate(0.0, P1, base, alpha, beta, 3, delta=delta),
+        "lift": lambda: SyntheticPhaseField(P1, base, alpha, beta, delta=delta).phase_lift(3),
+        "mean": lambda: phase_mean_along_orbit(P1, base, alpha, beta, 3, delta=delta),
+        "normalized": lambda: normalized_phase_sequence(
+            gaussian_zak, reduce_mod1([0.5, 0.5]), (mk("1"),), (mk("1"),), [1], delta=delta
+        ),
+    }
+    with pytest.raises(ValueError, match="delta must be positive"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -634,6 +753,16 @@ class TestSyntheticPhaseField:
         lazy.phase_lift(7)
         lazy.phase_lift(23)
         assert lazy.phase_lift(40) == direct
+
+    def test_stepwise_fill_equals_one_pass(self):
+        # the benchmark extends a field one step per call, phase-check fills
+        # it in one pass: the lifts are the same bits
+        args = (P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("-sqrt3"),))
+        stepwise = SyntheticPhaseField(*args, theta0=0.1)
+        one_pass = SyntheticPhaseField(*args, theta0=0.1)
+        one_pass.phase_lift(400)
+        each = [stepwise.phase_lift(n) for n in range(401)]
+        assert np.array(each).tobytes() == one_pass._lifts.astype(float).tobytes()
 
     def test_vanishing_orbit_raises(self):
         field = SyntheticPhaseField(
