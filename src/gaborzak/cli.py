@@ -4,8 +4,9 @@ Subcommands: classify, gram, residual, zak, theta, phase-check, cluster,
 dual, remark1, remark2.  JSON is the machine surface (keys sorted, stable
 float repr); CSV columns are fixed per subcommand.  Exit codes: 0 success,
 2 invalid configuration or flags, 3 numerical failure, 4 ambiguous
-classification.  All defaults are deterministic; --threads > 1 only changes
-scheduling of independent base points, never the reduction order.
+classification.  All defaults are deterministic.  The global --threads flag
+is accepted and has no effect: the remark curves take Theta at all their
+base points in one walk.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .cocycle import (
     SyntheticPhaseField,
     _phase_cocycle_rhs,
+    _theta_haar_many,
     cluster_set_c1,
     cluster_set_c2,
     cluster_sets_match,
@@ -88,43 +89,31 @@ def remark2_polynomial() -> TrigPolynomial:
     return TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
 
 
-def _haar_curve(p, tokens: str, bases, points: int, threads: int) -> list[float]:
+def _haar_curve(p, tokens: str, bases, points: int) -> list[float]:
     """Haar Theta of p over the orbit closure H of the gamma that ``tokens``
-    name, at each base point; threads only schedule the base points."""
+    name, at every base point in one walk."""
     gamma = Gamma.from_tokens(tokens)
     H = subgroup_closure(gamma, classify(gamma))
     quad = QuadratureSpec("composite-midpoint", points, True)
-
-    def one(base):
-        return theta_haar(p, reduce_mod1(base), H, quad).value
-
-    if threads <= 1:
-        return [one(base) for base in bases]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, bases))
+    return [e.value for e in _theta_haar_many(p, [reduce_mod1(b) for b in bases], H, quad)]
 
 
-def remark1_curve(points: int = 1024, t_count: int = 101, threads: int = 1):
+def remark1_curve(points: int = 1024, t_count: int = 101):
     """(t, theta_quadrature, theta_closed_form) rows at equispaced t; H = {0} x T."""
     if t_count < 2:
         raise ValueError("--t-count must be at least 2")
     ts = [k / (t_count - 1) for k in range(t_count)]
-    thetas = _haar_curve(remark1_polynomial(), "0,sqrt2", [[t, 0.0] for t in ts], points, threads)
+    thetas = _haar_curve(remark1_polynomial(), "0,sqrt2", [[t, 0.0] for t in ts], points)
     return [(t, v, remark1_closed_form(t)) for t, v in zip(ts, thetas)]
 
 
-def remark2_curve(
-    points: int = 1024,
-    w_count: int = 32,
-    min_grid: int = 1024,
-    threads: int = 1,
-):
+def remark2_curve(points: int = 1024, w_count: int = 32, min_grid: int = 1024):
     """((w, theta) rows, grid minimum of |p|); H = T x {0}."""
     if w_count < 1:
         raise ValueError("--w-count must be at least 1")
     p = remark2_polynomial()
     ws = [k / w_count for k in range(w_count)]
-    thetas = _haar_curve(p, "sqrt2,0", [[0.0, w] for w in ws], points, threads)
+    thetas = _haar_curve(p, "sqrt2,0", [[0.0, w] for w in ws], points)
     return list(zip(ws, thetas)), min_modulus(p, min_grid).minimum
 
 
@@ -301,9 +290,7 @@ def _cmd_dual(args):
 
 
 def _cmd_remark1(args):
-    rows = remark1_curve(
-        points=args.points, t_count=args.t_count, threads=args.threads
-    )
+    rows = remark1_curve(points=args.points, t_count=args.t_count)
     max_err = max(abs(q - c) for _, q, c in rows)
     csv = _csv("t,theta_quadrature,theta_closed_form",
                (f"{t!r},{q!r},{c!r}" for t, q, c in rows))
@@ -312,10 +299,7 @@ def _cmd_remark1(args):
 
 def _cmd_remark2(args):
     rows, grid_min = remark2_curve(
-        points=args.points,
-        w_count=args.w_count,
-        min_grid=args.min_grid,
-        threads=args.threads,
+        points=args.points, w_count=args.w_count, min_grid=args.min_grid
     )
     max_theta = max(abs(v) for _, v in rows)
     csv = _csv("w,theta", (f"{w!r},{v!r}" for w, v in rows))
@@ -337,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker threads for independent base points (default 1; "
-        "results are identical, only scheduling changes)",
+        help="accepted and has no effect (the remark curves take every base "
+        "point in one walk)",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

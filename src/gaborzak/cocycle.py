@@ -88,6 +88,8 @@ _REFINE_DEPTH_CAP = 40
 # depth.  Exhausting it routes the rest into the at-cap tally instead of
 # hanging; splits are granted in frontier order, so coarse cells go first
 _REFINE_CELL_BUDGET = 50_000
+# grid points per walk of Theta over many base points, so memory stays bounded
+_HAAR_GROUP_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -248,13 +250,15 @@ def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
     """vol * ln max(|p|, delta) of each root cell, refined level by level.
 
     Cell i lies around tangent coordinates centers[i] on the coset through
-    bases[comp[i]].  Cells split while |p(center)| is within their Lipschitz
-    radius, along the axis of largest lips * halfwidth, so a depth shares
-    one halfwidth and one ``eval_points`` call; splits go in frontier order.
-    A cell of radius 0 (p constant along H, as on a finite H) never splits,
-    and at a zero of p it is unresolved.  ``stats`` gets each depth's
-    clamped and unresolved volume per component.  A split cell's value is
-    value(lo) + value(hi) of its children, as in a recursion."""
+    bases[comp[i]], with comp sorted and the rows in len(stats["splits"])
+    equal blocks, one per base point.  Cells split while |p(center)| is within
+    their Lipschitz radius, along the axis of largest lips * halfwidth, so a
+    depth shares one halfwidth and one ``eval_points`` call; a block's splits
+    go in frontier order, under its own budget.  A cell of radius 0 (p
+    constant along H, as on a finite H) never splits, and at a zero of p it
+    is unresolved.  ``stats`` gets each depth's clamped and unresolved volume
+    per row, and the splits per block.  A split cell's value is value(lo) +
+    value(hi) of its children, as in a recursion."""
     levels = []  # (values, split mask) per depth
     hw = hw0.copy()
     while len(centers):
@@ -263,10 +267,13 @@ def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
         vol = float(np.prod(2.0 * hw))
         radius = 2.0 * float(np.dot(lips, hw))
         want = ~(vals > radius)
-        room = _REFINE_CELL_BUDGET - stats["splits"]
-        split = want & (np.cumsum(want) <= room) & (len(levels) < _REFINE_DEPTH_CAP)
+        block = comp // (len(bases) // len(stats["splits"]))
+        # a cell's rank in its block is csum[1:] minus csum at the block's first cell
+        csum = np.append(0, np.cumsum(want))
+        room = _REFINE_CELL_BUDGET - stats["splits"][block] + csum[np.searchsorted(block, block)]
+        split = want & (csum[1:] <= room) & (len(levels) < _REFINE_DEPTH_CAP)
         split &= radius > 0.0
-        stats["splits"] += int(np.count_nonzero(split))
+        stats["splits"] += np.bincount(block[split], None, len(stats["splits"]))
         stats["at_cap"].append(vol * np.bincount(comp[want & ~split], None, len(bases)))
         leaf_vals = vals[~split]
         clamped = comp[~split][leaf_vals < delta]
@@ -289,10 +296,9 @@ def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
     return levels[0][0] if levels else np.zeros(0)
 
 
-def _tally(columns) -> float:
-    """Sum of per-component columns, component by component, as a loop adds them."""
-    table = np.column_stack(columns)
-    return float(np.cumsum(np.append(0.0, table[table != 0.0]))[-1])
+def _tally(columns, k) -> np.ndarray:
+    """Sum of the per-row columns per block of rows, row by row, as a loop adds them."""
+    return np.column_stack(columns).reshape(k, -1).cumsum(axis=1)[:, -1]
 
 
 def theta_haar(
@@ -310,15 +316,27 @@ def theta_haar(
     nodes of a finite H, go into one ``_refine_cells`` walk; the rest are
     plain.  Theta is the exact sum per component, then over the components,
     over their count.  A Gauss-Legendre or unrefined ``quad``, delta <= 0 and
-    a grid of more than ``GRID_BUDGET_DEFAULT`` points raise ValueError.
+    a grid of more than ``GRID_BUDGET_DEFAULT`` points raise ValueError; more
+    than 1% of H unresolved, or clamped at |p| < delta (an estimate that is
+    not ``reliable``), raises NumericalFailure.  This is the one-base call of
+    ``_theta_haar_many``, which walks many bases at once, group by group.
     """
+    return _theta_haar_many(p, [lam], H, quad, delta)[0]
+
+
+def _theta_haar_many(p, lams, H, quad, delta=1e-8) -> list[ThetaEstimate]:
+    """``theta_haar`` at every base point in ``lams``: coset i is the i-th block
+    of component rows of one grid and one walk, with its own split budget and
+    tallies, so each estimate has the bits of its own call.  The bases go in
+    groups of at most ``_HAAR_GROUP_POINTS`` grid points (at least one base a
+    group); the first failing base, in input order, raises."""
     if quad.scheme != "composite-midpoint" or not quad.refine_near_singularity:
         raise ValueError("Haar Theta takes only the refined composite-midpoint rule")
     if not delta > 0:
         raise ValueError("delta must be positive")
     n = quad.points_per_axis
     m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
-    if p.dimension != m or len(lam) != m:
+    if p.dimension != m or any(len(lam) != m for lam in lams):
         raise ValueError("dimension mismatch")
     if n_reps * n**t_dim > GRID_BUDGET_DEFAULT:
         raise ValueError(f"Haar grid of {n_reps} x {n}^{t_dim} points exceeds the "
@@ -328,36 +346,43 @@ def theta_haar(
     vol = float(np.prod(2.0 * hw0))
     ygrid = product_grid(np.arange(n) / n, t_dim)
     dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
-    bases = lam.array() + np.array([r.coords for r in H.torsion_representatives])
-    grid = bases[:, None, :] + fixed_order_matmul(ygrid, dirs)
-    grid = p.eval_points(np.mod(grid, 1.0, out=grid).reshape(-1, m))  # points -> values
-    vals = np.abs(grid).reshape(n_reps, len(ygrid))
+    reps = np.array([r.coords for r in H.torsion_representatives])
     lips = np.array([p.lipschitz_along(b) for b in H.connected_directions])
-    plain = (vals > 2.0 * float(np.dot(lips, hw0))) & (t_dim > 0)
-    logs = np.where(plain, np.log(np.maximum(vals, delta)), 0.0)
-    clamped = vol * np.count_nonzero(plain & ~(vals >= delta), axis=1)
-    stats = {"clamped": [clamped], "at_cap": [np.zeros(n_reps)], "splits": 0}
-    comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
-    leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
-    bounds = np.searchsorted(comp, np.arange(n_reps + 1)).tolist()
-    contributions = [
-        vol * exact_sum(row) + exact_sum(leaves[lo:hi])
-        for row, lo, hi in zip(logs, bounds, bounds[1:])
-    ]
-    unresolved = _tally(stats["at_cap"]) / n_reps
-    if unresolved > 1e-2:
-        raise NumericalFailure(
-            "Haar quadrature failed to converge: refinement budget exhausted "
-            f"with volume fraction {unresolved:.3e} unresolved"
-        )
-    return ThetaEstimate(
-        value=math.fsum(contributions) / n_reps,
-        method="haar-quadrature",
-        samples=n,
-        skipped_fraction=_tally(stats["clamped"]) / n_reps,
-        splits=stats["splits"],
-        unresolved_volume=unresolved,
-    )
+    per_group = max(1, _HAAR_GROUP_POINTS // (n_reps * len(ygrid)))
+    out = []
+    for start in range(0, len(lams), per_group):
+        group = np.array([lam.coords for lam in lams[start:start + per_group]])
+        k = len(group)
+        bases = (group[:, None, :] + reps).reshape(k * n_reps, m)
+        grid = bases[:, None, :] + fixed_order_matmul(ygrid, dirs)
+        grid = p.eval_points(np.mod(grid, 1.0, out=grid).reshape(-1, m))  # points -> values
+        vals = np.abs(grid).reshape(len(bases), len(ygrid))
+        plain = (vals > 2.0 * float(np.dot(lips, hw0))) & (t_dim > 0)
+        logs = np.where(plain, np.log(np.maximum(vals, delta)), 0.0)
+        clamped = vol * np.count_nonzero(plain & ~(vals >= delta), axis=1)
+        stats = {"clamped": [clamped], "at_cap": [np.zeros(len(bases))], "splits": np.zeros(k, int)}
+        comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
+        leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
+        bounds = np.searchsorted(comp, np.arange(len(bases) + 1)).tolist()
+        contributions = [
+            vol * exact_sum(row) + exact_sum(leaves[lo:hi])
+            for row, lo, hi in zip(logs, bounds, bounds[1:])
+        ]
+        unresolved = _tally(stats["at_cap"], k) / n_reps
+        skipped = _tally(stats["clamped"], k) / n_reps
+        for i in range(k):
+            if unresolved[i] > 1e-2:
+                raise NumericalFailure(
+                    "Haar quadrature failed to converge: refinement budget exhausted "
+                    f"with volume fraction {unresolved[i]:.3e} unresolved"
+                )
+            value = math.fsum(contributions[i * n_reps:(i + 1) * n_reps]) / n_reps
+            out.append(ThetaEstimate(value, "haar-quadrature", n, float(skipped[i]),
+                                     int(stats["splits"][i]), float(unresolved[i])))
+            if not out[-1].reliable:
+                raise NumericalFailure(f"Haar quadrature clamped a fraction {skipped[i]:.3e} of H"
+                                       f" with |p| below delta = {delta:g}")
+    return out
 
 
 def case3_verdict(theta: ThetaEstimate, tolerance: float = 1e-3) -> str:
@@ -391,15 +416,13 @@ def balanced_fraction(
 ) -> float:
     """Measure fraction of base points with |Theta| <= tolerance on a coarse
     grid.  Grid scale cannot distinguish measure-zero from positive-measure
-    vanishing; this reports the fraction without adjudicating."""
-    m = H.dimension
-    flat = product_grid(np.arange(resolution) / resolution, m)
-    hits = 0
-    for row in flat:
-        est = theta_haar(p, reduce_mod1(row), H, quad, delta)
-        if abs(est.value) <= tolerance:
-            hits += 1
-    return hits / flat.shape[0]
+    vanishing; this reports the fraction without adjudicating.  A resolution
+    below 1 raises ValueError."""
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    flat = product_grid(np.arange(resolution) / resolution, H.dimension)
+    ests = _theta_haar_many(p, [reduce_mod1(row) for row in flat], H, quad, delta)
+    return sum(abs(est.value) <= tolerance for est in ests) / len(ests)
 
 
 _CASE_TAGS = ("re-positive", "re-negative", "im-positive", "im-negative")
@@ -443,6 +466,22 @@ def _ld(coords) -> np.ndarray:  # Coordinates as a long-double array
     return np.array([c.longdouble() for c in coords])
 
 
+def _phase_args(dimension, base, alpha, beta, ns=(), least=0):
+    """alpha and beta as ``_ld`` arrays and the steps ns as int64, once alpha,
+    beta and the base point fit a phase source on the 2d-torus of the given
+    dimension; a mismatch, a non-integer n or one below ``least`` raise
+    ValueError."""
+    d = len(alpha)
+    if len(beta) != d or dimension != 2 * d or len(base) != 2 * d:
+        raise ValueError("dimension mismatch")
+    if np.size(ns) and np.asarray(ns).dtype.kind not in "iu":  # [] comes back float64
+        raise ValueError("n must be an integer")
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.min(initial=least) < least:
+        raise ValueError(f"n must be >= {least}")
+    return _ld(alpha), _ld(beta), ns
+
+
 def _phase_orbit(base, a, b, steps, values=None, delta=1e-8, name="p"):
     """The orbit z_j = (t - j a, w + j b) at the integer steps j (``_ld`` arrays).
 
@@ -478,18 +517,10 @@ def _phase_orbit(base, a, b, steps, values=None, delta=1e-8, name="p"):
 def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns, delta=1e-8):
     """phase_cocycle_iterate at every n in ns, as a float64 array, from one
     orbit pass over the steps j < max(ns) and its long-double prefix sums."""
-    d = len(alpha)
-    if len(beta) != d or phi_source.dimension != 2 * d or len(base) != 2 * d:
-        raise ValueError("dimension mismatch")
-    if np.size(ns) and np.asarray(ns).dtype.kind not in "iu":  # [] comes back float64
-        raise ValueError("n must be an integer")
-    ns = np.asarray(ns, dtype=np.int64)
-    if ns.min(initial=0) < 0:
-        raise ValueError("n must be >= 0")
-    a, b = _ld(alpha), _ld(beta)
+    a, b, ns = _phase_args(phi_source.dimension, base, alpha, beta, ns)
     _, _, phi = _phase_orbit(base, a, b, range(ns.max(initial=0)), phi_source.eval_points, delta)
     phi_sums = np.concatenate([[0], np.cumsum(phi, dtype=np.longdouble)])[ns]
-    tb = np.dot(np.asarray(base.coords[:d], dtype=np.longdouble), b)
+    tb = np.dot(np.asarray(base.coords[:len(b)], dtype=np.longdouble), b)
     ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
     # the rational part of n(n-1)/2 <a,b> is reduced mod 1 exactly
     num, den = ab_rat.numerator, ab_rat.denominator
@@ -546,15 +577,12 @@ class SyntheticPhaseField:
         theta0: float = 0.0,
         delta: float = 1e-8,
     ):
-        d = len(alpha)
-        if len(beta) != d or phi_source.dimension != 2 * d or len(base) != 2 * d:
-            raise ValueError("dimension mismatch")
+        self._a, self._b, _ = _phase_args(phi_source.dimension, base, alpha, beta)
         self.phi_source = phi_source
         self.base = base
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
         self.delta = delta
-        self._a, self._b = _ld(alpha), _ld(beta)
         self._lifts = np.array([theta0], dtype=np.longdouble)
 
     def phase_lift(self, n: int) -> float:
@@ -594,12 +622,18 @@ def normalized_phase_sequence(
     Synthetic fields supply their own real lift.  For a Zak grid the phase at
     the unreduced argument is the measurable branch at the reduced point plus
     the quasi-periodicity correction <integer part of t - n alpha,
-    fractional part of w + n beta>.
+    fractional part of w + n beta>.  A non-integer n, an n below 1, and a
+    base, alpha, beta or delta other than a synthetic field's own raise
+    ValueError.
     """
+    synthetic = isinstance(field, SyntheticPhaseField)
+    dimension = field.phi_source.dimension if synthetic else 2 * field.dimension
     ns = list(n_list)
-    if any(n < 1 for n in ns):
-        raise ValueError("n values must be >= 1")
-    if isinstance(field, SyntheticPhaseField):
+    a, b, steps = _phase_args(dimension, base, alpha, beta, ns, 1)
+    if synthetic:
+        own = (field.base, field.alpha, field.beta, field.delta)
+        if (base, tuple(alpha), tuple(beta), delta) != own:
+            raise ValueError("base, alpha, beta and delta must be the synthetic field's own")
         field.phase_lift(max(ns, default=0))  # one orbit pass fills the cache
         thetas = np.array([field.phase_lift(n) for n in ns])
     else:
@@ -608,7 +642,7 @@ def normalized_phase_sequence(
         def fresh_sums(z):  # one fresh lattice sum per point, never the grid
             return np.array([field.point_value(r[:d], r[d:]) for r in z], dtype=complex)
 
-        t, z, branch = _phase_orbit(base, _ld(alpha), _ld(beta), ns, fresh_sums, delta, "Zf")
+        t, z, branch = _phase_orbit(base, a, b, steps, fresh_sums, delta, "Zf")
         iota = (t - np.mod(t, np.longdouble(1.0))).astype(float)
         corr = np.sum(iota * z[:, d:].astype(np.longdouble), axis=1).astype(float)
         thetas = branch + corr
@@ -629,11 +663,11 @@ def phase_mean_along_orbit(
     need not exist on the coset, so the average uses a lift that changes by
     less than half a turn per step; the returned winding count is the total
     number of integer corrections applied (a diagnostic: large winding means
-    the branch average is trustworthy only mod 1).
+    the branch average is trustworthy only mod 1).  A dimension mismatch and
+    an n that is not an integer >= 1 raise ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _, _, raw = _phase_orbit(base, _ld(alpha), _ld(beta), range(n), phi_source.eval_points, delta)
+    a, b, _ = _phase_args(phi_source.dimension, base, alpha, beta, [n], 1)
+    _, _, raw = _phase_orbit(base, a, b, range(n), phi_source.eval_points, delta)
     # k_j: the integer keeping step j within half a turn of step j - 1's lift
     k = np.concatenate([[0.0], np.cumsum(np.rint(raw[:-1] - raw[1:]))])
     return exact_sum(raw + k) / n, int(np.sum(np.abs(k)))

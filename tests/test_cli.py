@@ -9,7 +9,6 @@ import pytest
 
 from gaborzak import cli
 from gaborzak.cli import main
-from gaborzak.cocycle import theta_haar
 from gaborzak.gabor import GaborConfig, TFPoint, config_to_json
 from gaborzak.numerics import parse_coordinate as mk
 from gaborzak.trigpoly import TrigPolynomial, save_polynomial
@@ -234,6 +233,19 @@ class TestTheta:
         assert "skipped a fraction 1.000e+00" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["birkhoff", "haar"])
+    def test_near_zero_on_a_finite_subgroup_is_exit_code_3(self, p1_file, capsys, method):
+        # P1 is 1.1e-16 at (1/3, 1/6), one of the six points of H = <(1/2, 1/3)>:
+        # Haar once clamped a sixth of H and wrote -2.609, where Birkhoff exits 3
+        args = [
+            "theta", "--poly", p1_file, "--gamma", "1/2,1/3",
+            "--lambda", "0.3333333333333333,0.16666666666666666", "--method", method,
+        ]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fraction 1.667e-01" in captured.err
+
+    @pytest.mark.parametrize("method", ["birkhoff", "haar"])
     def test_nonpositive_delta_is_exit_code_2(self, p1_file, capsys, method):
         # --delta 0 once wrote "value": -Infinity, which is not JSON
         args = [
@@ -425,12 +437,13 @@ class TestRemarkCommands:
         # no default remark cell has a zero within its Lipschitz radius, so
         # the refinement walk cannot change the remark1/remark2 CSVs
         estimates = []
+        walk = cli._theta_haar_many
 
         def recording(*args, **kwargs):
-            estimates.append(theta_haar(*args, **kwargs))
-            return estimates[-1]
+            estimates.extend(walk(*args, **kwargs))
+            return estimates[-len(args[1]):]
 
-        monkeypatch.setattr(cli, "theta_haar", recording)
+        monkeypatch.setattr(cli, "_theta_haar_many", recording)
         cli.remark1_curve()
         cli.remark2_curve()
         assert len(estimates) == 101 + 32

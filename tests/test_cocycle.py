@@ -356,6 +356,15 @@ class TestThetaHaar:
         assert est.skipped_fraction == 1 / 143
         assert est.splits == 0
 
+    def test_near_zero_on_a_finite_subgroup_is_refused(self):
+        # P1 is 1.1e-16 at (1/3, 1/6), one of the six points of <(1/2, 1/3)>: a
+        # radius-0 leaf clamped at delta, not unresolved, so the estimate (with
+        # skipped_fraction 1/6) used to come back as the value -2.609
+        H = _closure("1/2,1/3")
+        lam = reduce_mod1([0.3333333333333333, 0.16666666666666666])
+        with pytest.raises(NumericalFailure, match="clamped a fraction 1.667e-01 of H"):
+            theta_haar(P1, lam, H, MID_REFINE)
+
     def test_oversized_grid_raises_before_allocating(self, monkeypatch):
         # two components of a 3-dimensional H at 1024 points per axis would
         # be 2^31 grid points
@@ -457,6 +466,60 @@ def test_level_walk_matches_depth_first_recursion(tokens, points, monkeypatch):
             assert walk.splits == want.splits, f"k={k}"
 
 
+# the inputs of test_level_walk_matches_depth_first_recursion
+_PARITY_TOKENS = ["0,sqrt2", "sqrt2,0", "sqrt2,sqrt3", "1/3,sqrt2", "1/2,1/3"]
+_PARITY_BASES = [reduce_mod1([k / 12, 1 / 6]) for k in range(13)]
+
+
+def _singles(p, lams, H, quad):
+    """Each base's own theta_haar call: its estimate or its failure text."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(theta_haar(p, lam, H, quad))
+        except NumericalFailure as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_walk_matches(singles, lams, H, quad):
+    """The many-base walk gives every passing base's estimate field for field,
+    and over all bases raises the first failing base's text."""
+    kept = [lam for lam, s in zip(lams, singles) if isinstance(s, ThetaEstimate)]
+    assert cocycle._theta_haar_many(P1, kept, H, quad) == [
+        s for s in singles if isinstance(s, ThetaEstimate)
+    ]
+    failures = [s for s in singles if isinstance(s, str)]
+    if failures:
+        with pytest.raises(NumericalFailure) as exc:
+            cocycle._theta_haar_many(P1, lams, H, quad)
+        assert str(exc.value) == failures[0]
+
+
+@pytest.mark.parametrize("budget", [_REFINE_CELL_BUDGET, 7])
+@pytest.mark.parametrize("tokens", _PARITY_TOKENS)
+@pytest.mark.parametrize("points", [7, 32, 101])
+def test_many_bases_match_single_calls(tokens, points, budget, monkeypatch):
+    # each coset is a block of rows with its own split budget and tallies,
+    # so a walk over 13 bases equals 13 calls bit for bit, failures included
+    monkeypatch.setattr(cocycle, "_REFINE_CELL_BUDGET", budget)
+    H = _closure(tokens)
+    quad = QuadratureSpec("composite-midpoint", points, True)
+    singles = _singles(P1, _PARITY_BASES, H, quad)
+    _assert_walk_matches(singles, _PARITY_BASES, H, quad)
+
+
+@pytest.mark.parametrize("tokens", _PARITY_TOKENS)
+def test_many_bases_do_not_depend_on_the_group_size(tokens, monkeypatch):
+    H = _closure(tokens)
+    quad = QuadratureSpec("composite-midpoint", 32, True)
+    singles = _singles(P1, _PARITY_BASES, H, quad)
+    three_bases = 3 * H.component_count * 32**H.haar_dimension
+    for group_points in (1, three_bases):
+        monkeypatch.setattr(cocycle, "_HAAR_GROUP_POINTS", group_points)
+        _assert_walk_matches(singles, _PARITY_BASES, H, quad)
+
+
 class TestCase3Verdict:
     def test_three_regimes(self):
         grow = theta_haar(P2, reduce_mod1([0.0, 0.0]), VERT, MID_REFINE)
@@ -483,6 +546,29 @@ def test_balanced_fraction_matches_closed_form():
     quad = QuadratureSpec("composite-midpoint", 256, True)
     frac = balanced_fraction(P1, VERT, quad, resolution=8)
     assert frac == 3 / 8
+
+
+@pytest.mark.parametrize("tokens", ["0,sqrt2", "sqrt2,0", "1/2,sqrt2", "1/2,1/3"])
+@pytest.mark.parametrize("p", [P1, P2], ids=["P1", "P2"])
+def test_balanced_fraction_equals_a_loop_of_single_calls(p, tokens):
+    H = _closure(tokens)
+    quad = QuadratureSpec("composite-midpoint", 64, True)
+    grid = [reduce_mod1([i / 5, j / 5]) for i in range(5) for j in range(5)]
+    singles = _singles(p, grid, H, quad)
+    if all(isinstance(s, ThetaEstimate) for s in singles):
+        hits = sum(abs(s.value) <= 1e-6 for s in singles)
+        assert balanced_fraction(p, H, quad, resolution=5) == hits / 25
+    else:
+        with pytest.raises(NumericalFailure):
+            balanced_fraction(p, H, quad, resolution=5)
+
+
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_balanced_fraction_refuses_an_empty_grid(resolution):
+    # resolution 0 divided the hit count by an empty grid (ZeroDivisionError)
+    quad = QuadratureSpec("composite-midpoint", 64, True)
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        balanced_fraction(P1, VERT, quad, resolution=resolution)
 
 
 def _select_ladder(values):
@@ -849,6 +935,37 @@ class TestNormalizedPhaseSequence:
         with pytest.raises(ValueError):
             normalized_phase_sequence(field, self.BASE, (mk("1"),), (mk("1"),), [0])
 
+    def test_non_integer_n_is_refused_on_a_zak_grid(self, gaussian_zak):
+        # n = 1.5 used to take the orbit step 1 and divide its phase by 1.5
+        with pytest.raises(ValueError, match="n must be an integer"):
+            normalized_phase_sequence(
+                gaussian_zak, self.BASE, (mk("sqrt2"),), (mk("sqrt3"),), [1, 1.5, 2]
+            )
+
+    def test_non_integer_n_is_refused_on_a_synthetic_field(self):
+        # n = 1.5 used to index the lift cache (IndexError)
+        alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
+        field = SyntheticPhaseField(P2, self.BASE, alpha, beta)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            normalized_phase_sequence(field, self.BASE, alpha, beta, [1, 1.5, 2])
+
+    @pytest.mark.parametrize("change", ["base", "alpha", "beta", "delta", "nan-delta"])
+    def test_synthetic_field_refuses_arguments_other_than_its_own(self, change):
+        # the field used to read its own base, alpha, beta and delta and
+        # silently ignore the ones given
+        alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
+        field = SyntheticPhaseField(P2, self.BASE, alpha, beta)
+        args = {"base": self.BASE, "alpha": alpha, "beta": beta, "delta": 1e-8}
+        args.update({
+            "base": {"base": reduce_mod1([0.3, 0.71])},
+            "alpha": {"alpha": (mk("sqrt5"),)},
+            "beta": {"beta": (mk("1/2"),)},
+            "delta": {"delta": 1e-6},
+            "nan-delta": {"delta": math.nan},
+        }[change])
+        with pytest.raises(ValueError, match="synthetic field's own"):
+            normalized_phase_sequence(field, n_list=[1, 2], **args)
+
 
 class TestPhaseMeanAlongOrbit:
     BASE = reduce_mod1([0.3, 0.7])
@@ -871,6 +988,12 @@ class TestPhaseMeanAlongOrbit:
         assert winding == 489
         assert mod1_dist(mean) < 1e-3
         assert mean == pytest.approx(0.9999709064357214, abs=1e-12)
+
+    def test_dimension_mismatch_is_refused(self):
+        # alpha of length 2 with beta of length 1 used to walk t - j alpha
+        # alone and return (0.996, 5)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            phase_mean_along_orbit(P2, self.BASE, (mk("sqrt2"), mk("1")), (mk("sqrt3"),), 10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
