@@ -6,7 +6,8 @@ float repr); CSV columns are fixed per subcommand.  Exit codes: 0 success,
 2 invalid configuration or flags, 3 numerical failure, 4 ambiguous
 classification.  All defaults are deterministic.  The global --threads flag
 is accepted and has no effect: the remark curves take Theta at all their
-base points in one walk.
+base points in one walk.  A subcommand imports numpy and its own layers only
+when it runs, so ``gaborzak classify`` never loads the Zak or phase layers.
 """
 
 from __future__ import annotations
@@ -17,44 +18,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .cocycle import (
-    SyntheticPhaseField,
-    _phase_cocycle_rhs,
-    _theta_haar_many,
-    cluster_set_c1,
-    cluster_set_c2,
-    cluster_sets_match,
-    theta_birkhoff,
-    theta_haar,
-)
 from .errors import (
     AmbiguousClassification,
     NumericalFailure,
     PhaseUndefined,
     TruncationError,
 )
-from .gabor import (
-    config_from_json,
-    config_to_json,
-    dependence_residual,
-    fourier_dual_config,
-    gaussian_gram_closed_form,
-    gram_matrix,
-    gram_matrix_zak,
-)
-from .numerics import (
-    Coordinate,
-    QuadratureSpec,
-    parse_coordinate,
-    reduce_mod1,
-    split_inner_product,
-)
-from .orbit import Gamma, classify, subgroup_closure
-from .trigpoly import TrigPolynomial, load_polynomial, min_modulus
-from .windows import GaussianWindow, HermiteWindow, sampled_window_from_csv
-from .zak import zak_transform
 
 __all__ = [
     "main",
@@ -74,6 +43,8 @@ def remark1_polynomial() -> TrigPolynomial:
     """p(t,w) = 1 + e^{-2 pi i t} - e^{-2 pi i w}; its vertical Haar average
     has the Jensen closed form ln max(2|cos pi t|, 1), vanishing for
     t in [1/3, 2/3]."""
+    from .trigpoly import TrigPolynomial
+
     return TrigPolynomial(2, [((0, 0), 1.0), ((-1, 0), 1.0), ((0, -1), -1.0)])
 
 
@@ -86,12 +57,18 @@ def remark2_polynomial() -> TrigPolynomial:
     modulus is bounded below by 1/2, and the horizontal Haar average
     vanishes identically (all zeros of the associated one-variable
     polynomial lie outside the unit circle)."""
+    from .trigpoly import TrigPolynomial
+
     return TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
 
 
 def _haar_curve(p, tokens: str, bases, points: int) -> list[float]:
     """Haar Theta of p over the orbit closure H of the gamma that ``tokens``
     name, at every base point in one walk."""
+    from .cocycle import _theta_haar_many
+    from .numerics import QuadratureSpec, reduce_mod1
+    from .orbit import Gamma, classify, subgroup_closure
+
     gamma = Gamma.from_tokens(tokens)
     H = subgroup_closure(gamma, classify(gamma))
     quad = QuadratureSpec("composite-midpoint", points, True)
@@ -109,6 +86,8 @@ def remark1_curve(points: int = 1024, t_count: int = 101):
 
 def remark2_curve(points: int = 1024, w_count: int = 32, min_grid: int = 1024):
     """((w, theta) rows, grid minimum of |p|); H = T x {0}."""
+    from .trigpoly import min_modulus
+
     if w_count < 1:
         raise ValueError("--w-count must be at least 1")
     p = remark2_polynomial()
@@ -126,6 +105,8 @@ def _pair(z: complex) -> list[float]:
 
 
 def _parse_coords(text: str) -> tuple[Coordinate, ...]:
+    from .numerics import parse_coordinate
+
     return tuple(parse_coordinate(tok) for tok in text.split(","))
 
 
@@ -134,6 +115,8 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _window_from_args(args):
+    from .windows import GaussianWindow, HermiteWindow, sampled_window_from_csv
+
     if args.window == "hermite":
         return HermiteWindow(order=args.order)
     if args.window == "sampled":
@@ -153,6 +136,8 @@ def _csv(header: str, rows) -> str:
 
 
 def _cmd_classify(args):
+    from .orbit import Gamma, classify
+
     gamma = Gamma.from_tokens(args.gamma)
     cls = classify(gamma, search_bound=args.search_bound, tolerance=args.tolerance)
     return {
@@ -165,6 +150,9 @@ def _cmd_classify(args):
 
 
 def _cmd_gram(args):
+    from .gabor import config_from_json, gaussian_gram_closed_form, gram_matrix, gram_matrix_zak
+    from .numerics import QuadratureSpec
+
     cfg = config_from_json(args.config)
     if args.method == "closed-form":
         gram = gaussian_gram_closed_form(cfg)
@@ -184,6 +172,9 @@ def _cmd_gram(args):
 
 
 def _cmd_residual(args):
+    from .gabor import config_from_json, dependence_residual
+    from .numerics import QuadratureSpec
+
     cfg = config_from_json(args.config)
     w = _window_from_args(args)
     quad = QuadratureSpec(args.scheme, args.points, False)
@@ -204,6 +195,8 @@ def _cmd_residual(args):
 
 
 def _cmd_zak(args):
+    from .zak import zak_transform
+
     Z = zak_transform(
         _window_from_args(args),
         resolution=args.resolution,
@@ -221,6 +214,11 @@ def _cmd_zak(args):
 
 
 def _cmd_theta(args):
+    from .cocycle import theta_birkhoff, theta_haar
+    from .numerics import QuadratureSpec, reduce_mod1
+    from .orbit import Gamma, classify, subgroup_closure
+    from .trigpoly import load_polynomial
+
     p = load_polynomial(args.poly)
     gamma = Gamma.from_tokens(args.gamma)
     lam = reduce_mod1(_parse_floats(args.lam))
@@ -239,6 +237,12 @@ def _cmd_theta(args):
 
 
 def _cmd_phase_check(args):
+    import numpy as np
+
+    from .cocycle import SyntheticPhaseField, _phase_cocycle_rhs
+    from .numerics import reduce_mod1
+    from .trigpoly import load_polynomial
+
     p = load_polynomial(args.poly)
     base = reduce_mod1(_parse_floats(args.base))
     alpha = _parse_coords(args.alpha)
@@ -258,6 +262,11 @@ def _cmd_phase_check(args):
 
 
 def _cmd_cluster(args):
+    import numpy as np
+
+    from .cocycle import cluster_set_c1, cluster_set_c2, cluster_sets_match
+    from .numerics import Coordinate, parse_coordinate, reduce_mod1, split_inner_product
+
     alpha = _parse_coords(args.alpha)
     beta = _parse_coords(args.beta)
     d = len(alpha)
@@ -286,6 +295,8 @@ def _cmd_cluster(args):
 
 
 def _cmd_dual(args):
+    from .gabor import config_from_json, config_to_json, fourier_dual_config
+
     return config_to_json(fourier_dual_config(config_from_json(args.config)))
 
 

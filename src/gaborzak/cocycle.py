@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import NumericalFailure, PhaseUndefined
 from .numerics import (
+    GRID_BUDGET_DEFAULT,
     Coordinate,
     STEP_BLOCK,
     QuadratureSpec,
@@ -59,7 +60,6 @@ from .numerics import (
 # attributes: the traced benchmark (bench/tracing.py) rebinds both
 from .orbit import Gamma, SubgroupH, haar_sample_points, orbit_points  # noqa: F401
 from .trigpoly import TrigPolynomial
-from .zak import GRID_BUDGET_DEFAULT
 
 __all__ = [
     "CocycleTrajectory",
@@ -565,7 +565,8 @@ class SyntheticPhaseField:
     constructs one synthetically from any seed value).  phi is the
     measurable branch of the supplied polynomial, which must stay nonzero
     along the orbit.  Lifts are cached and extended by a running sum seeded
-    with the last cached lift.
+    with the last cached lift.  A step n that is not an integer raises
+    ValueError.
     """
 
     def __init__(
@@ -587,6 +588,8 @@ class SyntheticPhaseField:
 
     def phase_lift(self, n: int) -> float:
         """Real-valued lift of theta at orbit step n."""
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError("n must be an integer")
         if n < 0:
             raise ValueError("n must be >= 0")
         done = len(self._lifts) - 1
@@ -605,6 +608,8 @@ class SyntheticPhaseField:
         return self.phase_lift(n) % 1.0
 
     def point_at_step(self, n: int) -> TorusPoint:
+        if not isinstance(n, (int, np.integer)):
+            raise ValueError("n must be an integer")
         _, z, _ = _phase_orbit(self.base, self._a, self._b, [n])
         return reduce_mod1(z[0])
 

@@ -205,10 +205,12 @@ def gram_matrix_zak(
     Za_j conj(Za_k) over [0,1)^{2d} (unitarity); the integrand's
     quasi-periodic phases cancel pairwise, so the grid mean converges fast.
     With the atoms' grid images as the columns of A, G = A^T conj(A) / M^{2d}
-    is one matrix product."""
+    is one matrix product.  A resolution below 4 raises ValueError."""
     from .zak import _choose_truncation, _decay_bounds, _grid_sums
 
     d, M = cfg.dimension, resolution
+    if M < 4:
+        raise ValueError("resolution must be >= 4")
     images = []
     for pt in cfg.points:
         adapter = _AtomAsWindow(w, pt)
@@ -267,9 +269,13 @@ def dependence_residual(
     Normal equations in Gram form: with b_k = G[k, target] the optimal
     coefficients satisfy conj(c) = Gsub^{-1} b, and
     residual^2 = G[target,target] - b^H Gsub^{-1} b (Schur complement).
+    A target_index outside 0..N-1 raises ValueError.
     """
     if len(cfg) < 2:
         raise ValueError("need at least two points")
+    target = cfg.default_target_index() if target_index is None else target_index
+    if not 0 <= target < len(cfg):
+        raise ValueError(f"target index {target} is outside 0..{len(cfg) - 1}")
     if method == "time-domain":
         quad = quad or QuadratureSpec("composite-midpoint", 512, False)
         gram = gram_matrix(w, cfg, quad)
@@ -278,7 +284,6 @@ def dependence_residual(
     else:
         raise ValueError(f"unknown method {method!r}")
     G = gram.matrix
-    target = cfg.default_target_index() if target_index is None else target_index
     others = [i for i in range(len(cfg)) if i != target]
     Gsub = G[np.ix_(others, others)]
     b = G[others, target]

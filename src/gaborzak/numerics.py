@@ -307,6 +307,7 @@ def inner_product_mod1_dist(a, b) -> float:
 
 
 STEP_BLOCK = 1024  # orbit steps j = q * STEP_BLOCK + r, with r < STEP_BLOCK
+GRID_BUDGET_DEFAULT = 2**24  # most values a Zak or Haar grid may allocate
 
 
 def step_residue_tables(frac: Fraction, count: int) -> tuple[np.ndarray, np.ndarray]:

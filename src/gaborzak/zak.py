@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSupport, NumericalFailure, TruncationError
-from .numerics import TorusPoint, product_grid
+from .numerics import GRID_BUDGET_DEFAULT, TorusPoint, product_grid
 # bench/tracing.py rebinds zak.decay_bound by name, so it stays imported though unused
 from .windows import Window, decay_bound, decay_bounds  # noqa: F401
 
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _DECAY_ORDERS = (4, 8, 12, 16, 20, 24)
-GRID_BUDGET_DEFAULT = 2**24
 
 
 def _kappa_tuples(K: int, d: int) -> list[tuple[int, ...]]:

@@ -98,6 +98,18 @@ class TestGram:
         args = ["gram", "--config", str(tmp_path / "nope.json")]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["gram", "--method", "zak", "--resolution", "0"],
+        ["gram", "--method", "zak", "--resolution", "2"],
+        ["residual", "--method", "zak-domain", "--resolution", "0"],
+    ], ids=lambda a: f"{a[0]}-{a[-1]}")
+    def test_zak_resolution_below_4_is_exit_code_2(self, args, cfg_file, capsys):
+        # 0 was a ZeroDivisionError traceback, 2 printed "independent": true
+        assert main(args + ["--config", cfg_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resolution must be >= 4" in captured.err
+
 
 def test_residual(cfg_file, tmp_path):
     out = tmp_path / "r.json"
@@ -107,6 +119,15 @@ def test_residual(cfg_file, tmp_path):
     assert abs(data["residual"] - 0.9989307701487270) < 1e-8
     assert data["target_index"] == 3
     assert len(data["coefficients"]) == 3
+
+
+@pytest.mark.parametrize("target", ["-1", "-3", "4", "9"])
+def test_residual_target_outside_the_config_is_exit_code_2(target, cfg_file, capsys):
+    # -1 exited 0 with "residual": 0.0; 9 was an IndexError traceback
+    assert main(["residual", "--config", cfg_file, "--target", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "target index" in captured.err
 
 
 class TestZak:
@@ -436,14 +457,16 @@ class TestRemarkCommands:
     def test_default_curves_never_refine(self, monkeypatch):
         # no default remark cell has a zero within its Lipschitz radius, so
         # the refinement walk cannot change the remark1/remark2 CSVs
+        from gaborzak import cocycle
+
         estimates = []
-        walk = cli._theta_haar_many
+        walk = cocycle._theta_haar_many
 
         def recording(*args, **kwargs):
             estimates.extend(walk(*args, **kwargs))
             return estimates[-len(args[1]):]
 
-        monkeypatch.setattr(cli, "_theta_haar_many", recording)
+        monkeypatch.setattr(cocycle, "_theta_haar_many", recording)
         cli.remark1_curve()
         cli.remark2_curve()
         assert len(estimates) == 101 + 32
@@ -647,3 +670,57 @@ def test_main_is_the_only_writer(argv, cfg_file, p1_file, tmp_path, capsys):
     summary = capsys.readouterr().out
     assert to_stdout.encode() == out.read_bytes() + summary.encode()
     assert bool(summary) == (argv[0] in ("remark1", "remark2"))
+
+
+# -- import graph: a subcommand loads only the layers it runs ---------------------
+
+LAYERS = {"numerics", "windows", "gabor", "zak", "lattice", "trigpoly", "orbit", "cocycle"}
+
+
+def _loaded_after(code):
+    """numpy and the gaborzak layers in sys.modules after ``code`` runs in a
+    fresh interpreter (``code`` must print nothing)."""
+    probe = ("\nimport sys\nprint(*sorted(m.removeprefix('gaborzak.') for m in sys.modules"
+             " if m == 'numpy' or m.startswith('gaborzak.')))")
+    proc = subprocess.run([sys.executable, "-c", code + probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_loads_no_layer():
+    loaded = _loaded_after("import gaborzak.cli")
+    assert loaded == {"cli", "errors"}
+
+
+@pytest.mark.parametrize("argv, runs, not_loaded", [
+    (["classify", "--gamma", "1/2,1/3"], "orbit", {"cocycle", "gabor", "zak", "windows"}),
+    (["theta", "--poly", "P1", "--gamma", "0,sqrt2", "--lambda", "0.25,0", "--points", "64"],
+     "cocycle", {"zak", "windows", "gabor"}),
+    (["phase-check", "--poly", "P1", "--base", "0.3,0.7", "--alpha", "1", "--beta", "sqrt2",
+      "--n", "8"], "cocycle", {"zak", "windows", "gabor"}),
+    (["cluster", "--alpha", "1", "--beta", "1/3", "--n-max", "50"],
+     "cocycle", {"zak", "windows", "gabor"}),
+    (["zak", "--resolution", "8", "--truncation", "6"], "zak", {"cocycle", "orbit", "gabor"}),
+    (["dual", "--config", "CFG"], "gabor", {"cocycle", "orbit", "zak"}),
+], ids=["classify", "theta", "phase-check", "cluster", "zak", "dual"])
+def test_a_subcommand_loads_only_its_layers(argv, runs, not_loaded, cfg_file, p1_file, tmp_path):
+    argv = [{"CFG": cfg_file, "P1": p1_file}.get(a, a) for a in argv]
+    argv += ["--out", str(tmp_path / "artifact")]
+    loaded = _loaded_after(f"from gaborzak.cli import main\nassert main({argv!r}) == 0")
+    assert {"numpy", runs} <= loaded
+    assert not loaded & not_loaded
+
+
+def test_package_names_resolve_lazily():
+    import importlib
+
+    import gaborzak
+
+    for name in gaborzak.__all__:
+        module = importlib.import_module(f"gaborzak.{gaborzak._SOURCE[name]}")
+        assert getattr(gaborzak, name) is getattr(module, name), name
+    assert set(gaborzak.__all__) <= set(dir(gaborzak))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gaborzak.no_such_name
+    loaded = _loaded_after("from gaborzak import classify")
+    assert "orbit" in loaded and not loaded & {"cocycle", "gabor", "zak", "windows"}

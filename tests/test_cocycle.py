@@ -831,6 +831,21 @@ class TestSyntheticPhaseField:
         assert abs(pt[0] - want_t) < 1e-12
         assert abs(pt[1] - want_w) < 1e-12
 
+    @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step", "point_at_step"])
+    @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(3.0)])
+    def test_non_integer_step_is_refused(self, call, n):
+        # point_at_step(1.5) returned the step-1 point; phase_lift(1.5) raised
+        # a TypeError from range
+        field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
+        with pytest.raises(ValueError, match="n must be an integer"):
+            getattr(field, call)(n)
+
+    def test_numpy_integer_steps_are_accepted(self):
+        args = (P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
+        field = SyntheticPhaseField(*args)
+        assert field.phase_lift(np.int64(5)) == SyntheticPhaseField(*args).phase_lift(5)
+        assert field.point_at_step(np.int32(3)) == field.point_at_step(3)
+
     def test_lift_extension_is_order_independent(self):
         args = (P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
         eager = SyntheticPhaseField(*args, theta0=0.1)

@@ -85,6 +85,12 @@ class TestGramOracles:
         gc = gaussian_gram_closed_form(CFG_A)
         assert np.max(np.abs(gq.matrix - gc.matrix)) < 1e-8
 
+    @pytest.mark.parametrize("M", [0, 2, 3])
+    def test_zak_domain_refuses_a_resolution_below_4(self, M):
+        # 0 divided by M^{2d}; 2 gave a Gram matrix with diagonal 1.0075
+        with pytest.raises(ValueError, match="resolution must be >= 4"):
+            gram_matrix_zak(GaussianWindow(), CFG_A, resolution=M)
+
     def test_zak_domain_matches(self):
         gz = gram_matrix_zak(GaussianWindow(), CFG_A, resolution=64)
         gc = gaussian_gram_closed_form(CFG_A)
@@ -186,6 +192,13 @@ class TestDependenceResidual:
     def test_explicit_target(self):
         coeffs, _ = dependence_residual(GaussianWindow(), CFG_A, target_index=0)
         assert coeffs.target_index == 0
+
+    @pytest.mark.parametrize("target", [-1, -4, 4, 9])
+    def test_target_outside_the_config_is_refused(self, target):
+        # -1 solved against the target itself (residual 0.0, "dependent");
+        # 4 and past it indexed past the Gram matrix (IndexError)
+        with pytest.raises(ValueError, match="target index"):
+            dependence_residual(GaussianWindow(), CFG_A, target_index=target)
 
     def test_too_small_config(self):
         cfg = GaborConfig(
