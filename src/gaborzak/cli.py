@@ -6,7 +6,7 @@ float repr); CSV columns are fixed per subcommand.  Exit codes: 0 success,
 2 invalid configuration or flags, 3 numerical failure, 4 ambiguous
 classification.  All defaults are deterministic.  The global --threads flag
 is accepted and has no effect: the remark curves take Theta at all their
-base points in one walk.  A subcommand imports numpy and its own layers only
+base points in one call.  A subcommand imports numpy and its own layers only
 when it runs, so ``gaborzak classify`` never loads the Zak or phase layers.
 """
 
@@ -64,19 +64,20 @@ def remark2_polynomial() -> TrigPolynomial:
 
 def _haar_curve(p, tokens: str, bases, points: int) -> list[float]:
     """Haar Theta of p over the orbit closure H of the gamma that ``tokens``
-    name, at every base point in one walk."""
+    name, at every base point in one call."""
     from .cocycle import _theta_haar_many
     from .numerics import QuadratureSpec, reduce_mod1
     from .orbit import Gamma, classify, subgroup_closure
 
     gamma = Gamma.from_tokens(tokens)
     H = subgroup_closure(gamma, classify(gamma))
-    quad = QuadratureSpec("composite-midpoint", points, True)
+    quad = QuadratureSpec("composite-midpoint", points)
     return [e.value for e in _theta_haar_many(p, [reduce_mod1(b) for b in bases], H, quad)]
 
 
 def remark1_curve(points: int = 1024, t_count: int = 101):
-    """(t, theta_quadrature, theta_closed_form) rows at equispaced t; H = {0} x T."""
+    """(t, theta_quadrature, theta_closed_form) rows at equispaced t; H = {0} x T,
+    so ``points`` has no effect (Jensen's formula takes each vertical circle whole)."""
     if t_count < 2:
         raise ValueError("--t-count must be at least 2")
     ts = [k / (t_count - 1) for k in range(t_count)]
@@ -85,7 +86,8 @@ def remark1_curve(points: int = 1024, t_count: int = 101):
 
 
 def remark2_curve(points: int = 1024, w_count: int = 32, min_grid: int = 1024):
-    """((w, theta) rows, grid minimum of |p|); H = T x {0}."""
+    """((w, theta) rows, grid minimum of |p|); H = T x {0}, so ``points`` has no
+    effect on Theta."""
     from .trigpoly import min_modulus
 
     if w_count < 1:
@@ -227,8 +229,7 @@ def _cmd_theta(args):
     else:
         cls = classify(gamma, search_bound=args.search_bound, tolerance=args.tolerance)
         H = subgroup_closure(gamma, cls)
-        quad = QuadratureSpec("composite-midpoint", args.points, True)
-        est = theta_haar(p, lam, H, quad, delta=args.delta)
+        est = theta_haar(p, lam, H, QuadratureSpec("composite-midpoint", args.points))
     return {
         "value": est.value,
         "method": est.method,
@@ -333,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="accepted and has no effect (the remark curves take every base "
-        "point in one walk)",
+        "point in one call)",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -352,7 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             default="composite-midpoint")
     quadrature.add_argument("--resolution", type=int, default=64)
     haar = argparse.ArgumentParser(add_help=False)
-    haar.add_argument("--points", type=int, default=1024, help="Haar grid points")
+    haar.add_argument("--points", type=int, default=1024,
+                      help="Haar Theta: midpoint nodes per axis of H but its last")
     search = argparse.ArgumentParser(add_help=False)
     search.add_argument("--search-bound", type=int, default=50)
     search.add_argument("--tolerance", type=float, default=1e-9)
@@ -391,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", required=True, help="base point")
     sp.add_argument("--method", choices=["birkhoff", "haar"], default="haar")
     sp.add_argument("--n", type=int, default=10**6, help="Birkhoff orbit length")
-    sp.add_argument("--delta", type=float, default=1e-8)
+    sp.add_argument("--delta", type=float, default=1e-8,
+                    help="Birkhoff: skip the steps with |p| below this")
 
     sp = command("phase-check", _cmd_phase_check,
                  "n-step phase identity on a synthetic field")

@@ -5,10 +5,13 @@ accumulating ln q along the orbit.  Its log-growth functional
 
     Theta(lambda) = integral over H of ln q(lambda + h) dm_H(h)
 
-is computed two ways: a Birkhoff average along the orbit and a Haar-grid
-quadrature on the closure subgroup H (they agree by unique ergodicity), whose
-one rule is the composite midpoint refined near zeros of p.  Either raises
-NumericalFailure when zeros of p leave 1% of its steps or of H unresolved.
+is computed two ways (they agree by unique ergodicity): a Birkhoff average
+along the orbit, and a Haar mean on the closure subgroup H by Jensen's
+formula along one connected direction of H, where p is a Laurent polynomial
+in one variable (its one-variable Mahler measure), with the midpoint rule
+over any other directions.  Birkhoff raises NumericalFailure when it skips
+1% of its steps at zeros of p; the Haar mean raises when p vanishes within
+rounding on some row of H.
 
 The phase side implements the measurable branch theta of a nonzero complex
 value (four-case arctangent ladder), the n-step phase recursion
@@ -22,7 +25,7 @@ set descriptions whose forced equality drives the rigidity argument.
 The Birkhoff average and ``propagate`` read p along the orbit by its
 characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
 from two small exp tables per term (``_orbit_values``).  The Birkhoff logs, the
-phase mean's lifts and each component of a Haar grid are summed with one exact
+phase mean's lifts and the row means of a Haar coset are summed with one exact
 rounding (``exact_sum``).
 The phase entry points read one vectorized orbit pass over an array of steps
 j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
@@ -82,13 +85,8 @@ __all__ = [
     "rigidity_scan",
 ]
 
-_REFINE_DEPTH_CAP = 40
-# total split budget per quadrature call: isolated zeros need a few hundred
-# splits, while a zero set of positive measure doubles the frontier at every
-# depth.  Exhausting it routes the rest into the at-cap tally instead of
-# hanging; splits are granted in frontier order, so coarse cells go first
-_REFINE_CELL_BUDGET = 50_000
-# grid points per walk of Theta over many base points, so memory stays bounded
+# rows (components x outer nodes, weighted by the companion matrix size) per
+# evaluation of Haar Theta, so memory stays bounded
 _HAAR_GROUP_POINTS = 1 << 16
 
 
@@ -109,10 +107,8 @@ class CocycleTrajectory:
 class ThetaEstimate:
     value: float
     method: str  # birkhoff | haar-quadrature
-    samples: int  # orbit length n, or points per tangent direction
+    samples: int  # orbit length n, or midpoint nodes per outer direction of H
     skipped_fraction: float
-    splits: int = 0  # Haar refinement: cells split near a zero of p
-    unresolved_volume: float = 0.0  # Haar measure left at the depth or split cap
 
     @property
     def reliable(self) -> bool:
@@ -246,59 +242,48 @@ def theta_birkhoff(
     return est
 
 
-def _refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
-    """vol * ln max(|p|, delta) of each root cell, refined level by level.
-
-    Cell i lies around tangent coordinates centers[i] on the coset through
-    bases[comp[i]], with comp sorted and the rows in len(stats["splits"])
-    equal blocks, one per base point.  Cells split while |p(center)| is within
-    their Lipschitz radius, along the axis of largest lips * halfwidth, so a
-    depth shares one halfwidth and one ``eval_points`` call; a block's splits
-    go in frontier order, under its own budget.  A cell of radius 0 (p
-    constant along H, as on a finite H) never splits, and at a zero of p it
-    is unresolved.  ``stats`` gets each depth's clamped and unresolved volume
-    per row, and the splits per block.  A split cell's value is value(lo) +
-    value(hi) of its children, as in a recursion."""
-    levels = []  # (values, split mask) per depth
-    hw = hw0.copy()
-    while len(centers):
-        raw = p.eval_points(np.mod(bases[comp] + fixed_order_matmul(centers, dirs), 1.0))
-        vals = np.hypot(raw.real, raw.imag)
-        vol = float(np.prod(2.0 * hw))
-        radius = 2.0 * float(np.dot(lips, hw))
-        want = ~(vals > radius)
-        block = comp // (len(bases) // len(stats["splits"]))
-        # a cell's rank in its block is csum[1:] minus csum at the block's first cell
-        csum = np.append(0, np.cumsum(want))
-        room = _REFINE_CELL_BUDGET - stats["splits"][block] + csum[np.searchsorted(block, block)]
-        split = want & (csum[1:] <= room) & (len(levels) < _REFINE_DEPTH_CAP)
-        split &= radius > 0.0
-        stats["splits"] += np.bincount(block[split], None, len(stats["splits"]))
-        stats["at_cap"].append(vol * np.bincount(comp[want & ~split], None, len(bases)))
-        leaf_vals = vals[~split]
-        clamped = comp[~split][leaf_vals < delta]
-        stats["clamped"].append(vol * np.bincount(clamped, None, len(bases)))
-        # scalar math.log: np.log's SIMD loop differs in the last bit
-        logs = map(math.log, np.maximum(leaf_vals, delta))
-        values = np.empty(len(centers))
-        values[~split] = vol * np.fromiter(logs, float, len(leaf_vals))
-        levels.append((values, split))
-        if not split.any():
-            break
-        axis = int(np.argmax(lips * hw))
-        hw[axis] *= 0.5
-        comp = np.repeat(comp[split], 2)
-        centers = np.repeat(centers[split], 2, axis=0)
-        centers[0::2, axis] -= hw[axis]
-        centers[1::2, axis] += hw[axis]
-    for (values, split), (below, _) in zip(levels[-2::-1], levels[:0:-1]):
-        values[split] = below[0::2] + below[1::2]
-    return levels[0][0] if levels else np.zeros(0)
+def _rounding_radius(terms, m: int) -> float:
+    """A bound on the rounding error of ``eval_points`` for these terms at a
+    point of [0, 1)^m: the phases <f, z>, their exponentials and the sum."""
+    return np.finfo(float).eps * sum(
+        abs(c) * (len(terms) + 3 + 2.0 * math.pi * (m + 1) * sum(map(abs, f))) for f, c in terms
+    )
 
 
-def _tally(columns, k) -> np.ndarray:
-    """Sum of the per-row columns per block of rows, row by row, as a loop adds them."""
-    return np.column_stack(columns).reshape(k, -1).cumsum(axis=1)[:, -1]
+def _jensen_means(a: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Mean of ln |P| on the unit circle for each row of coefficients of
+    P(zeta) = sum_d a[:, d] zeta^d, by Jensen's formula.
+
+    End coefficients within their rounding ``radius``, within eps times the
+    row's coefficient sum or below the smallest normal float are dropped; a
+    row with none left (P = 0 within rounding) gives NaN.  Each row is read
+    from its larger end c, reversed if that is the low one (zeta^deg P(1/zeta)
+    has the same mean), so its companion matrix stays below 1/eps: the mean
+    is ln |c| + sum of ln max(1, |s|) over its roots s.  That is ln |a_low|
+    exactly when every root of P lies outside the circle, and ln max(|a_low|,
+    |a_top|) at degree 1 with no roots taken; higher degrees take the
+    eigenvalues of stacked companion matrices, one call per degree.  No row
+    depends on another."""
+    eps = np.finfo(float).eps
+    floor = np.maximum(radius, np.finfo(float).tiny)
+    keep = np.abs(a) > np.maximum(floor, eps * np.abs(a).sum(axis=1, keepdims=True))
+    dead = ~keep.any(axis=1)
+    lo = np.argmax(keep, axis=1)
+    deg = np.where(dead, 0, a.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1) - lo)
+    ends = np.abs([a[np.arange(len(a)), lo], a[np.arange(len(a)), lo + deg]])
+    out = np.log(np.where(dead, 1.0, ends.max(axis=0)))
+    out[dead] = np.nan
+    for e in np.unique(deg[deg > 1]).tolist():
+        rows = np.flatnonzero(deg == e)
+        c = a[rows[:, None], lo[rows, None] + np.arange(e + 1)]
+        flip = ends[0, rows] > ends[1, rows]
+        c[flip] = c[flip, ::-1]
+        companion = np.zeros((len(rows), e, e), dtype=complex)
+        companion[:, 0, :] = -c[:, e - 1::-1] / c[:, e:]
+        companion[:, np.arange(1, e), np.arange(e - 1)] = 1.0
+        mods = np.abs(np.linalg.eigvals(companion))
+        out[rows] += np.log(np.maximum(mods, 1.0)).sum(axis=1)
+    return out
 
 
 def theta_haar(
@@ -306,82 +291,70 @@ def theta_haar(
     lam: TorusPoint,
     H: SubgroupH,
     quad: QuadratureSpec,
-    delta: float = 1e-8,
 ) -> ThetaEstimate:
-    """Haar quadrature of ln max(|p|, delta) over the coset lambda + H.
+    """Haar mean of ln |p| over the coset lambda + H, by Jensen's formula.
 
-    The one rule is the composite midpoint (ln |p| is periodic along H) with
-    ``quad.points_per_axis`` nodes per tangent direction of H, on every torsion
-    component in one ``eval_points`` call.  Cells near a zero of p, and the
-    nodes of a finite H, go into one ``_refine_cells`` walk; the rest are
-    plain.  Theta is the exact sum per component, then over the components,
-    over their count.  A Gauss-Legendre or unrefined ``quad``, delta <= 0 and
-    a grid of more than ``GRID_BUDGET_DEFAULT`` points raise ValueError; more
-    than 1% of H unresolved, or clamped at |p| < delta (an estimate that is
-    not ``reliable``), raises NumericalFailure.  This is the one-base call of
-    ``_theta_haar_many``, which walks many bases at once, group by group.
+    H's connected directions are integer vectors, so on each circle through
+    a row z along the last one, b, p is a Laurent polynomial in zeta = e(s)
+    whose coefficient a_n(z) sums the terms with <f, b> = n; its mean of
+    ln |p| is exact (``_jensen_means``).  A row is a torsion component of H
+    (Haar dimension 1), a component x midpoint node of the other directions,
+    ``quad.points_per_axis`` per axis (dimension 2 or more), or a point (a
+    finite H, where the mean is ln |p| there).  Theta is the exact sum of the
+    row means over their count.  A zero of p on a circle is a root of modulus
+    1 and adds 0.  A row where p vanishes within rounding raises
+    NumericalFailure with the fraction of H it covers; a Gauss-Legendre
+    ``quad``, a dimension mismatch and more than ``GRID_BUDGET_DEFAULT`` rows
+    raise ValueError.  This is the one-base call of ``_theta_haar_many``.
     """
-    return _theta_haar_many(p, [lam], H, quad, delta)[0]
+    return _theta_haar_many(p, [lam], H, quad)[0]
 
 
-def _theta_haar_many(p, lams, H, quad, delta=1e-8) -> list[ThetaEstimate]:
-    """``theta_haar`` at every base point in ``lams``: coset i is the i-th block
-    of component rows of one grid and one walk, with its own split budget and
-    tallies, so each estimate has the bits of its own call.  The bases go in
-    groups of at most ``_HAAR_GROUP_POINTS`` grid points (at least one base a
-    group); the first failing base, in input order, raises."""
-    if quad.scheme != "composite-midpoint" or not quad.refine_near_singularity:
-        raise ValueError("Haar Theta takes only the refined composite-midpoint rule")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
+    """``theta_haar`` at every base point in ``lams``: coset i is the i-th
+    block of rows of one evaluation, and no row depends on its batch, so each
+    estimate has the bits of its own call.  An evaluation takes at most
+    ``_HAAR_GROUP_POINTS`` rows, weighted by the companion matrix size: whole
+    bases, or one base in pieces.  The first failing base, in input order,
+    raises."""
+    if quad.scheme != "composite-midpoint":
+        raise ValueError("Haar Theta takes only the composite-midpoint rule")
     n = quad.points_per_axis
     m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
     if p.dimension != m or any(len(lam) != m for lam in lams):
         raise ValueError("dimension mismatch")
-    if n_reps * n**t_dim > GRID_BUDGET_DEFAULT:
-        raise ValueError(f"Haar grid of {n_reps} x {n}^{t_dim} points exceeds the "
+    outer = max(t_dim - 1, 0)
+    if n_reps * n**outer > GRID_BUDGET_DEFAULT:
+        raise ValueError(f"Haar Theta over {n_reps} x {n}^{outer} rows exceeds the "
                          f"budget of {GRID_BUDGET_DEFAULT}; lower --points")
-    # midpoint node l/N is the center of a cell of halfwidth 1/(2N) per axis
-    hw0 = np.full(t_dim, 0.5 / n)
-    vol = float(np.prod(2.0 * hw0))
-    ygrid = product_grid(np.arange(n) / n, t_dim)
     dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
+    b = H.connected_directions[-1] if t_dim else (0,) * m
+    degrees = [sum(f * d for f, d in zip(freq, b)) for freq, _ in p.terms]
+    low = min(degrees, default=0)
+    classes = [[] for _ in range(max(degrees, default=0) - low + 1)]
+    for d, term in zip(degrees, p.terms):
+        classes[d - low].append(term)
+    classes = [TrigPolynomial(m, terms) for terms in classes]  # empty: the zero polynomial
+    radius = np.array([_rounding_radius(q.terms, m) for q in classes])
     reps = np.array([r.coords for r in H.torsion_representatives])
-    lips = np.array([p.lipschitz_along(b) for b in H.connected_directions])
-    per_group = max(1, _HAAR_GROUP_POINTS // (n_reps * len(ygrid)))
+    offsets = (reps[:, None, :] + fixed_order_matmul(product_grid(np.arange(n) / n, outer),
+                                                     dirs[:outer])).reshape(-1, m)
+    step = max(1, _HAAR_GROUP_POINTS // max(1, len(classes) - 1) ** 2)  # rows per evaluation
+    per_group = max(1, step // len(offsets))
     out = []
     for start in range(0, len(lams), per_group):
-        group = np.array([lam.coords for lam in lams[start:start + per_group]])
-        k = len(group)
-        bases = (group[:, None, :] + reps).reshape(k * n_reps, m)
-        grid = bases[:, None, :] + fixed_order_matmul(ygrid, dirs)
-        grid = p.eval_points(np.mod(grid, 1.0, out=grid).reshape(-1, m))  # points -> values
-        vals = np.abs(grid).reshape(len(bases), len(ygrid))
-        plain = (vals > 2.0 * float(np.dot(lips, hw0))) & (t_dim > 0)
-        logs = np.where(plain, np.log(np.maximum(vals, delta)), 0.0)
-        clamped = vol * np.count_nonzero(plain & ~(vals >= delta), axis=1)
-        stats = {"clamped": [clamped], "at_cap": [np.zeros(len(bases))], "splits": np.zeros(k, int)}
-        comp, cell = np.divmod(np.flatnonzero(~plain), len(ygrid))
-        leaves = _refine_cells(p, bases, comp, dirs, ygrid[cell], hw0, lips, delta, stats)
-        bounds = np.searchsorted(comp, np.arange(len(bases) + 1)).tolist()
-        contributions = [
-            vol * exact_sum(row) + exact_sum(leaves[lo:hi])
-            for row, lo, hi in zip(logs, bounds, bounds[1:])
-        ]
-        unresolved = _tally(stats["at_cap"], k) / n_reps
-        skipped = _tally(stats["clamped"], k) / n_reps
-        for i in range(k):
-            if unresolved[i] > 1e-2:
-                raise NumericalFailure(
-                    "Haar quadrature failed to converge: refinement budget exhausted "
-                    f"with volume fraction {unresolved[i]:.3e} unresolved"
-                )
-            value = math.fsum(contributions[i * n_reps:(i + 1) * n_reps]) / n_reps
-            out.append(ThetaEstimate(value, "haar-quadrature", n, float(skipped[i]),
-                                     int(stats["splits"][i]), float(unresolved[i])))
-            if not out[-1].reliable:
-                raise NumericalFailure(f"Haar quadrature clamped a fraction {skipped[i]:.3e} of H"
-                                       f" with |p| below delta = {delta:g}")
+        group = np.array([lam.coords for lam in lams[start:start + per_group]])[:, None, :]
+        pieces = []  # more than one only where one base has more than `step` rows
+        for lo in range(0, len(offsets), step):
+            rows = np.mod(group + offsets[lo:lo + step], 1.0).reshape(-1, m)
+            coeffs = np.column_stack([q.eval_points(rows) for q in classes])
+            pieces.append(_jensen_means(coeffs, radius).reshape(len(group), -1))
+        for means in np.concatenate(pieces, axis=1):
+            vanishing = np.count_nonzero(np.isnan(means)) / len(offsets)
+            if vanishing:
+                raise NumericalFailure(f"p vanishes within rounding on a volume fraction "
+                                       f"{vanishing:.3e} of H, where ln |p| is -inf")
+            out.append(ThetaEstimate(exact_sum(means) / len(offsets), "haar-quadrature", n, 0.0))
     return out
 
 
@@ -390,10 +363,13 @@ def case3_verdict(theta: ThetaEstimate, tolerance: float = 1e-3) -> str:
 
     Growth contradicts boundedness of a continuous F on the torus; decay
     contradicts recurrence of the orbit; balanced is the regime the modulus
-    arguments cannot settle.
+    arguments cannot settle.  A tolerance that is not positive and finite
+    and a value that is not finite raise ValueError.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if not math.isfinite(theta.value):
+        raise ValueError(f"refusing a verdict on the non-finite value {theta.value}")
     if not theta.reliable:
         raise ValueError(
             f"estimate skipped {theta.skipped_fraction:.1%} of its mass; "
@@ -412,16 +388,18 @@ def balanced_fraction(
     quad: QuadratureSpec,
     resolution: int = 16,
     tolerance: float = 1e-6,
-    delta: float = 1e-8,
 ) -> float:
     """Measure fraction of base points with |Theta| <= tolerance on a coarse
     grid.  Grid scale cannot distinguish measure-zero from positive-measure
     vanishing; this reports the fraction without adjudicating.  A resolution
-    below 1 raises ValueError."""
+    below 1 and a tolerance that is not positive and finite raise
+    ValueError."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     flat = product_grid(np.arange(resolution) / resolution, H.dimension)
-    ests = _theta_haar_many(p, [reduce_mod1(row) for row in flat], H, quad, delta)
+    ests = _theta_haar_many(p, [reduce_mod1(row) for row in flat], H, quad)
     return sum(abs(est.value) <= tolerance for est in ests) / len(ests)
 
 

@@ -225,7 +225,13 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Which 1-D quadrature rule to use and at what base resolution."""
+    """Which 1-D quadrature rule to use and at what base resolution.
+
+    The Gram and residual quadratures read the scheme and the point count.
+    Haar Theta reads only ``points_per_axis``, for its midpoint rule over the
+    directions of H outside Jensen's formula, and refuses Gauss-Legendre.
+    Nothing reads ``refine_near_singularity``; it stays for the callers that
+    still pass it."""
 
     scheme: str = "composite-midpoint"
     points_per_axis: int = 256

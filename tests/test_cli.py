@@ -266,23 +266,31 @@ class TestTheta:
         assert captured.out == ""
         assert "fraction 1.667e-01" in captured.err
 
-    @pytest.mark.parametrize("method", ["birkhoff", "haar"])
-    def test_nonpositive_delta_is_exit_code_2(self, p1_file, capsys, method):
+    def test_nonpositive_delta_is_exit_code_2(self, p1_file, capsys):
         # --delta 0 once wrote "value": -Infinity, which is not JSON
         args = [
             "theta", "--poly", p1_file, "--gamma", "0,sqrt2", "--lambda", "0.25,0",
-            "--method", method, "--n", "1000", "--points", "64", "--delta", "0",
+            "--method", "birkhoff", "--n", "1000", "--delta", "0",
         ]
         assert main(args) == 2
         assert "delta must be positive" in capsys.readouterr().err
 
+    def test_haar_ignores_delta(self, p1_file, capsys):
+        # --delta is the Birkhoff skip threshold; Haar Theta clamps nothing
+        args = ["theta", "--poly", p1_file, "--gamma", "0,sqrt2", "--lambda", "0.25,0"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--delta", "0"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_oversized_haar_grid_is_exit_code_2(self, tmp_path, capsys):
+        # 2 components x 4096^2 outer nodes of a 3-dimensional H: 2^25 rows
         p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
         path = tmp_path / "q.json"
         save_polynomial(p, str(path))
         args = [
             "theta", "--poly", str(path), "--gamma", "sqrt2,sqrt3,1/2,sqrt5",
-            "--lambda", "0.1,0.2,0.3,0.4",
+            "--lambda", "0.1,0.2,0.3,0.4", "--points", "4096",
         ]
         assert main(args) == 2
         assert "--points" in capsys.readouterr().err
@@ -454,23 +462,16 @@ class TestRemarkCommands:
         assert captured.out == ""
         assert flag in captured.err
 
-    def test_default_curves_never_refine(self, monkeypatch):
-        # no default remark cell has a zero within its Lipschitz radius, so
-        # the refinement walk cannot change the remark1/remark2 CSVs
-        from gaborzak import cocycle
+    def test_remark1_curve_is_the_closed_form(self):
+        # Jensen's formula on each vertical circle: the walk was off by 1e-11
+        rows = cli.remark1_curve()
+        assert len(rows) == 101
+        assert max(abs(q - c) for _, q, c in rows) <= 1e-14
 
-        estimates = []
-        walk = cocycle._theta_haar_many
-
-        def recording(*args, **kwargs):
-            estimates.extend(walk(*args, **kwargs))
-            return estimates[-len(args[1]):]
-
-        monkeypatch.setattr(cocycle, "_theta_haar_many", recording)
-        cli.remark1_curve()
-        cli.remark2_curve()
-        assert len(estimates) == 101 + 32
-        assert all(e.splits == 0 and e.unresolved_volume == 0.0 for e in estimates)
+    def test_remark2_curve_is_exactly_zero(self):
+        # every root lies outside the circle, so Theta is ln |a_low| = ln 1
+        rows, _ = cli.remark2_curve(w_count=32, min_grid=16)
+        assert [v for _, v in rows] == [0.0] * 32
 
 
 class TestErrorPaths:

@@ -3,12 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborzak import cocycle
 from gaborzak.cocycle import (
-    _REFINE_CELL_BUDGET,
-    _REFINE_DEPTH_CAP,
     _orbit_values,
     _phase_cocycle_rhs,
     SyntheticPhaseField,
@@ -63,7 +61,7 @@ VERT = _closure("0,sqrt2")  # {0} x T
 HORIZ = _closure("sqrt2,0")  # T x {0}
 DIAG = _closure("sqrt2,sqrt2")  # {(s, s)}
 
-MID_REFINE = QuadratureSpec("composite-midpoint", 1024, True)
+MID = QuadratureSpec("composite-midpoint", 1024)
 
 # 50-digit quadrature values of the w-mean of ln|P2(t, .)|
 P2_VERTICAL_THETA = {
@@ -259,35 +257,38 @@ class TestThetaHaar:
             (0.4, 0.0, 1e-9),
         ]
         for t, want, tol in cases:
-            est = theta_haar(P1, reduce_mod1([t, 0.0]), VERT, MID_REFINE)
+            est = theta_haar(P1, reduce_mod1([t, 0.0]), VERT, MID)
             assert abs(est.value - want) < tol, f"t={t}"
             assert est.method == "haar-quadrature"
 
-    def test_singular_coset_within_budget(self):
-        # |1 + e^{-2 pi i /3}| = 1, so the zero sits on the coset itself
-        est = theta_haar(P1, reduce_mod1([1 / 3, 0.0]), VERT, MID_REFINE)
-        assert abs(est.value) < 1e-3
-        assert est.skipped_fraction < 1e-6
-        # the cells that hold the zero split down to the depth cap: at most
-        # two of them (a zero on their common edge) stay unresolved
-        assert 0 < est.splits < _REFINE_CELL_BUDGET
-        assert 0 < est.unresolved_volume <= 2 * 2.0**-_REFINE_DEPTH_CAP / 1024
+    def test_singular_coset_is_exact(self):
+        # |1 + e^{-2 pi i /3}| = 1, so the zero sits on the coset itself: a
+        # root of modulus 1, which adds 0 (the refinement walk left 1.2e-4 here)
+        est = theta_haar(P1, reduce_mod1([1 / 3, 0.0]), VERT, MID)
+        assert abs(est.value) <= 1e-15
+        assert est.skipped_fraction == 0.0
 
     @pytest.mark.parametrize(
         "quad",
         [
             QuadratureSpec("gauss-legendre", 64, True),
             QuadratureSpec("gauss-legendre", 64, False),
-            QuadratureSpec("composite-midpoint", 64, False),
         ],
     )
-    def test_only_the_refined_midpoint_rule_is_accepted(self, quad):
-        with pytest.raises(ValueError, match="refined composite-midpoint"):
+    def test_only_the_midpoint_rule_is_accepted(self, quad):
+        with pytest.raises(ValueError, match="only the composite-midpoint rule"):
             theta_haar(P1, reduce_mod1([0.0, 0.0]), VERT, quad)
+
+    def test_refine_flag_changes_nothing(self):
+        # nothing is refined any more: the flag stays only for QuadratureSpec's other readers
+        lam = reduce_mod1([0.2, 0.7])
+        H = _closure("sqrt2,sqrt3")
+        specs = [QuadratureSpec("composite-midpoint", 32, flag) for flag in (False, True)]
+        assert theta_haar(P2, lam, H, specs[0]) == theta_haar(P2, lam, H, specs[1])
 
     def test_nonvanishing_poly_frozen_values(self):
         for t, want in P2_VERTICAL_THETA.items():
-            est = theta_haar(P2, reduce_mod1([t, 0.0]), VERT, MID_REFINE)
+            est = theta_haar(P2, reduce_mod1([t, 0.0]), VERT, MID)
             assert abs(est.value - want) < 1e-10
 
     def test_horizontal_mean_vanishes_for_p2(self):
@@ -295,12 +296,13 @@ class TestThetaHaar:
         # inside the unit disk, so the t-mean of the log-modulus is zero
         quad = QuadratureSpec("composite-midpoint", 512, True)
         est = theta_haar(P2, reduce_mod1([0.0, 0.37]), HORIZ, quad)
-        assert abs(est.value) < 1e-12
+        # Jensen's formula then gives ln |a_low| = ln 1, exactly
+        assert est.value == 0.0
 
     def test_finite_subgroup_is_representative_average(self):
         H = _closure("1/2,1/3")
         lam = reduce_mod1([0.05, 0.11])
-        est = theta_haar(P2, lam, H, MID_REFINE)
+        est = theta_haar(P2, lam, H, MID)
         manual = np.mean(
             [
                 math.log(abs(P2.eval(np.mod(lam.array() + r.array(), 1.0))))
@@ -311,63 +313,61 @@ class TestThetaHaar:
 
     def test_identically_zero_coset_fails_loudly(self, monkeypatch):
         # 1 - e^{2 pi i (t - w)} vanishes on the whole diagonal coset and is
-        # constant along it, so every cell has Lipschitz radius 0: no cell
-        # splits, the grid takes one evaluation and the walk one more
-        calls, splits = [], []
+        # constant along it: both terms have <f, b> = 0, so the circle's one
+        # coefficient is 0 and one evaluation of one row decides it
+        calls = []
         original = TrigPolynomial.eval_points
-        walk = cocycle._refine_cells
 
         def counting(self, pts):
             calls.append(len(pts))
             return original(self, pts)
 
-        def recording(*args):
-            values = walk(*args)
-            splits.append(args[-1]["splits"])
-            return values
-
         monkeypatch.setattr(TrigPolynomial, "eval_points", counting)
-        monkeypatch.setattr(cocycle, "_refine_cells", recording)
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
         quad = QuadratureSpec("composite-midpoint", 32, True)
         with pytest.raises(NumericalFailure, match="volume fraction 1.000e\\+00"):
             theta_haar(p, reduce_mod1([0.0, 0.0]), DIAG, quad)
-        assert splits == [0]
-        assert len(calls) <= 2
+        assert calls == [1]
 
     def test_unresolved_volume_is_a_fraction_of_the_components(self):
-        # 1 - e(2t) vanishes on the t = 0 component of H = {0, 1/2} x T and
-        # reads 2.4e-16 on the t = 1/2 one: half of H is unresolved
-        p = TrigPolynomial(2, [((0, 0), 1.0), ((2, 0), -1.0)])
+        # 1 - e(t) vanishes on the t = 0 component of H = {0, 1/2} x T and is
+        # 2 on the t = 1/2 one: half of H is unresolved
+        p = TrigPolynomial(2, [((0, 0), 1.0), ((1, 0), -1.0)])
         H = _closure("1/2,sqrt2")
         assert H.component_count == 2
         with pytest.raises(NumericalFailure, match="volume fraction 5.000e-01"):
-            theta_haar(p, reduce_mod1([0.0, 0.0]), H, MID_REFINE)
+            theta_haar(p, reduce_mod1([0.0, 0.0]), H, MID)
+
+    def test_a_zero_on_both_components_is_all_of_h(self):
+        # 1 - e(2t) vanishes at t = 0 and at t = 1/2, where e(1.0) rounds
+        # 2.4e-16 away from 1: within rounding, so all of H vanishes
+        p = TrigPolynomial(2, [((0, 0), 1.0), ((2, 0), -1.0)])
+        with pytest.raises(NumericalFailure, match="volume fraction 1.000e\\+00"):
+            theta_haar(p, reduce_mod1([0.0, 0.0]), _closure("1/2,sqrt2"), MID)
 
     def test_exact_zero_on_a_finite_subgroup_is_unresolved(self):
         # 1 - e(t + w) vanishes exactly at the component (0, 0) of the 143
-        # points of H = <(1/11, 1/13)>, and nowhere else on it
+        # points of H = <(1/11, 1/13)>, and nowhere else on it: ln |p| is -inf
+        # on 1/143 of H, so no finite Theta exists
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), -1.0)])
         H = _closure("1/11,1/13")
         assert H.component_count == 143
         quad = QuadratureSpec("composite-midpoint", 8, True)
-        est = theta_haar(p, reduce_mod1([0.0, 0.0]), H, quad)
-        assert est.unresolved_volume == 1 / 143
-        assert est.skipped_fraction == 1 / 143
-        assert est.splits == 0
+        with pytest.raises(NumericalFailure, match="volume fraction 6.993e-03"):
+            theta_haar(p, reduce_mod1([0.0, 0.0]), H, quad)
 
     def test_near_zero_on_a_finite_subgroup_is_refused(self):
-        # P1 is 1.1e-16 at (1/3, 1/6), one of the six points of <(1/2, 1/3)>: a
-        # radius-0 leaf clamped at delta, not unresolved, so the estimate (with
-        # skipped_fraction 1/6) used to come back as the value -2.609
+        # P1 is 1.1e-16 at (1/3, 1/6), one of the six points of <(1/2, 1/3)>:
+        # within the rounding radius of p there, so Theta is refused, as
+        # Birkhoff refuses it (the refinement walk once returned -2.609)
         H = _closure("1/2,1/3")
         lam = reduce_mod1([0.3333333333333333, 0.16666666666666666])
-        with pytest.raises(NumericalFailure, match="clamped a fraction 1.667e-01 of H"):
-            theta_haar(P1, lam, H, MID_REFINE)
+        with pytest.raises(NumericalFailure, match="volume fraction 1.667e-01 of H"):
+            theta_haar(P1, lam, H, MID)
 
     def test_oversized_grid_raises_before_allocating(self, monkeypatch):
-        # two components of a 3-dimensional H at 1024 points per axis would
-        # be 2^31 grid points
+        # two components of a 3-dimensional H at 4096 points per axis would
+        # be 2 x 4096^2 = 2^25 rows of Jensen's formula
         def no_grid(*args):
             raise AssertionError("grid allocated")
 
@@ -375,98 +375,134 @@ class TestThetaHaar:
         p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
         H = _closure("sqrt2,sqrt3,1/2,sqrt5")
         assert (H.component_count, H.haar_dimension) == (2, 3)
-        quad = QuadratureSpec("composite-midpoint", 1024, True)
+        quad = QuadratureSpec("composite-midpoint", 4096, True)
         with pytest.raises(ValueError, match="--points"):
             theta_haar(p, reduce_mod1([0.1, 0.2, 0.3, 0.4]), H, quad)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            theta_haar(P1, reduce_mod1([0.3]), VERT, MID_REFINE)
+            theta_haar(P1, reduce_mod1([0.3]), VERT, MID)
+
+
+def test_two_torus_is_smyths_mahler_measure():
+    # m(1 + x + y) = (3 sqrt3 / 4 pi) L(chi_-3, 2) (Smyth 1981): Jensen's formula
+    # along w, and the midpoint rule at 1024 nodes in t, with its kink where a
+    # root crosses the circle
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        smyth = 3 * mpmath.sqrt(3) / (4 * mpmath.pi) * mpmath.dirichlet(2, [0, 1, -1])
+        est = theta_haar(P1, reduce_mod1([0.0, 0.0]), _closure("sqrt2,sqrt3"), MID)
+        assert abs(est.value - smyth) <= 1e-6
+
+
+@st.composite
+def _circle_polys(draw):
+    """A Laurent polynomial in e(w) of degree <= 4, as a 2-torus polynomial."""
+    low = draw(st.integers(-2, 2))
+    parts = st.floats(-1.0, 1.0)
+    coeffs = draw(st.lists(st.builds(complex, parts, parts), min_size=1, max_size=5))
+    return TrigPolynomial(2, [((0, low + d), c) for d, c in enumerate(coeffs)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_circle_polys(), st.floats(0.0, 1.0, exclude_max=True))
+def test_jensen_matches_a_dense_midpoint_mean(p, t):
+    # with |p| >= 0.1 on the circle, ln |p| is analytic near it and the
+    # 4096-point midpoint rule converges geometrically
+    nodes = np.column_stack([np.full(4096, t), (np.arange(4096) + 0.5) / 4096])
+    mods = np.abs(p.eval_points(nodes))
+    assume(mods.min() >= 0.1)
+    est = theta_haar(p, reduce_mod1([t, 0.0]), VERT, MID)
+    assert abs(est.value - np.mean(np.log(mods))) <= 1e-10
+
+
+def _mahler_by_np_roots(coeffs):
+    """ln |a_top| + sum of ln max(1, |r|) over the roots: the reference form."""
+    roots = np.roots(coeffs[::-1])
+    return math.log(abs(coeffs[-1])) + float(np.sum(np.log(np.maximum(1.0, np.abs(roots)))))
+
+
+# coefficients a_0 .. a_6, with roots inside, on both sides of and outside the circle
+_COEFFS = np.array([0.3 - 0.2j, -1.1 + 0.4j, 0.7j, 2.0, -0.5 + 0.5j, 0.9, 0.25 - 1j])
+
+
+class TestJensenMeans:
+    @pytest.mark.parametrize("degree", range(7))
+    def test_matches_the_mahler_measure_by_roots(self, degree):
+        a = _COEFFS[: degree + 1]
+        got = cocycle._jensen_means(a[None, :], np.zeros(degree + 1))
+        assert abs(got[0] - _mahler_by_np_roots(a)) <= 1e-13
+
+    @pytest.mark.parametrize("end", ["low", "top"])
+    def test_end_coefficients_within_rounding_are_dropped(self, end):
+        # a coefficient of 1e-17 at either end would put a root at 1e17 or
+        # 1e-17; within its radius it is a zero, and the mean is that of the rest
+        a = np.array([1e-17, 3.0, 1.0]) if end == "low" else np.array([3.0, 1.0, 1e-17])
+        radius = np.where(np.abs(a) < 1e-16, 1e-15, 0.0)
+        got = cocycle._jensen_means(a[None, :], radius)
+        assert got[0] == math.log(3.0)
+
+    def test_a_row_with_every_coefficient_within_rounding_is_nan(self):
+        a = np.array([[1e-17, 0.0, -1e-17], [1.0, 0.0, 0.0]])
+        got = cocycle._jensen_means(a, np.full(3, 1e-15))
+        assert math.isnan(got[0]) and got[1] == 0.0
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # rows of degrees 0..3 in one batch, and each row alone
+        a = np.array([[2.0, 0, 0, 0], [0.5, 1.5j, 0, 0], [1, -3, 0.5, 0], [0, 1, 2j, -0.25],
+                      [0.1, 0.2, 0.3, 0.4]], dtype=complex)
+        batch = cocycle._jensen_means(a, np.zeros(4))
+        singles = [cocycle._jensen_means(row[None, :], np.zeros(4))[0] for row in a]
+        assert batch.tolist() == singles
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 1 / 3, 0.45, 2 / 3, 0.9])
+def test_vertical_circles_match_ln_max_of_the_coefficients(t):
+    # A(t) + B(t) e(-w) on H = {0} x T: Jensen's formula is ln max(|A|, |B|),
+    # with |A| > |B| at t = 0, 0.1 and 0.9 and |A| < |B| at the others
+    p = TrigPolynomial(2, [((0, 0), 1.0), ((-1, 0), 1.0), ((1, -1), -1.0), ((0, -1), 0.5)])
+    A = 1.0 + cmath.exp(-2j * math.pi * t)
+    B = -cmath.exp(2j * math.pi * t) + 0.5
+    est = theta_haar(p, reduce_mod1([t, 0.3]), VERT, MID)
+    assert abs(est.value - math.log(max(abs(A), abs(B)))) <= 1e-15
+
+
+def test_three_dimensional_h_takes_the_midpoint_rule_outside_one_circle():
+    # |2| > |e(t1)| + |0.5 e(t2 - t3)|: the mean over T^3 is ln 2, and the
+    # 64 x 64 outer nodes alias nothing that the coefficients' decay leaves
+    p = TrigPolynomial(3, [((0, 0, 0), 2.0), ((1, 0, 0), 1.0), ((0, 1, -1), 0.5)])
+    H = _closure("sqrt2,sqrt3,sqrt5")
+    assert H.haar_dimension == 3
+    est = theta_haar(p, reduce_mod1([0.1, 0.2, 0.3]), H, QuadratureSpec("composite-midpoint", 64))
+    assert abs(est.value - math.log(2.0)) <= 1e-12
+    assert est.samples == 64
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_row_budget_counts_components_times_outer_nodes(excess, monkeypatch):
+    # H from (sqrt2, sqrt3, 1/2, sqrt5): 2 components, dimension 3, so 2 x 8^2 rows
+    H = _closure("sqrt2,sqrt3,1/2,sqrt5")
+    monkeypatch.setattr(cocycle, "GRID_BUDGET_DEFAULT", 2 * 8**2 - excess)
+    p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
+    call = lambda: theta_haar(p, reduce_mod1([0.1, 0.2, 0.3, 0.4]), H,  # noqa: E731
+                              QuadratureSpec("composite-midpoint", 8))
+    if excess:
+        with pytest.raises(ValueError, match="2 x 8\\^2 rows exceeds the budget of 127"):
+            call()
+    else:
+        assert abs(call().value) <= 1e-15
 
 
 @pytest.mark.parametrize("delta", [0.0, -1e-8, math.nan])
-@pytest.mark.parametrize("method", ["birkhoff", "haar"])
-def test_delta_must_be_positive(method, delta):
+def test_delta_must_be_positive(delta):
     # delta = 0 used to put ln 0 = -inf into the value
     lam = reduce_mod1([0.25, 0.0])
     with pytest.raises(ValueError, match="delta must be positive"):
-        if method == "birkhoff":
-            theta_birkhoff(P1, lam, Gamma.from_tokens("0,sqrt2"), 1000, delta=delta)
-        else:
-            theta_haar(P1, lam, VERT, MID_REFINE, delta=delta)
+        theta_birkhoff(P1, lam, Gamma.from_tokens("0,sqrt2"), 1000, delta=delta)
 
 
-def _recursive_refine_cell(p, bases, c, dirs, center, halfwidth, lips, delta, depth, stats):
-    """The depth-first refinement that the level-by-level walk replaced: one
-    ``eval_points`` call per cell, the budget spent on the first cell first."""
-    z = bases[c] + center @ dirs
-    val = float(abs(p.eval_points(np.mod(z, 1.0)[None, :])[0]))
-    radius = 2.0 * float(np.dot(lips, halfwidth))
-    vol = float(np.prod(2.0 * halfwidth))
-    exhausted = (
-        depth >= _REFINE_DEPTH_CAP
-        or stats["splits"] >= _REFINE_CELL_BUDGET
-        or radius == 0.0
-    )
-    if val > radius or exhausted:
-        if exhausted and val <= radius:
-            stats["at_cap"].append(vol * np.bincount([c], None, len(bases)))
-        if val < delta:
-            stats["clamped"].append(vol * np.bincount([c], None, len(bases)))
-            return vol * math.log(delta)
-        return vol * math.log(val)
-    stats["splits"] += 1
-    axis = int(np.argmax(lips * halfwidth))
-    hw = halfwidth.copy()
-    hw[axis] *= 0.5
-    lo = center.copy()
-    lo[axis] -= hw[axis]
-    hi = center.copy()
-    hi[axis] += hw[axis]
-    return _recursive_refine_cell(
-        p, bases, c, dirs, lo, hw, lips, delta, depth + 1, stats
-    ) + _recursive_refine_cell(p, bases, c, dirs, hi, hw, lips, delta, depth + 1, stats)
-
-
-def _recursive_refine_cells(p, bases, comp, dirs, centers, hw0, lips, delta, stats):
-    return np.array([
-        _recursive_refine_cell(p, bases, c, dirs, y.copy(), hw0.copy(), lips, delta, 0, stats)
-        for c, y in zip(comp, centers)
-    ])
-
-
-def _haar_or_failure(lam, H, quad):
-    try:
-        est = theta_haar(P1, lam, H, quad)
-    except NumericalFailure:
-        return None
-    return est
-
-
-@pytest.mark.parametrize(
-    "tokens", ["0,sqrt2", "sqrt2,0", "sqrt2,sqrt3", "1/3,sqrt2", "1/2,1/3"]
-)
-@pytest.mark.parametrize("points", [7, 32, 101])
-def test_level_walk_matches_depth_first_recursion(tokens, points, monkeypatch):
-    # remark1's p has zeros at (1/3, 1/6) and (2/3, 5/6), so the bases
-    # (k/12, 1/6) put cosets through, near and away from them; the walk adds
-    # leaf values in the same pairs, and skipped volume in another order
-    H = _closure(tokens)
-    quad = QuadratureSpec("composite-midpoint", points, True)
-    for k in range(13):
-        lam = reduce_mod1([k / 12, 1 / 6])
-        walk = _haar_or_failure(lam, H, quad)
-        with monkeypatch.context() as mp:
-            mp.setattr(cocycle, "_refine_cells", _recursive_refine_cells)
-            want = _haar_or_failure(lam, H, quad)
-        assert (walk is None) == (want is None), f"k={k}"
-        if want is not None:
-            assert abs(walk.value - want.value) <= 1e-15, f"k={k}"
-            assert abs(walk.skipped_fraction - want.skipped_fraction) <= 1e-15, f"k={k}"
-            assert walk.splits == want.splits, f"k={k}"
-
-
-# the inputs of test_level_walk_matches_depth_first_recursion
+# remark1's p has zeros at (1/3, 1/6) and (2/3, 5/6), so the bases (k/12, 1/6)
+# put cosets through, near and away from them
 _PARITY_TOKENS = ["0,sqrt2", "sqrt2,0", "sqrt2,sqrt3", "1/3,sqrt2", "1/2,1/3"]
 _PARITY_BASES = [reduce_mod1([k / 12, 1 / 6]) for k in range(13)]
 
@@ -482,31 +518,40 @@ def _singles(p, lams, H, quad):
     return out
 
 
-def _assert_walk_matches(singles, lams, H, quad):
-    """The many-base walk gives every passing base's estimate field for field,
+def _assert_many_match(singles, lams, H, quad, p=P1):
+    """The many-base call gives every passing base's estimate field for field,
     and over all bases raises the first failing base's text."""
     kept = [lam for lam, s in zip(lams, singles) if isinstance(s, ThetaEstimate)]
-    assert cocycle._theta_haar_many(P1, kept, H, quad) == [
+    assert cocycle._theta_haar_many(p, kept, H, quad) == [
         s for s in singles if isinstance(s, ThetaEstimate)
     ]
     failures = [s for s in singles if isinstance(s, str)]
     if failures:
         with pytest.raises(NumericalFailure) as exc:
-            cocycle._theta_haar_many(P1, lams, H, quad)
+            cocycle._theta_haar_many(p, lams, H, quad)
         assert str(exc.value) == failures[0]
 
 
-@pytest.mark.parametrize("budget", [_REFINE_CELL_BUDGET, 7])
 @pytest.mark.parametrize("tokens", _PARITY_TOKENS)
 @pytest.mark.parametrize("points", [7, 32, 101])
-def test_many_bases_match_single_calls(tokens, points, budget, monkeypatch):
-    # each coset is a block of rows with its own split budget and tallies,
-    # so a walk over 13 bases equals 13 calls bit for bit, failures included
-    monkeypatch.setattr(cocycle, "_REFINE_CELL_BUDGET", budget)
+def test_many_bases_match_single_calls(tokens, points):
+    # each coset is a block of rows whose means are summed on their own, so
+    # one call over 13 bases equals 13 calls bit for bit, failures included
     H = _closure(tokens)
     quad = QuadratureSpec("composite-midpoint", points, True)
     singles = _singles(P1, _PARITY_BASES, H, quad)
-    _assert_walk_matches(singles, _PARITY_BASES, H, quad)
+    _assert_many_match(singles, _PARITY_BASES, H, quad)
+
+
+@pytest.mark.parametrize("tokens", ["sqrt2,0", "sqrt2,sqrt2", "1/3,sqrt3"])
+def test_many_bases_match_single_calls_through_companion_roots(tokens):
+    # P2 along (1, 0) or (1, 1) is a quartic or cubic in e(s): its roots come
+    # from one eigvals call over all the rows of a degree
+    H = _closure(tokens)
+    quad = QuadratureSpec("composite-midpoint", 16)
+    singles = _singles(P2, _PARITY_BASES, H, quad)
+    assert all(isinstance(s, ThetaEstimate) for s in singles)
+    _assert_many_match(singles, _PARITY_BASES, H, quad, P2)
 
 
 @pytest.mark.parametrize("tokens", _PARITY_TOKENS)
@@ -514,17 +559,17 @@ def test_many_bases_do_not_depend_on_the_group_size(tokens, monkeypatch):
     H = _closure(tokens)
     quad = QuadratureSpec("composite-midpoint", 32, True)
     singles = _singles(P1, _PARITY_BASES, H, quad)
-    three_bases = 3 * H.component_count * 32**H.haar_dimension
+    three_bases = 3 * H.component_count * 32 ** max(H.haar_dimension - 1, 0)
     for group_points in (1, three_bases):
         monkeypatch.setattr(cocycle, "_HAAR_GROUP_POINTS", group_points)
-        _assert_walk_matches(singles, _PARITY_BASES, H, quad)
+        _assert_many_match(singles, _PARITY_BASES, H, quad)
 
 
 class TestCase3Verdict:
     def test_three_regimes(self):
-        grow = theta_haar(P2, reduce_mod1([0.0, 0.0]), VERT, MID_REFINE)
-        decay = theta_haar(P2, reduce_mod1([0.1, 0.0]), VERT, MID_REFINE)
-        flat = theta_haar(P1, reduce_mod1([0.4, 0.0]), VERT, MID_REFINE)
+        grow = theta_haar(P2, reduce_mod1([0.0, 0.0]), VERT, MID)
+        decay = theta_haar(P2, reduce_mod1([0.1, 0.0]), VERT, MID)
+        flat = theta_haar(P1, reduce_mod1([0.4, 0.0]), VERT, MID)
         assert case3_verdict(grow) == "growth"
         assert case3_verdict(decay) == "decay"
         assert case3_verdict(flat) == "balanced"
@@ -533,6 +578,20 @@ class TestCase3Verdict:
         est = ThetaEstimate(0.0, "birkhoff", 1000, 0.0)
         with pytest.raises(ValueError):
             case3_verdict(est, tolerance=0.0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf])
+    def test_tolerance_that_is_not_positive_and_finite_is_refused(self, tolerance):
+        # a NaN tolerance used to return "balanced"
+        est = ThetaEstimate(0.0, "birkhoff", 1000, 0.0)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            case3_verdict(est, tolerance=tolerance)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, value):
+        # a NaN value used to return "balanced"
+        est = ThetaEstimate(value, "birkhoff", 1000, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            case3_verdict(est)
 
     def test_unreliable_estimate_refused(self):
         est = ThetaEstimate(0.0, "birkhoff", 1000, 0.5)
@@ -561,6 +620,14 @@ def test_balanced_fraction_equals_a_loop_of_single_calls(p, tokens):
     else:
         with pytest.raises(NumericalFailure):
             balanced_fraction(p, H, quad, resolution=5)
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
+def test_balanced_fraction_refuses_a_bad_tolerance(tolerance):
+    # NaN and -1 used to return 0.0, as if no base point were balanced
+    quad = QuadratureSpec("composite-midpoint", 64, True)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        balanced_fraction(P1, VERT, quad, resolution=2, tolerance=tolerance)
 
 
 @pytest.mark.parametrize("resolution", [0, -3])
