@@ -532,11 +532,14 @@ def _assert_many_match(singles, lams, H, quad, p=P1):
         assert str(exc.value) == failures[0]
 
 
+@pytest.mark.parametrize("group_points", [50000, 7])
 @pytest.mark.parametrize("tokens", _PARITY_TOKENS)
 @pytest.mark.parametrize("points", [7, 32, 101])
-def test_many_bases_match_single_calls(tokens, points):
+def test_many_bases_match_single_calls(tokens, points, group_points, monkeypatch):
     # each coset is a block of rows whose means are summed on their own, so
-    # one call over 13 bases equals 13 calls bit for bit, failures included
+    # one call over 13 bases equals 13 calls bit for bit, failures included,
+    # whether a group holds whole cosets or splits one over many evaluations
+    monkeypatch.setattr(cocycle, "_HAAR_GROUP_POINTS", group_points)
     H = _closure(tokens)
     quad = QuadratureSpec("composite-midpoint", points, True)
     singles = _singles(P1, _PARITY_BASES, H, quad)
