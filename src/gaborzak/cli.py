@@ -116,7 +116,9 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",")]
 
 
-def _window_from_args(args):
+def _window_from_args(args, dimension: int = 1):
+    """The window the flags name; the Gaussian takes ``dimension``, the
+    Hermite and sampled windows have dimension 1."""
     from .windows import GaussianWindow, HermiteWindow, sampled_window_from_csv
 
     if args.window == "hermite":
@@ -125,7 +127,7 @@ def _window_from_args(args):
         if args.window_file is None:
             raise ValueError("--window sampled requires --window-file")
         return sampled_window_from_csv(args.window_file)
-    return GaussianWindow()
+    return GaussianWindow(dimension)
 
 
 def _csv(header: str, rows) -> str:
@@ -156,13 +158,13 @@ def _cmd_gram(args):
     from .numerics import QuadratureSpec
 
     cfg = config_from_json(args.config)
+    w = _window_from_args(args, cfg.dimension)
     if args.method == "closed-form":
-        gram = gaussian_gram_closed_form(cfg)
+        gram = gaussian_gram_closed_form(cfg, w)
     elif args.method == "zak":
-        gram = gram_matrix_zak(_window_from_args(args), cfg, resolution=args.resolution)
+        gram = gram_matrix_zak(w, cfg, resolution=args.resolution)
     else:
-        w = _window_from_args(args)
-        gram = gram_matrix(w, cfg, QuadratureSpec(args.scheme, args.points, False))
+        gram = gram_matrix(w, cfg, QuadratureSpec("composite-midpoint", args.points, False))
     return {
         "matrix": [[_pair(v) for v in row] for row in gram.matrix],
         "eigenvalues": [float(v) for v in gram.eigenvalues],
@@ -178,8 +180,8 @@ def _cmd_residual(args):
     from .numerics import QuadratureSpec
 
     cfg = config_from_json(args.config)
-    w = _window_from_args(args)
-    quad = QuadratureSpec(args.scheme, args.points, False)
+    w = _window_from_args(args, cfg.dimension)
+    quad = QuadratureSpec("composite-midpoint", args.points, False)
     coeffs, residual = dependence_residual(
         w,
         cfg,
@@ -349,8 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     window.add_argument("--window-file", default=None, help="CSV of samples")
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--points", type=int, default=512)
-    quadrature.add_argument("--scheme", choices=["composite-midpoint", "gauss-legendre"],
-                            default="composite-midpoint")
     quadrature.add_argument("--resolution", type=int, default=64)
     haar = argparse.ArgumentParser(add_help=False)
     haar.add_argument("--points", type=int, default=1024,

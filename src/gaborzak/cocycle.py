@@ -303,9 +303,9 @@ def theta_haar(
     finite H, where the mean is ln |p| there).  Theta is the exact sum of the
     row means over their count.  A zero of p on a circle is a root of modulus
     1 and adds 0.  A row where p vanishes within rounding raises
-    NumericalFailure with the fraction of H it covers; a Gauss-Legendre
-    ``quad``, a dimension mismatch and more than ``GRID_BUDGET_DEFAULT`` rows
-    raise ValueError.  This is the one-base call of ``_theta_haar_many``.
+    NumericalFailure with the fraction of H it covers; a dimension mismatch
+    and more than ``GRID_BUDGET_DEFAULT`` rows raise ValueError.  This is the
+    one-base call of ``_theta_haar_many``.
     """
     return _theta_haar_many(p, [lam], H, quad)[0]
 
@@ -317,8 +317,6 @@ def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
     ``_HAAR_GROUP_POINTS`` rows, weighted by the companion matrix size: whole
     bases, or one base in pieces.  The first failing base, in input order,
     raises."""
-    if quad.scheme != "composite-midpoint":
-        raise ValueError("Haar Theta takes only the composite-midpoint rule")
     n = quad.points_per_axis
     m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
     if p.dimension != m or any(len(lam) != m for lam in lams):

@@ -8,6 +8,9 @@ eigenvalue, and the least-squares dependence residual
     min_c || sum_k c_k a_k - a_target ||_2
 
 is the testable quantity: it stays strictly positive for nonzero windows.
+Both quadrature Grams are one rectangle rule on a product grid: the time
+domain takes the composite midpoint nodes, and the Zak domain the nodes i/M,
+which is what the grid mean of the atoms' Zak images reduces to.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from .errors import DegenerateConfigWarning, NumericalFailure
 from .numerics import (
+    GRID_BUDGET_DEFAULT,
     Coordinate,
     QuadratureSpec,
     coordinate_from_json,
@@ -136,34 +140,6 @@ def _atom_eval_many(w: Window, pt: TFPoint, tpts: np.ndarray) -> np.ndarray:
     return vals * np.exp(-2j * np.pi * phase)
 
 
-class _AtomAsWindow:
-    """Adapter letting the Zak lattice-sum machinery run on a single atom."""
-
-    def __init__(self, w: Window, pt: TFPoint):
-        self.window = w
-        self.pt = pt
-        self.dimension = w.dimension
-        self.effective_radius = w.effective_radius + float(
-            np.max(np.abs(pt.x_floats()))
-        )
-
-    def eval_many(self, tpts: np.ndarray) -> np.ndarray:
-        return _atom_eval_many(self.window, self.pt, tpts)
-
-
-def _quadrature_nodes(spec: QuadratureSpec, radius: float, d: int):
-    n = spec.points_per_axis
-    if spec.scheme == "gauss-legendre":
-        x, wts = np.polynomial.legendre.leggauss(n)
-        nodes1 = radius * x
-        w1 = radius * wts
-    else:
-        h = 2.0 * radius / n
-        nodes1 = -radius + (np.arange(n) + 0.5) * h
-        w1 = np.full(n, h)
-    return product_grid(nodes1, d), np.prod(product_grid(w1, d), axis=1)
-
-
 def _finalize_gram(G: np.ndarray, method: str) -> GramResult:
     if not np.all(np.isfinite(G)):
         raise NumericalFailure("non-finite Gram entries from quadrature")
@@ -179,49 +155,67 @@ def _finalize_gram(G: np.ndarray, method: str) -> GramResult:
     )
 
 
-def gram_matrix(w: Window, cfg: GaborConfig, quad: QuadratureSpec) -> GramResult:
-    """Pairwise atom inner products by quadrature over a hypercube whose
-    radius covers the window decay radius plus the largest time shift."""
+def _rule_gram(w: Window, cfg: GaborConfig, count: int, axis, step: float, method: str) -> GramResult:
+    """The rectangle rule G[j,k] = step^d sum_t conj(a_k(t)) a_j(t) over the
+    product of ``count`` nodes per axis that ``axis()`` returns, spaced
+    ``step`` apart.  More than GRID_BUDGET_DEFAULT atom values (count^d per
+    atom) raise ValueError before the axis is built."""
+    d = cfg.dimension
+    if w.dimension != d:
+        raise ValueError(f"window dimension {w.dimension} does not match the "
+                         f"configuration dimension {d}")
+    if count**d * len(cfg) > GRID_BUDGET_DEFAULT:
+        raise ValueError(f"Gram rule on {count}^{d} nodes x {len(cfg)} atoms exceeds the "
+                         f"budget of {GRID_BUDGET_DEFAULT}; lower --points or --resolution")
+    nodes = product_grid(axis(), d)
+    atoms = np.stack([_atom_eval_many(w, pt, nodes) for pt in cfg.points], axis=1)
+    G = (atoms * math.prod([step] * d)).conj().T @ atoms
+    # (h^d A^H A)[j,k] = h^d sum_t conj(a_j) a_k = <a_k, a_j>: transpose
+    return _finalize_gram(G.T, method)
+
+
+def _rule_radius(w: Window, cfg: GaborConfig) -> float:
+    """Half-width of the box that holds every atom: the window's decay
+    radius plus the largest time shift, plus 2."""
     if len(cfg) < 1:
         raise ValueError("configuration must have at least one point")
-    max_shift = max(
-        float(np.max(np.abs(pt.x_floats()))) for pt in cfg.points
-    )
-    radius = w.effective_radius + max_shift + 2.0
-    nodes, wts = _quadrature_nodes(quad, radius, cfg.dimension)
-    atoms = np.stack(
-        [_atom_eval_many(w, pt, nodes) for pt in cfg.points], axis=1
-    )
-    G = (atoms * wts[:, None]).conj().T @ atoms
-    # (weighted A^H A)[j,k] = sum_t w_t conj(a_j) a_k = <a_k, a_j>: transpose
-    G = G.T
-    return _finalize_gram(G, "time-domain")
+    max_shift = max(float(np.max(np.abs(pt.x_floats()))) for pt in cfg.points)
+    return w.effective_radius + max_shift + 2.0
+
+
+def gram_matrix(w: Window, cfg: GaborConfig, quad: QuadratureSpec) -> GramResult:
+    """Pairwise atom inner products by the composite midpoint rule with
+    ``quad.points_per_axis`` nodes per axis of [-R, R]^d (``_rule_radius``)."""
+    radius = _rule_radius(w, cfg)
+    n = quad.points_per_axis
+    h = 2.0 * radius / n
+    return _rule_gram(w, cfg, n, lambda: -radius + (np.arange(n) + 0.5) * h, h, "time-domain")
 
 
 def gram_matrix_zak(
     w: Window, cfg: GaborConfig, resolution: int = 64, truncation: int | None = None
 ) -> GramResult:
-    """Gram matrix through the Zak image: <a_j, a_k> equals the grid mean of
-    Za_j conj(Za_k) over [0,1)^{2d} (unitarity); the integrand's
-    quasi-periodic phases cancel pairwise, so the grid mean converges fast.
-    With the atoms' grid images as the columns of A, G = A^T conj(A) / M^{2d}
-    is one matrix product.  A resolution below 4 raises ValueError."""
-    from .zak import _choose_truncation, _decay_bounds, _grid_sums
+    """Gram matrix through the Zak image, which is the rectangle rule with
+    step 1/M.  By unitarity <a_j, a_k> is the mean of Za_j conj(Za_k) over
+    [0,1)^{2d}; on the M-grid the w-mean of e(-<w, kappa - kappa'>) vanishes
+    unless kappa = kappa' mod M, which for |kappa|_inf <= K and 2K + 1 <= M
+    leaves kappa = kappa', so the grid mean is
 
-    d, M = cfg.dimension, resolution
+        M^-d sum_{t in (Z/M)^d, |kappa|_inf <= K} a_j(t + kappa) conj(a_k(t + kappa)),
+
+    the rule on the nodes i/M with -KM <= i < (K+1)M per axis.  (For
+    2K + 1 > M the grid mean adds aliased cross terms; this sum drops them.)
+    With truncation=None the nodes are (1/M)Z in [-R, R] (``_rule_radius``).
+    A resolution below 4 raises ValueError."""
+    M = resolution
     if M < 4:
         raise ValueError("resolution must be >= 4")
-    images = []
-    for pt in cfg.points:
-        adapter = _AtomAsWindow(w, pt)
-        if truncation is None:
-            K, _ = _choose_truncation(_decay_bounds(adapter), d, 1e-10)
-        else:
-            K = truncation
-        images.append(_grid_sums(adapter, M, K).ravel())
-    A = np.stack(images, axis=1)
-    G = A.T @ A.conj() / M ** (2 * d)
-    return _finalize_gram(G, "zak-domain")
+    if truncation is None:
+        radius = _rule_radius(w, cfg)
+        lo, hi = math.ceil(-radius * M), math.floor(radius * M) + 1
+    else:
+        lo, hi = -truncation * M, (truncation + 1) * M
+    return _rule_gram(w, cfg, hi - lo, lambda: np.arange(lo, hi) / M, 1.0 / M, "zak-domain")
 
 
 def gaussian_gram_closed_form(cfg: GaborConfig, window: Window | None = None) -> GramResult:
@@ -242,6 +236,9 @@ def gaussian_gram_closed_form(cfg: GaborConfig, window: Window | None = None) ->
             raise ValueError(
                 "closed form supports only the unit-normalized Gaussian window"
             )
+        if window.dimension != cfg.dimension:
+            raise ValueError(f"window dimension {window.dimension} does not match the "
+                             f"configuration dimension {cfg.dimension}")
     n = len(cfg)
     xs = [pt.x_floats() for pt in cfg.points]
     ys = [pt.y_floats() for pt in cfg.points]

@@ -225,20 +225,19 @@ class TorusPoint:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Which 1-D quadrature rule to use and at what base resolution.
+    """The composite midpoint rule at ``points_per_axis`` nodes per axis.
 
-    The Gram and residual quadratures read the scheme and the point count.
-    Haar Theta reads only ``points_per_axis``, for its midpoint rule over the
-    directions of H outside Jensen's formula, and refuses Gauss-Legendre.
-    Nothing reads ``refine_near_singularity``; it stays for the callers that
-    still pass it."""
+    The Gram and residual quadratures and Haar Theta's directions of H
+    outside Jensen's formula read only the point count.  ``scheme`` admits
+    only "composite-midpoint", and nothing reads ``refine_near_singularity``;
+    both stay for the callers that still pass them."""
 
     scheme: str = "composite-midpoint"
     points_per_axis: int = 256
     refine_near_singularity: bool = False
 
     def __post_init__(self):
-        if self.scheme not in ("composite-midpoint", "gauss-legendre"):
+        if self.scheme != "composite-midpoint":
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
         if self.points_per_axis < 2:
             raise ValueError("points-per-axis must be at least 2")
@@ -313,7 +312,7 @@ def inner_product_mod1_dist(a, b) -> float:
 
 
 STEP_BLOCK = 1024  # orbit steps j = q * STEP_BLOCK + r, with r < STEP_BLOCK
-GRID_BUDGET_DEFAULT = 2**24  # most values a Zak or Haar grid may allocate
+GRID_BUDGET_DEFAULT = 2**24  # most values a Zak, Gram or Haar grid may allocate
 
 
 def step_residue_tables(frac: Fraction, count: int) -> tuple[np.ndarray, np.ndarray]:

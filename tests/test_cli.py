@@ -98,6 +98,62 @@ class TestGram:
         args = ["gram", "--config", str(tmp_path / "nope.json")]
         assert main(args) == 2
 
+    def test_closed_form_refuses_a_non_gaussian_window(self, cfg_file, capsys):
+        # the closed form ignored --window: Hermite 3 exited 0 with the
+        # Gaussian's lambda_min 0.683..., where quadrature gives 0.547...
+        args = ["gram", "--config", cfg_file, "--method", "closed-form",
+                "--window", "hermite", "--order", "3"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "only the unit-normalized Gaussian window" in captured.err
+
+    def test_a_d2_config_takes_the_d2_gaussian(self, tmp_path):
+        # the quadrature methods were handed the 1-D Gaussian and exited 2
+        cfg = tmp_path / "d2.json"
+        cfg.write_text(json.dumps({"dimension": 2, "points": [
+            {"x": ["0", "0"], "y": ["0", "0"]}, {"x": ["1", "0"], "y": ["0", "1"]},
+            {"x": ["sqrt2", "1/2"], "y": ["1/3", "sqrt3"]}]}))
+        grams = {}
+        for method, extra in [("closed-form", []), ("quadrature", ["--points", "128"]),
+                              ("zak", ["--resolution", "16"])]:
+            out = tmp_path / f"{method}.json"
+            args = ["gram", "--config", str(cfg), "--method", method, *extra, "--out", str(out)]
+            assert main(args) == 0
+            grams[method] = np.array([[complex(*v) for v in row] for row in _load(out)["matrix"]])
+        for method in ("quadrature", "zak"):
+            assert np.max(np.abs(grams[method] - grams["closed-form"])) < 1e-14
+
+    @pytest.mark.parametrize("args, nodes", [
+        (["gram", "--points", "100000000000"], "100000000000^1"),
+        (["gram", "--method", "zak", "--resolution", "100000000"], "1882842713^1"),
+        (["residual", "--points", "100000000000"], "100000000000^1"),
+        (["residual", "--method", "zak-domain", "--resolution", "100000000"], "1882842713^1"),
+        (["gram", "--points", "100000", "--config", "D2"], "100000^2"),
+    ], ids=["gram-points", "gram-resolution", "residual-points", "residual-resolution", "gram-d2"])
+    def test_oversized_gram_grid_is_exit_code_2(self, args, nodes, cfg_file, tmp_path,
+                                                monkeypatch, capsys):
+        # each was an _ArrayMemoryError traceback with exit code 1
+        from gaborzak import gabor
+
+        def never(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(gabor, "product_grid", never)
+        d2 = tmp_path / "d2.json"
+        d2.write_text(json.dumps({"dimension": 2, "points": [
+            {"x": ["0", "0"], "y": ["0", "0"]}, {"x": ["1", "0"], "y": ["0", "1"]},
+            {"x": ["0", "1"], "y": ["1", "0"]}, {"x": ["sqrt2", "1/2"], "y": ["1/3", "sqrt3"]}]}))
+        if "--config" in args:
+            args = [str(d2) if a == "D2" else a for a in args]
+        else:
+            args = args + ["--config", cfg_file]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"Gram rule on {nodes} nodes x 4 atoms exceeds the budget of 16777216" in captured.err
+        assert "lower --points or --resolution" in captured.err
+
     @pytest.mark.parametrize("args", [
         ["gram", "--method", "zak", "--resolution", "0"],
         ["gram", "--method", "zak", "--resolution", "2"],
@@ -535,7 +591,6 @@ def test_console_script_entry_point():
 # (option strings, default, choices, required, dest, type) of every flag of
 # every subcommand, frozen from the parser that declared each flag per
 # subcommand; None is the top-level parser
-SCHEMES = ["composite-midpoint", "gauss-legendre"]
 PARSER_SURFACE = {
     None: [
         (["--threads"], 1, None, False, "threads", "int"),
@@ -553,7 +608,6 @@ PARSER_SURFACE = {
         (["--out"], None, None, False, "out", None),
         (["--points"], 512, None, False, "points", "int"),
         (["--resolution"], 64, None, False, "resolution", "int"),
-        (["--scheme"], "composite-midpoint", SCHEMES, False, "scheme", None),
         (["--window"], "gaussian", ["gaussian", "hermite", "sampled"], False, "window", None),
         (["--window-file"], None, None, False, "window_file", None),
     ],
@@ -564,7 +618,6 @@ PARSER_SURFACE = {
         (["--out"], None, None, False, "out", None),
         (["--points"], 512, None, False, "points", "int"),
         (["--resolution"], 64, None, False, "resolution", "int"),
-        (["--scheme"], "composite-midpoint", SCHEMES, False, "scheme", None),
         (["--target"], None, None, False, "target", "int"),
         (["--window"], "gaussian", ["gaussian", "hermite", "sampled"], False, "window", None),
         (["--window-file"], None, None, False, "window_file", None),
@@ -703,7 +756,11 @@ def test_importing_the_cli_loads_no_layer():
      "cocycle", {"zak", "windows", "gabor"}),
     (["zak", "--resolution", "8", "--truncation", "6"], "zak", {"cocycle", "orbit", "gabor"}),
     (["dual", "--config", "CFG"], "gabor", {"cocycle", "orbit", "zak"}),
-], ids=["classify", "theta", "phase-check", "cluster", "zak", "dual"])
+    (["gram", "--config", "CFG", "--method", "zak", "--resolution", "16"], "gabor",
+     {"cocycle", "orbit", "zak"}),
+    (["residual", "--config", "CFG", "--method", "zak-domain", "--resolution", "16"], "gabor",
+     {"cocycle", "orbit", "zak"}),
+], ids=["classify", "theta", "phase-check", "cluster", "zak", "dual", "gram-zak", "residual-zak"])
 def test_a_subcommand_loads_only_its_layers(argv, runs, not_loaded, cfg_file, p1_file, tmp_path):
     argv = [{"CFG": cfg_file, "P1": p1_file}.get(a, a) for a in argv]
     argv += ["--out", str(tmp_path / "artifact")]

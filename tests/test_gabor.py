@@ -1,16 +1,18 @@
 import json
 import math
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaborzak import gabor
 from gaborzak.errors import DegenerateConfigWarning
 from gaborzak.gabor import (
     GaborConfig,
     TFPoint,
-    _AtomAsWindow,
     _atom_eval_many,
     config_from_json,
     config_to_json,
@@ -39,6 +41,15 @@ def _config(alpha_tok, beta_tok):
 
 CFG_A = _config("sqrt2", "sqrt2")
 CFG_B = _config("sqrt2", "sqrt3")
+CFG_D2 = GaborConfig(
+    dimension=2,
+    points=(
+        TFPoint((mk("0"), mk("0")), (mk("0"), mk("0"))),
+        TFPoint((mk("1"), mk("0")), (mk("0"), mk("1"))),
+        TFPoint((mk("sqrt2"), mk("-1/3")), (mk("1/2"), mk("sqrt3"))),
+    ),
+    lattice_mask=(True, True, False),
+)
 
 # frozen against a 50-digit quadrature oracle
 ORACLE = {
@@ -64,6 +75,21 @@ def test_atom_eval_formula():
     assert abs(_atom_eval_many(g, pt, np.array([[t]]))[0] - manual) < 1e-14
 
 
+def _assert_rule_is_the_zak_grid_mean(window, cfg, M, K):
+    # reference: the grid mean of Za_j conj(Za_k) over [0,1)^{2d} for each
+    # pair, from direct lattice sums of each atom
+    d = cfg.dimension
+    grid = product_grid(np.arange(M) / M, d)
+    images = [
+        _lattice_sums(SimpleNamespace(eval_many=partial(_atom_eval_many, window, pt)), grid, grid, K)
+        for pt in cfg.points
+    ]
+    ref = np.array([[np.mean(a * np.conj(b)) for b in images] for a in images])
+    ref = 0.5 * (ref + ref.conj().T)
+    G = gram_matrix_zak(window, cfg, resolution=M, truncation=K).matrix
+    assert np.max(np.abs(G - ref)) < 1e-15
+
+
 class TestGramOracles:
     def test_closed_form_lambda_min(self):
         a = gaussian_gram_closed_form(CFG_A)
@@ -79,12 +105,6 @@ class TestGramOracles:
             gc = gaussian_gram_closed_form(cfg)
             assert np.max(np.abs(gq.matrix - gc.matrix)) < 1e-8
 
-    def test_gauss_legendre_scheme_agrees(self):
-        quad = QuadratureSpec("gauss-legendre", 192, False)
-        gq = gram_matrix(GaussianWindow(), CFG_A, quad)
-        gc = gaussian_gram_closed_form(CFG_A)
-        assert np.max(np.abs(gq.matrix - gc.matrix)) < 1e-8
-
     @pytest.mark.parametrize("M", [0, 2, 3])
     def test_zak_domain_refuses_a_resolution_below_4(self, M):
         # 0 divided by M^{2d}; 2 gave a Gram matrix with diagonal 1.0075
@@ -99,17 +119,43 @@ class TestGramOracles:
     @pytest.mark.parametrize("window", [GaussianWindow(), HermiteWindow(3)])
     @pytest.mark.parametrize("M, K", [(16, 6), (8, 8)])
     def test_zak_domain_matmul_matches_pairwise_grid_means(self, window, M, K):
-        # reference: the grid mean of Za_j conj(Za_k) for each pair, from
-        # direct lattice sums
-        flat = product_grid(np.arange(M) / M, 2)
-        images = [
-            _lattice_sums(_AtomAsWindow(window, pt), flat[:, :1], flat[:, 1:], K)
-            for pt in CFG_B.points
-        ]
-        ref = np.array([[np.mean(a * np.conj(b)) for b in images] for a in images])
-        ref = 0.5 * (ref + ref.conj().T)
-        G = gram_matrix_zak(window, CFG_B, resolution=M, truncation=K).matrix
-        assert np.max(np.abs(G - ref)) < 1e-15
+        _assert_rule_is_the_zak_grid_mean(window, CFG_B, M, K)
+
+    @pytest.mark.parametrize("M, K", [(8, 8), (16, 5)])
+    def test_zak_domain_matmul_matches_pairwise_grid_means_d2(self, M, K):
+        _assert_rule_is_the_zak_grid_mean(GaussianWindow(2), CFG_D2, M, K)
+
+    @pytest.mark.parametrize("gram", [
+        lambda w, cfg: gaussian_gram_closed_form(cfg, w),
+        lambda w, cfg: gram_matrix(w, cfg, QuadratureSpec("composite-midpoint", 64)),
+        lambda w, cfg: gram_matrix_zak(w, cfg, resolution=16),
+    ], ids=["closed-form", "time-domain", "zak-domain"])
+    @pytest.mark.parametrize("window, cfg", [(GaussianWindow(2), CFG_A), (GaussianWindow(), CFG_D2)],
+                             ids=["d2-window", "d1-window"])
+    def test_a_window_of_another_dimension_is_refused(self, gram, window, cfg):
+        # the closed form returned the d = 1 Gram for a 2-D Gaussian; the Zak
+        # path failed in a raw matmul
+        with pytest.raises(ValueError, match="window dimension"):
+            gram(window, cfg)
+
+    @pytest.mark.parametrize("gram, count", [
+        (lambda cfg: gram_matrix(GaussianWindow(2), cfg, QuadratureSpec("composite-midpoint", 64)), 64),
+        (lambda cfg: gram_matrix_zak(GaussianWindow(2), cfg, resolution=8, truncation=3), 56),
+    ], ids=["time-domain", "zak-domain"])
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_grid_budget_counts_nodes_times_atoms(self, gram, count, excess, monkeypatch):
+        # count^2 nodes x 3 atoms; past the budget nothing is allocated
+        monkeypatch.setattr(gabor, "GRID_BUDGET_DEFAULT", 3 * count**2 - excess)
+        if excess:
+            def never(*args):
+                raise AssertionError("the grid was built")
+
+            monkeypatch.setattr(gabor, "product_grid", never)
+            with pytest.raises(ValueError, match=f"{count}\\^2 nodes x 3 atoms exceeds the budget "
+                               f"of {3 * count**2 - 1}; lower --points or --resolution"):
+                gram(CFG_D2)
+        else:
+            assert gram(CFG_D2).smallest_eigenvalue > 0.5
 
     def test_eigenpair_certificate(self):
         res = gaussian_gram_closed_form(CFG_A)

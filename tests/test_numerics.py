@@ -256,5 +256,8 @@ class TestIntegrate1D:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec("simpson", 8, False)
-        with pytest.raises(ValueError):
-            QuadratureSpec("gauss-legendre", 1, False)
+        with pytest.raises(ValueError, match="points-per-axis"):
+            QuadratureSpec("composite-midpoint", 1, False)
+        # the composite midpoint is the only scheme
+        with pytest.raises(ValueError, match="unknown quadrature scheme 'gauss-legendre'"):
+            QuadratureSpec("gauss-legendre", 64, False)

@@ -1,10 +1,12 @@
 import math
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gaborzak.errors import NumericalFailure, TruncationError
-from gaborzak.gabor import TFPoint, _AtomAsWindow
+from gaborzak.gabor import TFPoint, _atom_eval_many
 from gaborzak.numerics import parse_coordinate, product_grid
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow, decay_bound
@@ -25,10 +27,10 @@ def _sampled_gaussian():
 
 
 def _irrational_atom(d):
-    """A Gaussian atom at irrational x and y, as gram_matrix_zak feeds it."""
+    """A Gaussian atom at irrational x and y, as a window of dimension d."""
     x = tuple(parse_coordinate(tok) for tok in ("sqrt2", "-sqrt3")[:d])
     y = tuple(parse_coordinate(tok) for tok in ("sqrt5", "irr:0.7390851332151607")[:d])
-    return _AtomAsWindow(GaussianWindow(d), TFPoint(x, y))
+    return SimpleNamespace(dimension=d, eval_many=partial(_atom_eval_many, GaussianWindow(d), TFPoint(x, y)))
 
 
 def _same_bits(a, b):
