@@ -4,10 +4,13 @@ Subcommands: classify, gram, residual, zak, theta, phase-check, cluster,
 dual, remark1, remark2.  JSON is the machine surface (keys sorted, stable
 float repr); CSV columns are fixed per subcommand.  Exit codes: 0 success,
 2 invalid configuration or flags, 3 numerical failure, 4 ambiguous
-classification.  All defaults are deterministic.  The global --threads flag
-is accepted and has no effect: the remark curves take Theta at all their
-base points in one call.  A subcommand imports numpy and its own layers only
-when it runs, so ``gaborzak classify`` never loads the Zak or phase layers.
+classification.  All defaults are deterministic.  The large kernels (orbit
+points, polynomial values, the Birkhoff average, Zak grid FFTs) run in
+blocks of rows on every CPU of the process's affinity mask; ``taskset``
+narrows it, and no output bit depends on it.  The global --threads flag is
+accepted and has no effect.  A subcommand imports numpy and its own layers
+only when it runs, so ``gaborzak classify`` never loads the Zak or phase
+layers.
 """
 
 from __future__ import annotations
@@ -335,8 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="accepted and has no effect (the remark curves take every base "
-        "point in one call)",
+        help="accepted and has no effect: the large kernels use every CPU "
+        "of the affinity mask (narrow it with taskset), and outputs do not "
+        "depend on it",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

@@ -24,9 +24,12 @@ set descriptions whose forced equality drives the rigidity argument.
 
 The Birkhoff average and ``propagate`` read p along the orbit by its
 characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
-from two small exp tables per term (``_orbit_values``).  The Birkhoff logs, the
-phase mean's lifts and the row means of a Haar coset are summed with one exact
-rounding (``exact_sum``).
+from two small exp tables per term (``_orbit_groups``).  The steps come in
+groups of 64 rows of STEP_BLOCK steps that run on every usable CPU, and the
+Birkhoff average keeps only each group's logs, never the 10^6 values.  The
+Birkhoff logs, the phase mean's lifts and the row means of a Haar coset are
+summed with one exact rounding (``exact_sum``), so no bit depends on the CPU
+count.
 The phase entry points read one vectorized orbit pass over an array of steps
 j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
 call (Zak-field sources have no characters) and the branch ladder as nested
@@ -50,6 +53,7 @@ from .numerics import (
     STEP_BLOCK,
     QuadratureSpec,
     TorusPoint,
+    _map_blocks,
     exact_sum,
     fixed_order_matmul,
     inner_product_mod1_dist,
@@ -133,15 +137,21 @@ def _e(x) -> np.ndarray:
     return np.exp(2j * np.pi * np.mod(x, np.longdouble(1.0)).astype(float))
 
 
-def _orbit_values(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int) -> np.ndarray:
-    """p(base + j gamma) for j < n, by characters, with no orbit points.
+_ORBIT_GROUP = 64  # block-start rows (of STEP_BLOCK steps) per _orbit_groups block
+
+
+def _orbit_groups(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int, fn) -> list:
+    """[fn(p(base + j gamma) for the steps j of a group)] over the groups of
+    _ORBIT_GROUP block-start rows of j < n, in order, by characters and with
+    no orbit points; the groups run on every usable CPU (``_map_blocks``).
 
     Term k adds c_k e(<f_k, base>) w_k^j with w_k = e(theta_k) and theta_k =
     <f_k, gamma>.  For j = q B + r (B = STEP_BLOCK) that is the outer product
     of a table over the block starts, c_k e(<f_k, base>) e(theta_k q B), and
     one over the offsets, e(theta_k r).  A phase is its exact rational residue
     over den plus the step times the long-double irrational part of theta_k,
-    reduced mod 1 first, so the value at a step does not depend on n.
+    reduced mod 1 first, so the value at a step does not depend on n or on
+    its group.
     """
     m = gamma.dimension
     if p.dimension != m or len(base) != m:
@@ -149,7 +159,7 @@ def _orbit_values(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int) -> 
     starts = np.arange(-(-n // STEP_BLOCK), dtype=np.longdouble) * STEP_BLOCK
     offsets = np.arange(min(STEP_BLOCK, n), dtype=np.longdouble)
     z = np.array(base.coords, dtype=np.longdouble)
-    out = np.zeros((len(starts), len(offsets)), dtype=complex)
+    tables = []
     for freq, coeff in p.terms:
         rat, irr, _ = split_inner_product(freq, gamma.coords)
         irr = np.mod(irr, np.longdouble(1.0))
@@ -158,10 +168,20 @@ def _orbit_values(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int) -> 
             np.asarray(t, dtype=np.longdouble) / den for t in step_residue_tables(rat, n)
         )
         lead = coeff * _e(np.dot(freq, z))
-        out += (lead * _e(rat_starts + starts * irr))[:, None] * _e(
-            rat_offsets + offsets * irr
-        )
-    return out.ravel()[:n]
+        tables.append((lead * _e(rat_starts + starts * irr), _e(rat_offsets + offsets * irr)))
+
+    def group(lo: int, hi: int):
+        out = np.zeros((hi - lo, len(offsets)), dtype=complex)
+        for row, col in tables:
+            out += row[lo:hi, None] * col
+        return fn(out.ravel()[:n - lo * STEP_BLOCK])
+
+    return _map_blocks(group, len(starts), _ORBIT_GROUP)
+
+
+def _orbit_values(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int) -> np.ndarray:
+    """p(base + j gamma) for j < n (``_orbit_groups``)."""
+    return np.concatenate(_orbit_groups(p, base, gamma, n, lambda values: values))
 
 
 def propagate(
@@ -178,8 +198,11 @@ def propagate(
     |p| falls under the threshold contribute nothing and are recorded; all
     later values carry a non-comparable flag.  F0 = 0 encodes a zero of F:
     the whole forward orbit stays at log-value -inf.  A threshold that is not
-    positive and an F0 that is not >= 0 (NaN included) raise ValueError.
+    positive, an F0 that is not >= 0 (NaN included) and an n_max that is not
+    an integer raise ValueError.
     """
+    if not isinstance(n_max, (int, np.integer)):
+        raise ValueError("n must be an integer")
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
     if not skip_threshold > 0:
@@ -218,23 +241,30 @@ def theta_birkhoff(
 ) -> ThetaEstimate:
     """(1/n) sum_{j<n} ln |p(lambda + j gamma)| over the non-skipped steps.
 
-    The values along the orbit come from ``_orbit_values``, by characters; the
-    logs of the steps with |p| >= delta are summed with one exact rounding
+    The values along the orbit come from ``_orbit_groups``, by characters;
+    each group takes |p|, drops the steps with |p| < delta and takes the logs,
+    and the logs of all groups are summed with one exact rounding
     (``exact_sum``).  Skipping 1% of the steps or more (an estimate that is
-    not ``reliable``) raises NumericalFailure; delta <= 0 raises ValueError.
+    not ``reliable``) raises NumericalFailure; delta <= 0 and an n that is
+    not an integer raise ValueError.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError("n must be an integer")
     if n < 1000:
         raise ValueError("Birkhoff averaging needs n >= 1000")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    q = np.abs(_orbit_values(p, lam, gamma, n))
-    good = q >= delta
-    total = exact_sum(np.log(q[good]))
+
+    def logs(values: np.ndarray) -> np.ndarray:
+        q = np.abs(values)
+        return np.log(q[q >= delta])
+
+    kept = np.concatenate(_orbit_groups(p, lam, gamma, n, logs))
     est = ThetaEstimate(
-        value=total / n,
+        value=exact_sum(kept) / n,
         method="birkhoff",
         samples=n,
-        skipped_fraction=1.0 - float(np.count_nonzero(good)) / n,
+        skipped_fraction=1.0 - float(len(kept)) / n,
     )
     if not est.reliable:
         raise NumericalFailure(f"Birkhoff average skipped a fraction {est.skipped_fraction:.3e}"

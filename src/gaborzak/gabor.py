@@ -206,10 +206,14 @@ def gram_matrix_zak(
     the rule on the nodes i/M with -KM <= i < (K+1)M per axis.  (For
     2K + 1 > M the grid mean adds aliased cross terms; this sum drops them.)
     With truncation=None the nodes are (1/M)Z in [-R, R] (``_rule_radius``).
-    A resolution below 4 raises ValueError."""
+    A resolution below 4, and a truncation that is not an integer >= 1,
+    raise ValueError."""
     M = resolution
     if M < 4:
         raise ValueError("resolution must be >= 4")
+    if truncation is not None and not (isinstance(truncation, (int, np.integer))
+                                       and truncation >= 1):
+        raise ValueError("truncation must be an integer >= 1")
     if truncation is None:
         radius = _rule_radius(w, cfg)
         lo, hi = math.ceil(-radius * M), math.floor(radius * M) + 1

@@ -1,6 +1,6 @@
 """Exact/float coordinate arithmetic, torus reduction, exactly rounded summation,
-the exact/long-double inner product, exact orbit-step residues and product
-grids.
+the exact/long-double inner product, exact orbit-step residues, product
+grids, and the row-block runner of the large kernels.
 
 Coordinates are either exact rationals (stored as ``fractions.Fraction`` in
 lowest terms) or tagged irrationals (a float64 value plus an optional label
@@ -12,6 +12,8 @@ float64 would allow.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -332,11 +334,15 @@ def step_residue_tables(frac: Fraction, count: int) -> tuple[np.ndarray, np.ndar
     return starts, offsets
 
 
-def step_residues(frac: Fraction, count: int) -> np.ndarray:
-    """(j * num) mod den for j < count, exact for any denominator: the sum of
-    the residues of j's block start and offset, less den once it reaches den."""
-    starts, offsets = step_residue_tables(frac, count)
-    res = (starts[:, None] + offsets).ravel()[:count]
+def step_residues(frac: Fraction, count: int, tables=None, lo: int = 0) -> np.ndarray:
+    """(j * num) mod den for lo <= j < count, exact for any denominator: the
+    sum of the residues of j's block start and offset, less den once it
+    reaches den.  ``tables`` may be the ``step_residue_tables`` of a longer
+    orbit, made once by a caller that reads many ranges; lo is a multiple of
+    STEP_BLOCK."""
+    starts, offsets = step_residue_tables(frac, count) if tables is None else tables
+    rows = slice(lo // STEP_BLOCK, -(-count // STEP_BLOCK))
+    res = (starts[rows, None] + offsets).ravel()[:count - lo]
     res[res >= frac.denominator] -= frac.denominator
     return res
 
@@ -348,6 +354,57 @@ def product_grid(axis: np.ndarray, k: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1) if k else np.zeros((1, 0))
 
 
+_POOL = (0, None)  # (workers, ThreadPoolExecutor) of _map_blocks, made on first use
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child, which has none of the pool's threads: a call
+    handed to the inherited pool would wait for ever."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = (0, None), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity mask (``taskset`` narrows it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, n: int, block: int) -> list:
+    """[fn(lo, hi) for each block [lo, hi) of range(n), ``block`` rows each],
+    in block order.
+
+    The blocks run on a thread pool with one worker per usable CPU; one
+    block, or one CPU, runs inline and starts no thread.  The block bounds
+    depend only on n and block, and each fn writes its own rows or returns
+    its own part, so no bit of a result depends on the CPU count.  The
+    threads gain only where fn is numpy work that releases the GIL; fn must
+    not call _map_blocks itself.
+    """
+    global _POOL
+    if n <= block:  # the phase layer's many small calls skip the set-up below
+        return [fn(0, n)] if n else []
+    los = range(0, n, block)
+    his = [min(lo + block, n) for lo in los]
+    workers = _usable_cpus()
+    if workers < 2:
+        return [fn(lo, hi) for lo, hi in zip(los, his)]
+    with _POOL_LOCK:
+        if _POOL[0] != workers:  # a replaced pool's idle threads exit once it is collected
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = (workers, ThreadPoolExecutor(workers))
+        pool = _POOL[1]
+    return list(pool.map(fn, los, his))
+
+
 def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for (n, k) and (k, p) arrays, summed over k in order: unlike a
     BLAS product, each entry's rounding depends on its own row and column."""
@@ -357,7 +414,7 @@ def fixed_order_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-SUM_BLOCK = 1 << 16  # values per np.bincount pass of exact_sum
+SUM_BLOCK = 1 << 16  # values per np.bincount pass of exact_sum, one _map_blocks block
 # fsum of a list takes 0.0003 ms on one value, the bins about 0.04 ms at any
 # short length; the two cross at 1,000-1,500 values (a finite H sums one-value rows)
 SHORT_SUM = 1024
@@ -370,9 +427,10 @@ def exact_sum(values: np.ndarray) -> float:
     Fewer than SHORT_SUM values go to fsum itself.  Otherwise a finite value
     is m * 2**(e - 53) with an integer |m| < 2**53 (``np.frexp``).  Its
     halves hi = trunc(m / 2**26) and lo = m - hi * 2**26 (as lo / 2**26)
-    are summed per exponent by ``np.bincount``, SUM_BLOCK values at a time, so
-    every partial is below 2**43 units and exact; the int64 bins form one
-    Python int, rounded once (``float(int)`` and int / int round correctly).
+    are summed per exponent by ``np.bincount``, SUM_BLOCK values at a time
+    (the blocks of ``_map_blocks``), so every partial is below 2**43 units and
+    exact; the int64 bins, which add exactly in any order, form one Python
+    int, rounded once (``float(int)`` and int / int round correctly).
     Non-finite values and overflow give what fsum gives, except that where
     fsum meets an intermediate overflow but the exact total is finite, the
     bins return that total.
@@ -384,15 +442,17 @@ def exact_sum(values: np.ndarray) -> float:
     if not finite.all():
         special, x = x[~finite], x[finite]
     bins = _EXP_BIAS + 1025
-    acc = np.zeros((2, bins), dtype=np.int64)
-    for start in range(0, x.size, SUM_BLOCK):
-        m, e = np.frexp(x[start:start + SUM_BLOCK])
+
+    def block_bins(lo: int, hi: int) -> np.ndarray:
+        m, e = np.frexp(x[lo:hi])
         m *= 2.0**27  # hi + lo / 2**26
-        hi = np.trunc(m)
-        m -= hi
+        top = np.trunc(m)
+        m -= top
         e += _EXP_BIAS
-        acc[0] += np.bincount(e, hi, bins).astype(np.int64)
-        acc[1] += (np.bincount(e, m, bins) * 2.0**26).astype(np.int64)
+        return np.stack([np.bincount(e, top, bins), np.bincount(e, m, bins) * 2.0**26]
+                        ).astype(np.int64)
+
+    acc = sum(_map_blocks(block_bins, x.size, SUM_BLOCK), np.zeros((2, bins), dtype=np.int64))
     used = np.flatnonzero(acc.any(axis=0)).tolist() or [0]
     total = sum(((int(acc[0, b]) << 26) + int(acc[1, b])) << (b - used[0]) for b in used)
     shift = used[0] - _EXP_BIAS - 53  # total counts units of 2**shift

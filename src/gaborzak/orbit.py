@@ -25,13 +25,16 @@ import numpy as np
 from .errors import AmbiguousClassification, NumericalFailure
 from .lattice import hnf_basis, kernel_of_form, smith_normal_form
 from .numerics import (
+    STEP_BLOCK,
     Coordinate,
     TorusPoint,
+    _map_blocks,
     fixed_order_matmul,
     inner_product_mod1_dist,
     parse_coordinate,
     product_grid,
     reduce_mod1,
+    step_residue_tables,
     step_residues,
 )
 
@@ -365,27 +368,40 @@ def orbit_iterate(z0: TorusPoint, gamma: Gamma, n: int) -> TorusPoint:
     return reduce_mod1(np.array(coords))
 
 
+_ORBIT_BLOCK = 64 * STEP_BLOCK  # steps per orbit_points block
+
+
 def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
-    """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1."""
+    """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1, by
+    blocks of steps on every usable CPU (``_map_blocks``); a point does not
+    depend on its block."""
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError("n must be an integer")
     if count < 1:
         raise ValueError("count must be >= 1")
     m = gamma.dimension
     if len(z0) != m:
         raise ValueError("dimension mismatch between point and gamma")
     out = np.empty((count, m), dtype=float)
-    j = np.arange(count, dtype=np.int64)
-    for i, c in enumerate(gamma.coords):
-        if c.is_rational:
-            f = c.fraction
-            vals = (z0[i] + step_residues(f, count) / f.denominator) % 1.0
-        else:
-            acc = np.mod(
-                j.astype(np.longdouble) * c.longdouble() + np.longdouble(z0[i]),
-                np.longdouble(1.0),
-            )
-            vals = acc.astype(float)
-        vals[vals >= 1.0] -= 1.0
-        out[:, i] = vals
+    steps = [step_residue_tables(c.fraction, count) if c.is_rational else c.longdouble()
+             for c in gamma.coords]
+
+    def block(lo: int, hi: int) -> None:
+        j = np.arange(lo, hi, dtype=np.int64)
+        for i, (c, step) in enumerate(zip(gamma.coords, steps)):
+            if c.is_rational:
+                den = c.fraction.denominator
+                vals = (z0[i] + step_residues(c.fraction, hi, step, lo) / den) % 1.0
+            else:
+                acc = np.mod(
+                    j.astype(np.longdouble) * step + np.longdouble(z0[i]),
+                    np.longdouble(1.0),
+                )
+                vals = acc.astype(float)
+            vals[vals >= 1.0] -= 1.0
+            out[lo:hi, i] = vals
+
+    _map_blocks(block, count, _ORBIT_BLOCK)
     return out
 
 

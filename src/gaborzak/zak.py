@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSupport, NumericalFailure, TruncationError
-from .numerics import GRID_BUDGET_DEFAULT, TorusPoint, product_grid
+from .numerics import GRID_BUDGET_DEFAULT, TorusPoint, _map_blocks, product_grid
 # bench/tracing.py rebinds zak.decay_bound by name, so it stays imported though unused
 from .windows import Window, decay_bound, decay_bounds  # noqa: F401
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _DECAY_ORDERS = (4, 8, 12, 16, 20, 24)
+_FFT_BLOCK = 1 << 18  # grid values per block of rows of the _grid_sums FFT
 
 
 def _kappa_tuples(K: int, d: int) -> list[tuple[int, ...]]:
@@ -121,14 +122,21 @@ def _grid_sums(window: Window, M: int, K: int) -> np.ndarray:
     """Truncated Zak sums at (t, w) = (i/M, j/M) as an (M^d, M, ..., M) array
     (rows: the (M,)*d t grid; last d axes: w).  f(t + kappa) goes into bin
     kappa mod M (bins alias when 2K+1 > M); an FFT over the bin axes then
-    applies the phases, numpy's forward sign e^{-2 pi i jk/M} being Zak's."""
+    applies the phases, numpy's forward sign e^{-2 pi i jk/M} being Zak's.
+    The FFT runs in place by blocks of rows on every usable CPU
+    (``_map_blocks``); each row's transform is its own, whatever its block."""
     d = window.dimension
     t_flat = product_grid(np.arange(M) / M, d)
     bins = np.zeros((t_flat.shape[0],) + (M,) * d, dtype=complex)
     for kappa in _kappa_tuples(K, d):
         f = window.eval_many(t_flat + np.array(kappa, dtype=float))
         bins[(slice(None),) + tuple(k % M for k in kappa)] += f
-    return np.fft.fftn(bins, axes=tuple(range(1, d + 1)), out=bins)
+
+    def fft_rows(lo: int, hi: int) -> None:
+        np.fft.fftn(bins[lo:hi], axes=tuple(range(1, d + 1)), out=bins[lo:hi])
+
+    _map_blocks(fft_rows, len(bins), max(1, _FFT_BLOCK // M**d))
+    return bins
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from gaborzak import cocycle
+from gaborzak import cocycle, numerics
 from gaborzak.cocycle import (
     _orbit_values,
     _phase_cocycle_rhs,
@@ -27,6 +27,7 @@ from gaborzak.cocycle import (
 )
 from gaborzak.errors import NumericalFailure, PhaseUndefined
 from gaborzak.numerics import (
+    STEP_BLOCK,
     QuadratureSpec,
     mod1_dist,
     parse_coordinate,
@@ -247,6 +248,77 @@ class TestThetaBirkhoff:
             theta_birkhoff(p, base, gamma, 1000)
         with pytest.raises(ValueError, match="dimension mismatch"):
             propagate(1.0, base, gamma, p, 1000)
+
+
+# P1 vanishes (1.1e-16) at the float point (1/3, 1/6) and nowhere else on
+# its orbit under (0, 1/211): one step in 211 is skipped, under 1%
+ZERO_BASE = reduce_mod1([0.3333333333333333, 0.16666666666666666])
+
+
+def _same_for_cpus_and_groups(call, monkeypatch):
+    """call() inline in one group of rows, which it then returns again under
+    1, 2 and 3 CPUs with groups of 1 and 3 block-start rows."""
+    want = call()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        for group in (1, 3):
+            monkeypatch.setattr(cocycle, "_ORBIT_GROUP", group)
+            assert call() == want, (cpus, group)
+    return want
+
+
+class TestBlockSplit:
+    @pytest.mark.parametrize("tokens", [
+        "1/3,sqrt2", "sqrt2,sqrt3,sqrt5", f"{3**40 + 2}/{3**40 - 2},sqrt2",  # den > 2**62
+    ])
+    def test_orbit_values_do_not_depend_on_the_groups_or_the_cpu_count(self, tokens, monkeypatch):
+        gamma = Gamma.from_tokens(tokens)
+        p = _random_poly(gamma.dimension, 5, 3)
+        base = reduce_mod1(np.linspace(0.1, 0.9, gamma.dimension))
+        n = 7 * STEP_BLOCK + 5
+        _same_for_cpus_and_groups(lambda: _orbit_values(p, base, gamma, n).tobytes(), monkeypatch)
+
+    def test_birkhoff_with_skipped_steps_does_not_depend_on_the_groups(self, monkeypatch):
+        gamma, n = Gamma.from_tokens("0,1/211"), 211 * 40
+        est = _same_for_cpus_and_groups(lambda: theta_birkhoff(P1, ZERO_BASE, gamma, n),
+                                        monkeypatch)
+        q = np.abs(_orbit_values(P1, ZERO_BASE, gamma, n))
+        assert est.value == math.fsum(np.log(q[q >= 1e-8])) / n
+        assert est.skipped_fraction == 1.0 - (n - 40) / n
+
+    def test_birkhoff_failure_does_not_depend_on_the_groups(self, monkeypatch):
+        def failure():
+            with pytest.raises(NumericalFailure) as exc:
+                theta_birkhoff(P1, ZERO_BASE, Gamma.from_tokens("0,1/7"), 7000)
+            return str(exc.value)
+
+        assert _same_for_cpus_and_groups(failure, monkeypatch) == (
+            "Birkhoff average skipped a fraction 1.429e-01 of its steps with |p| below "
+            "delta = 1e-08")
+
+    def test_propagate_does_not_depend_on_the_groups(self, monkeypatch):
+        def trajectory():
+            traj = propagate(1.0, ZERO_BASE, Gamma.from_tokens("0,1/211"), P1, 5000)
+            return traj.logF.tobytes(), traj.skipped, traj.comparable.tobytes()
+
+        _, skipped, _ = _same_for_cpus_and_groups(trajectory, monkeypatch)
+        assert [j for j, _ in skipped] == list(range(0, 5000, 211))
+
+    @pytest.mark.parametrize("call", [
+        lambda n: theta_birkhoff(P1, reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), n),
+        lambda n: propagate(1.0, reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), P1, n),
+    ], ids=["theta_birkhoff", "propagate"])
+    @pytest.mark.parametrize("n", [1000.0, np.float64(2000.0), 2.5])
+    def test_non_integer_step_count_is_refused(self, call, n):
+        # a TypeError from slicing before
+        with pytest.raises(ValueError, match="n must be an integer"):
+            call(n)
+
+    def test_numpy_integer_step_counts_are_accepted(self):
+        lam, gamma = reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2")
+        assert theta_birkhoff(P1, lam, gamma, np.int64(2000)) == theta_birkhoff(P1, lam, gamma, 2000)
+        assert np.array_equal(propagate(1.0, lam, gamma, P1, np.int32(50)).logF,
+                              propagate(1.0, lam, gamma, P1, 50).logF)
 
 
 class TestThetaHaar:

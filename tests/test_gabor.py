@@ -41,6 +41,8 @@ def _config(alpha_tok, beta_tok):
 
 CFG_A = _config("sqrt2", "sqrt2")
 CFG_B = _config("sqrt2", "sqrt3")
+CFG_PAIR = GaborConfig(1, (TFPoint((mk("0"),), (mk("0"),)), TFPoint((mk("1"),), (mk("0"),))),
+                       (True, True))
 CFG_D2 = GaborConfig(
     dimension=2,
     points=(
@@ -110,6 +112,18 @@ class TestGramOracles:
         # 0 divided by M^{2d}; 2 gave a Gram matrix with diagonal 1.0075
         with pytest.raises(ValueError, match="resolution must be >= 4"):
             gram_matrix_zak(GaussianWindow(), CFG_A, resolution=M)
+
+    @pytest.mark.parametrize("K", [-1, 0, 2.5, 2.0, np.float64(3.0)])
+    def test_zak_domain_refuses_a_truncation_that_is_not_a_positive_integer(self, K):
+        # K = -1 gave the zero Gram (lambda_min 0.0, "dependent"), K = 0 a
+        # diagonal of 0.544 and 0.456 for unit-norm atoms, 2.5 was read as 2
+        with pytest.raises(ValueError, match="truncation must be an integer >= 1"):
+            gram_matrix_zak(GaussianWindow(), CFG_PAIR, resolution=16, truncation=K)
+
+    @pytest.mark.parametrize("K", [3, np.int64(8)])
+    def test_zak_domain_takes_an_integer_truncation(self, K):
+        g = gram_matrix_zak(GaussianWindow(), CFG_PAIR, resolution=16, truncation=K)
+        assert np.max(np.abs(np.diag(g.matrix) - 1.0)) < 1e-12
 
     def test_zak_domain_matches(self):
         gz = gram_matrix_zak(GaussianWindow(), CFG_A, resolution=64)

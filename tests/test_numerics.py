@@ -1,17 +1,24 @@
 import itertools
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaborzak import numerics
 from gaborzak.numerics import (
     Coordinate,
     QuadratureSpec,
     SHORT_SUM,
+    STEP_BLOCK,
     SUM_BLOCK,
     TorusPoint,
+    _map_blocks,
     coordinate_from_json,
     coordinate_to_json,
     exact_sum,
@@ -24,6 +31,7 @@ from gaborzak.numerics import (
     reduce_mod1,
     split_inner_product,
     stable_sum,
+    step_residue_tables,
     step_residues,
 )
 
@@ -151,6 +159,10 @@ def test_step_residues_are_exact(frac, count):
     # j * 10**14 passes 2**63 at j = 92,234
     want = [j * frac.numerator % frac.denominator for j in range(count)]
     assert step_residues(frac, count).tolist() == want
+    # a range of blocks read from the tables of a longer orbit
+    lo = count // (2 * STEP_BLOCK) * STEP_BLOCK
+    tables = step_residue_tables(frac, count + 3000)
+    assert step_residues(frac, count, tables, lo).tolist() == want[lo:]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -250,6 +262,80 @@ class TestExactSum:
         x = np.full(length, -np.nextafter(2.0, 0.0))
         x[1::3] = 2.0**-1022 - 5e-324
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_blocks_come_back_in_order(self, cpus, monkeypatch):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        assert _map_blocks(lambda lo, hi: (lo, hi), 10, 3) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert _map_blocks(lambda lo, hi: (lo, hi), 10, 10) == [(0, 10)]
+        assert _map_blocks(lambda lo, hi: (lo, hi), 0, 3) == []
+
+    @given(st.data(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_sum_over_any_partition_into_blocks_is_fsum(self, data, cpus):
+        # the int64 bins of the blocks add exactly in any order
+        values = data.draw(st.lists(_SUMMANDS, min_size=1, max_size=40))
+        x = np.resize(np.array(values), data.draw(st.integers(SHORT_SUM, 3 * SHORT_SUM)))
+        block = data.draw(st.integers(max(1, x.size // 64), x.size))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "_usable_cpus", lambda: cpus)
+            mp.setattr(numerics, "SUM_BLOCK", block)
+            assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+    def test_more_workers_than_cores_with_frequent_switches_keep_every_block(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(numerics, "SUM_BLOCK", 1000)
+        x = np.random.default_rng(11).standard_normal(200_000) * 1e6
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = exact_sum(x)  # 200 blocks on 8 threads
+        finally:
+            sys.setswitchinterval(switch)
+        assert got == math.fsum(x)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch):
+        # the child has none of the parent's pool threads: a call handed to
+        # the inherited pool waited for ever
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: 2)
+        x = np.random.default_rng(2).standard_normal(5 * SUM_BLOCK)
+        want = exact_sum(x)  # starts the parent's pool
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(exact_sum, (x,)).get(timeout=30) == want
+
+    def test_a_one_block_call_starts_no_thread(self):
+        # the phase layer's arrays and a Zak grid at M = 64 are one block each,
+        # and many blocks on one CPU run inline too; many blocks on two CPUs
+        # then start the pool
+        code = """
+import sys, threading
+import numpy as np
+from gaborzak import numerics
+from gaborzak.cocycle import SyntheticPhaseField, normalized_phase_sequence, phase_mean_along_orbit
+from gaborzak.numerics import parse_coordinate as mk, reduce_mod1
+from gaborzak.trigpoly import TrigPolynomial
+from gaborzak.windows import GaussianWindow
+from gaborzak.zak import zak_transform
+numerics._usable_cpus = lambda: 2
+p = TrigPolynomial(2, [((0, 0), 3.0), ((1, 1), 0.7), ((2, -1), -0.4j)])
+base, a, b = reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),)
+phase_mean_along_orbit(p, base, a, b, 4000)
+SyntheticPhaseField(p, base, a, b).phase_at_step(400)
+normalized_phase_sequence(zak_transform(GaussianWindow(), 64), base, (mk("1"),), (mk("sqrt2"),), range(1, 21))
+print("concurrent.futures" in sys.modules, threading.active_count())
+numerics._usable_cpus = lambda: 1
+p.eval_points(np.zeros((10**5, 2)))
+print("concurrent.futures" in sys.modules, threading.active_count())
+numerics._usable_cpus = lambda: 2
+p.eval_points(np.zeros((10**5, 2)))
+print("concurrent.futures" in sys.modules, threading.active_count() > 1)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "1", "False", "1", "True", "True"]
 
 
 class TestIntegrate1D:

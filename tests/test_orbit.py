@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaborzak import numerics, orbit
 from gaborzak.errors import AmbiguousClassification, NumericalFailure
-from gaborzak.numerics import QuadratureSpec, parse_coordinate, reduce_mod1
+from gaborzak.numerics import STEP_BLOCK, QuadratureSpec, parse_coordinate, reduce_mod1
 from gaborzak.orbit import (
     Gamma,
     classify,
@@ -253,6 +254,29 @@ class TestOrbitIteration:
         g = Gamma.from_tokens("0,sqrt2")
         with pytest.raises(ValueError):
             orbit_iterate(reduce_mod1([0.0, 0.0]), g, -1)
+
+    @pytest.mark.parametrize("count", [1000.0, np.float64(2000.0), 2.5])
+    def test_non_integer_count_is_refused(self, count):
+        # a TypeError from slicing before
+        with pytest.raises(ValueError, match="n must be an integer"):
+            orbit_points(reduce_mod1([0.1, 0.2]), Gamma.from_tokens("1/3,sqrt2"), count)
+
+    def test_numpy_integer_count_is_accepted(self):
+        z0, g = reduce_mod1([0.1, 0.2]), Gamma.from_tokens("1/3,sqrt2")
+        assert np.array_equal(orbit_points(z0, g, np.int64(3000)), orbit_points(z0, g, 3000))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("tokens", [
+        "1/3,sqrt2", "sqrt2,-sqrt3,1/7", f"{3**40 + 2}/{3**40 - 2},sqrt2",  # den > 2**62
+    ])
+    def test_points_do_not_depend_on_the_blocks_or_the_cpu_count(self, tokens, cpus, monkeypatch):
+        g = Gamma.from_tokens(tokens)
+        z0 = reduce_mod1(np.linspace(0.1, 0.9, g.dimension))
+        count = 5 * STEP_BLOCK + 17
+        want = orbit_points(z0, g, count).tobytes()  # one block, inline
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(orbit, "_ORBIT_BLOCK", STEP_BLOCK)
+        assert orbit_points(z0, g, count).tobytes() == want
 
 
 class TestCosetMinModulus:

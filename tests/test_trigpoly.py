@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaborzak import numerics, trigpoly
 from gaborzak.gabor import GaborConfig, TFPoint
 from gaborzak.numerics import parse_coordinate
 from gaborzak.trigpoly import (
@@ -203,3 +204,13 @@ def test_lipschitz_along_lattice_directions(f1, f2):
     # moving along a direction orthogonal to the frequency changes nothing
     if (f1, f2) != (0, 0):
         assert p.lipschitz_along([-f2, f1]) == 0.0
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_eval_points_do_not_depend_on_the_blocks_or_the_cpu_count(cpus, monkeypatch):
+    pts = np.random.default_rng(5).random((1000, 2))
+    want = P2.eval_points(pts).tobytes()  # one block, inline
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+    for rows in (1, 7, 1000):
+        monkeypatch.setattr(trigpoly, "_EVAL_BLOCK", rows * len(P2.terms))
+        assert P2.eval_points(pts).tobytes() == want, rows

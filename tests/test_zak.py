@@ -10,7 +10,7 @@ from gaborzak.gabor import TFPoint, _atom_eval_many
 from gaborzak.numerics import parse_coordinate, product_grid
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow, decay_bound
-from gaborzak import zak
+from gaborzak import numerics, zak
 from gaborzak.zak import (
     ZakGrid,
     functional_equation_residual,
@@ -370,3 +370,13 @@ def test_zak_point_rejects_a_wrong_argument_length():
     Z = zak_transform(GaussianWindow(), resolution=8)
     with pytest.raises(ValueError, match="dimension 1"):
         Z.point_value([0.3], [0.7, 0.2])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("d, M", [(1, 64), (1, 100), (2, 16)])
+def test_grid_does_not_depend_on_the_fft_blocks_or_the_cpu_count(d, M, cpus, monkeypatch):
+    want = zak_transform(GaussianWindow(d), M).values.tobytes()  # one block, inline
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+    for rows in (1, 3):
+        monkeypatch.setattr(zak, "_FFT_BLOCK", rows * M**d)
+        assert zak_transform(GaussianWindow(d), M).values.tobytes() == want, rows
