@@ -32,10 +32,12 @@ summed with one exact rounding (``exact_sum``), so no bit depends on the CPU
 count.
 The phase entry points read one vectorized orbit pass over an array of steps
 j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
-call (Zak-field sources have no characters) and the branch ladder as nested
-``np.where``.  A call's fixed cost is a handful of array operations: alpha and
-beta become long doubles once per call (once per synthetic field), with no
-per-step Python loop and no cache.
+call (Zak-field sources have no characters) and the branch ladder: one
+arctangent, pi added in place where Re < 0, and pi/2 or 3 pi/2 set where
+Re = 0.  Alpha and beta become long doubles once per call (once per synthetic
+field), with no per-step Python loop.  A synthetic field caches its lifts and
+at least doubles the cache in each pass, so lifts requested one step at a time
+cost a number of passes logarithmic in the last step.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .numerics import (
     STEP_BLOCK,
     QuadratureSpec,
     TorusPoint,
+    _check_integer,
     _map_blocks,
     exact_sum,
     fixed_order_matmul,
@@ -201,8 +204,7 @@ def propagate(
     positive, an F0 that is not >= 0 (NaN included) and an n_max that is not
     an integer raise ValueError.
     """
-    if not isinstance(n_max, (int, np.integer)):
-        raise ValueError("n must be an integer")
+    _check_integer(n_max)
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
     if not skip_threshold > 0:
@@ -248,8 +250,7 @@ def theta_birkhoff(
     not ``reliable``) raises NumericalFailure; delta <= 0 and an n that is
     not an integer raise ValueError.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError("n must be an integer")
+    _check_integer(n)
     if n < 1000:
         raise ValueError("Birkhoff averaging needs n >= 1000")
     if not delta > 0:
@@ -431,29 +432,26 @@ def balanced_fraction(
     return sum(abs(est.value) <= tolerance for est in ests) / len(ests)
 
 
-_CASE_TAGS = ("re-positive", "re-negative", "im-positive", "im-negative")
-
-
-def _branch_ladder(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _branch_ladder(values: np.ndarray) -> np.ndarray:
     """The four-case ladder of ``phase_branch`` over an array of values:
-    branch values in [0, 1) and case indices into _CASE_TAGS."""
+    branch values in [0, 1)."""
     values = np.asarray(values, dtype=complex)
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"phase of non-finite value {values[~finite][0]} is undefined")
     if (values == 0).any():
         raise ValueError("phase of zero is undefined")
-    pos, neg, up = values.real > 0.0, values.real < 0.0, values.imag > 0.0
-    case = np.where(pos, 0, np.where(neg, 1, np.where(up, 2, 3)))
-    with np.errstate(all="ignore"):  # Re = 0 rows are not read
-        slope = np.arctan(values.imag / values.real)
-    axis = np.where(up, 0.5 * math.pi, 1.5 * math.pi)
-    rad = np.where(pos, slope, np.where(neg, slope + math.pi, axis))
+    re, im = values.real, values.imag
+    with np.errstate(all="ignore"):  # Re = 0 rows are overwritten
+        rad = np.arctan(im / re)
+    np.add(rad, math.pi, out=rad, where=re < 0.0)
+    axis = re == 0.0
+    rad[axis] = np.where(im[axis] > 0.0, 0.5 * math.pi, 1.5 * math.pi)
     theta = np.mod(rad / (2.0 * math.pi), 1.0)
     # float modulo of a tiny negative angle rounds up to the excluded
     # endpoint; 0 and 1 are the same branch value
     theta[theta >= 1.0] = 0.0
-    return theta, case
+    return theta
 
 
 def phase_branch(value: complex) -> PhaseBranch:
@@ -464,8 +462,11 @@ def phase_branch(value: complex) -> PhaseBranch:
     divided by 2 pi and reduced into [0, 1) (the first case is negative for
     Im < 0); different branches differ by integers only.
     """
-    theta, case = _branch_ladder(np.array([complex(value)]))
-    return PhaseBranch(theta=float(theta[0]), case_tag=_CASE_TAGS[case[0]])
+    z = complex(value)
+    theta = float(_branch_ladder(np.array([z]))[0])
+    if z.real != 0.0:
+        return PhaseBranch(theta=theta, case_tag="re-positive" if z.real > 0.0 else "re-negative")
+    return PhaseBranch(theta=theta, case_tag="im-positive" if z.imag > 0.0 else "im-negative")
 
 
 def _ld(coords) -> np.ndarray:  # Coordinates as a long-double array
@@ -517,7 +518,7 @@ def _phase_orbit(base, a, b, steps, values=None, delta=1e-8, name="p"):
             f"|{name}| = {abs(vals[i]):.3e} below {delta:g} at orbit step {steps[i]}",
             step=int(steps[i]),
         )
-    return t, z, _branch_ladder(vals)[0]
+    return t, z, _branch_ladder(vals)
 
 
 def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns, delta=1e-8):
@@ -562,6 +563,16 @@ def phase_cocycle_iterate(
     return float(_phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, [n], delta)[0])
 
 
+# most steps a SyntheticPhaseField pass adds past the one requested
+_LIFT_AHEAD = 1 << 16
+
+
+def _check_step(n) -> None:
+    _check_integer(n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 class SyntheticPhaseField:
     """Phase field on one orbit, built from the one-step recursion
 
@@ -571,8 +582,13 @@ class SyntheticPhaseField:
     constructs one synthetically from any seed value).  phi is the
     measurable branch of the supplied polynomial, which must stay nonzero
     along the orbit.  Lifts are cached and extended by a running sum seeded
-    with the last cached lift.  A step n that is not an integer raises
-    ValueError.
+    with the last cached lift.  A request past the d cached steps runs one
+    orbit pass to max(n, min(2d, n + 2^16)), so steps requested one by one
+    cost O(log n) passes; the lifts do not depend on how the cache grew.  The
+    first step s with |phi_source| < delta ends the cache at lift s (which
+    needs phi up to step s - 1 only); that PhaseUndefined is kept, and every
+    request past s, in that call or a later one, raises it without a new
+    pass.  A step n that is not an integer >= 0 raises ValueError.
     """
 
     def __init__(
@@ -591,31 +607,40 @@ class SyntheticPhaseField:
         self.beta = tuple(beta)
         self.delta = delta
         self._lifts = np.array([theta0], dtype=np.longdouble)
+        self._undefined: PhaseUndefined | None = None  # the zero that ends the cache
 
     def phase_lift(self, n: int) -> float:
         """Real-valued lift of theta at orbit step n."""
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError("n must be an integer")
-        if n < 0:
-            raise ValueError("n must be >= 0")
+        _check_step(n)
         done = len(self._lifts) - 1
-        if n > done:
-            t, _, phi = _phase_orbit(self.base, self._a, self._b, range(done, n),
-                                     self.phi_source.eval_points, self.delta)
-            # phi_j and <t_j, beta> enter the running sum as separate terms,
-            # in the recursion's order: lifts grow like n^2 <alpha, beta>, and
-            # the float64 result would turn any reassociation into ~1e-11 jumps
-            terms = np.stack([phi.astype(np.longdouble), t @ self._b], axis=1).ravel()
-            lifts = np.cumsum(np.concatenate([self._lifts[-1:], terms]))
-            self._lifts = np.concatenate([self._lifts, lifts[2::2]])
+        if n > done and self._undefined is None:
+            stop = max(n, min(2 * done, n + _LIFT_AHEAD))
+            try:
+                self._extend(done, stop)
+            except PhaseUndefined as exc:
+                self._undefined = exc
+                self._extend(done, exc.step)
+        if n >= len(self._lifts):
+            raise self._undefined.with_traceback(None)
         return float(self._lifts[n])
+
+    def _extend(self, done: int, stop: int) -> None:
+        """Append the lifts done + 1 .. stop, from one orbit pass over the
+        steps done .. stop - 1."""
+        t, _, phi = _phase_orbit(self.base, self._a, self._b, range(done, stop),
+                                 self.phi_source.eval_points, self.delta)
+        # phi_j and <t_j, beta> enter the running sum as separate terms, in
+        # the recursion's order: lifts grow like n^2 <alpha, beta>, and the
+        # float64 result would turn any reassociation into ~1e-11 jumps
+        terms = np.stack([phi.astype(np.longdouble), t @ self._b], axis=1).ravel()
+        lifts = np.cumsum(np.concatenate([self._lifts[-1:], terms]))
+        self._lifts = np.concatenate([self._lifts, lifts[2::2]])
 
     def phase_at_step(self, n: int) -> float:
         return self.phase_lift(n) % 1.0
 
     def point_at_step(self, n: int) -> TorusPoint:
-        if not isinstance(n, (int, np.integer)):
-            raise ValueError("n must be an integer")
+        _check_step(n)
         _, z, _ = _phase_orbit(self.base, self._a, self._b, [n])
         return reduce_mod1(z[0])
 

@@ -27,6 +27,7 @@ from .numerics import (
     GRID_BUDGET_DEFAULT,
     Coordinate,
     QuadratureSpec,
+    _check_integer,
     coordinate_from_json,
     coordinate_to_json,
     product_grid,
@@ -211,9 +212,10 @@ def gram_matrix_zak(
     M = resolution
     if M < 4:
         raise ValueError("resolution must be >= 4")
-    if truncation is not None and not (isinstance(truncation, (int, np.integer))
-                                       and truncation >= 1):
-        raise ValueError("truncation must be an integer >= 1")
+    if truncation is not None:
+        _check_integer(truncation, "truncation must be an integer >= 1")
+        if truncation < 1:
+            raise ValueError("truncation must be an integer >= 1")
     if truncation is None:
         radius = _rule_radius(w, cfg)
         lo, hi = math.ceil(-radius * M), math.floor(radius * M) + 1

@@ -313,6 +313,13 @@ def inner_product_mod1_dist(a, b) -> float:
     return float(abs(total - np.rint(total)))
 
 
+def _check_integer(x, message: str = "n must be an integer") -> None:
+    """Raise ValueError(message) unless x is a Python or numpy integer; a bool
+    is not one."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(message)
+
+
 STEP_BLOCK = 1024  # orbit steps j = q * STEP_BLOCK + r, with r < STEP_BLOCK
 GRID_BUDGET_DEFAULT = 2**24  # most values a Zak, Gram or Haar grid may allocate
 

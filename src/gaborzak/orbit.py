@@ -28,6 +28,7 @@ from .numerics import (
     STEP_BLOCK,
     Coordinate,
     TorusPoint,
+    _check_integer,
     _map_blocks,
     fixed_order_matmul,
     inner_product_mod1_dist,
@@ -375,8 +376,7 @@ def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
     """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1, by
     blocks of steps on every usable CPU (``_map_blocks``); a point does not
     depend on its block."""
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError("n must be an integer")
+    _check_integer(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     m = gamma.dimension

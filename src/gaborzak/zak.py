@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientSupport, NumericalFailure, TruncationError
-from .numerics import GRID_BUDGET_DEFAULT, TorusPoint, _map_blocks, product_grid
+from .numerics import GRID_BUDGET_DEFAULT, TorusPoint, _check_integer, _map_blocks, product_grid
 # bench/tracing.py rebinds zak.decay_bound by name, so it stays imported though unused
 from .windows import Window, decay_bound, decay_bounds  # noqa: F401
 
@@ -182,7 +182,8 @@ def zak_transform(
     With truncation=None, K is the smallest radius whose decay-bound tail is
     below tail_target; an explicit K that misses the target raises
     TruncationError carrying a sufficient radius.  A grid of more than
-    GRID_BUDGET_DEFAULT values raises ValueError before anything is allocated.
+    GRID_BUDGET_DEFAULT values, and a truncation that is not an integer >= 1
+    (a bool is not one), raise ValueError before anything is computed.
     """
     M = resolution
     d = window.dimension
@@ -192,13 +193,15 @@ def zak_transform(
         raise ValueError(
             f"grid of {M ** (2 * d)} values exceeds the budget {GRID_BUDGET_DEFAULT}"
         )
+    if truncation is not None:
+        _check_integer(truncation, "truncation must be an integer")
+        if truncation < 1:
+            raise ValueError("truncation must be >= 1")
     bounds = _decay_bounds(window)
     if truncation is None:
         K, tail = _choose_truncation(bounds, d, tail_target)
     else:
         K = int(truncation)
-        if K < 1:
-            raise ValueError("truncation must be >= 1")
         tail = _best_tail(bounds, K, d)
         if not tail < tail_target:
             KK, _ = _choose_truncation(bounds, d, tail_target)

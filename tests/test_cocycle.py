@@ -308,9 +308,9 @@ class TestBlockSplit:
         lambda n: theta_birkhoff(P1, reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), n),
         lambda n: propagate(1.0, reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), P1, n),
     ], ids=["theta_birkhoff", "propagate"])
-    @pytest.mark.parametrize("n", [1000.0, np.float64(2000.0), 2.5])
+    @pytest.mark.parametrize("n", [1000.0, np.float64(2000.0), 2.5, True, False, "7"])
     def test_non_integer_step_count_is_refused(self, call, n):
-        # a TypeError from slicing before
+        # a TypeError from slicing before; True ran as n = 1
         with pytest.raises(ValueError, match="n must be an integer"):
             call(n)
 
@@ -710,7 +710,7 @@ def test_balanced_fraction_refuses_an_empty_grid(resolution):
 
 def _select_ladder(values):
     """The branch ladder as two np.select calls: the reference for the
-    nested np.where version."""
+    theta-only ladder and the case tags of ``phase_branch``."""
     values = np.asarray(values, dtype=complex)
     finite = np.isfinite(values)
     if not np.all(finite):
@@ -730,6 +730,23 @@ def _select_ladder(values):
 
 # real and imaginary parts: moderate values, any finite double (subnormals
 # included), signed zeros, the extreme subnormal, huge values, non-finite ones
+_CASE_TAGS = ("re-positive", "re-negative", "im-positive", "im-negative")
+
+
+def _where_ladder(values):
+    """The branch ladder as nested np.where calls, which also built a case
+    column: the formula the theta-only ladder replaced."""
+    values = np.asarray(values, dtype=complex)
+    pos, neg, up = values.real > 0.0, values.real < 0.0, values.imag > 0.0
+    with np.errstate(all="ignore"):
+        slope = np.arctan(values.imag / values.real)
+    axis = np.where(up, 0.5 * math.pi, 1.5 * math.pi)
+    rad = np.where(pos, slope, np.where(neg, slope + math.pi, axis))
+    theta = np.mod(rad / (2.0 * math.pi), 1.0)
+    theta[theta >= 1.0] = 0.0
+    return theta
+
+
 _LADDER_PARTS = st.one_of(
     st.floats(-4.0, 4.0),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -779,8 +796,8 @@ class TestPhaseBranch:
     @example([complex(1e300, -5e-324), complex(-1e-300, 1e300), complex(math.inf, 0.0), 0j])
     @settings(max_examples=400, deadline=None)
     def test_where_ladder_matches_select_ladder(self, zs):
-        # the nested np.where ladder gives the np.select ladder's bits,
-        # case indices and errors
+        # the ladder gives the np.select ladder's bits and errors, and
+        # phase_branch its case tags
         try:
             want = _select_ladder(np.array(zs))
         except ValueError as exc:
@@ -788,9 +805,8 @@ class TestPhaseBranch:
                 cocycle._branch_ladder(np.array(zs))
             assert str(got.value) == str(exc)
             return
-        theta, case = cocycle._branch_ladder(np.array(zs))
-        assert theta.tobytes() == want[0].tobytes()
-        assert case.tolist() == want[1].tolist()
+        assert cocycle._branch_ladder(np.array(zs)).tobytes() == want[0].tobytes()
+        assert [phase_branch(z).case_tag for z in zs] == [_CASE_TAGS[c] for c in want[1]]
 
     def test_where_ladder_matches_select_ladder_on_many_values(self):
         rng = np.random.default_rng(7)
@@ -800,10 +816,26 @@ class TestPhaseBranch:
         parts[:, :4000] *= rng.random((2, 4000)) < 0.5  # +-0.0 on one or both axes
         zs = parts[0] + 1j * parts[1]
         zs[:4000][zs[:4000] == 0] = 1.0
-        theta, case = cocycle._branch_ladder(zs)
-        want = _select_ladder(zs)
-        assert theta.tobytes() == want[0].tobytes()
-        assert np.array_equal(case, want[1])
+        assert cocycle._branch_ladder(zs).tobytes() == _select_ladder(zs)[0].tobytes()
+
+    def test_ladder_matches_the_nested_where_formula(self):
+        # random values, both axes with signed zeros, subnormals and angles
+        # just below 0, whose float modulo rounds up to the endpoint 1
+        rng = np.random.default_rng(11)
+        parts = rng.normal(size=(2, 100_000)) * 10.0 ** rng.uniform(-8, 8, size=(2, 100_000))
+        edges = [complex(0.0, 1.0), complex(-0.0, 2.5), complex(0.0, -1.0), complex(-0.0, -3.0),
+                 complex(1.0, 0.0), complex(1.0, -0.0), complex(-1.0, 0.0), complex(-2.0, -0.0),
+                 complex(1.0, -1e-17), complex(1.0, -5e-324), complex(1e300, -1e-300),
+                 complex(-1.0, 1e-17), complex(5e-324, -5e-324), complex(-5e-324, 0.0)]
+        zs = np.concatenate([parts[0] + 1j * parts[1], edges])
+        theta = cocycle._branch_ladder(zs)
+        assert theta.tobytes() == _where_ladder(zs).tobytes()
+        assert np.all((theta >= 0.0) & (theta < 1.0))
+        tags = [phase_branch(z).case_tag for z in edges]
+        assert tags == ["im-positive", "im-positive", "im-negative", "im-negative",
+                        "re-positive", "re-positive", "re-negative", "re-negative",
+                        "re-positive", "re-positive", "re-positive",
+                        "re-negative", "re-positive", "re-negative"]
 
     @given(
         st.complex_numbers(
@@ -969,10 +1001,11 @@ class TestSyntheticPhaseField:
         assert abs(pt[1] - want_w) < 1e-12
 
     @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step", "point_at_step"])
-    @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(3.0), True, False, "7"])
     def test_non_integer_step_is_refused(self, call, n):
-        # point_at_step(1.5) returned the step-1 point; phase_lift(1.5) raised
-        # a TypeError from range
+        # point_at_step(1.5) and point_at_step(True) returned the step-1
+        # point; phase_lift(1.5) raised a TypeError from range, and
+        # phase_lift(True) one from numpy's bool indexing
         field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
         with pytest.raises(ValueError, match="n must be an integer"):
             getattr(field, call)(n)
@@ -1016,6 +1049,73 @@ class TestSyntheticPhaseField:
         with pytest.raises(PhaseUndefined):
             field.phase_lift(6)
         assert field.phase_lift(3) == SyntheticPhaseField(*args, theta0=0.2).phase_lift(3)
+
+    @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step", "point_at_step"])
+    def test_negative_step_is_refused(self, call):
+        # point_at_step(-2) returned the point two steps back
+        field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            getattr(field, call)(-2)
+
+    @staticmethod
+    def _count_passes(monkeypatch):
+        passes = []
+        orbit_pass = cocycle._phase_orbit
+
+        def counted(base, a, b, steps, *args, **kwargs):
+            passes.append((steps.start, steps.stop) if isinstance(steps, range) else len(steps))
+            return orbit_pass(base, a, b, steps, *args, **kwargs)
+
+        monkeypatch.setattr(cocycle, "_phase_orbit", counted)
+        return passes
+
+    def test_steps_one_by_one_take_logarithmically_many_passes(self, monkeypatch):
+        passes = self._count_passes(monkeypatch)
+        field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
+        for n in range(1, 401):
+            field.phase_at_step(n)
+        assert len(passes) <= math.ceil(math.log2(400)) + 2
+        assert passes[:4] == [(0, 1), (1, 2), (2, 4), (4, 8)]
+        # a first request runs one pass to exactly its step
+        passes.clear()
+        fresh = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
+        fresh.phase_lift(400)
+        assert passes == [(0, 400)] and len(fresh._lifts) == 401
+
+    def test_growth_ahead_is_capped(self, monkeypatch):
+        monkeypatch.setattr(cocycle, "_LIFT_AHEAD", 8)
+        passes = self._count_passes(monkeypatch)
+        field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
+        field.phase_lift(100)
+        field.phase_lift(101)
+        assert passes == [(0, 100), (100, 109)]
+
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_any_request_order_gives_the_one_pass_lifts(self, ns):
+        args = (P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("-sqrt3"),))
+        field = SyntheticPhaseField(*args, theta0=0.1)
+        got = [field.phase_lift(n) for n in ns]
+        one_pass = SyntheticPhaseField(*args, theta0=0.1)
+        one_pass.phase_lift(max(ns))
+        assert np.array(got).tobytes() == one_pass._lifts[ns].astype(float).tobytes()
+        assert np.array_equal(field._lifts[: max(ns) + 1], one_pass._lifts)
+
+    def test_a_zero_past_the_requested_step_is_kept_for_later(self, monkeypatch):
+        # P1 vanishes at (1/3, 1/6), which beta = 1/4 reaches at step 3
+        args = (P1, reduce_mod1([1 / 3, 5 / 12]), (mk("0"),), (mk("1/4"),))
+        field = SyntheticPhaseField(*args)
+        field.phase_lift(1)
+        field.phase_lift(2)
+        # this pass runs over steps 2 and 3, past the lifts asked for
+        assert field.phase_lift(3) == SyntheticPhaseField(*args).phase_lift(3)
+        passes = self._count_passes(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(PhaseUndefined, match="at orbit step 3$") as exc:
+                field.phase_lift(4)
+            assert exc.value.step == 3
+        assert passes == []
+        assert field.phase_lift(3) == SyntheticPhaseField(*args).phase_lift(3)
 
 
 class TestNormalizedPhaseSequence:

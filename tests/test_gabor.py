@@ -113,10 +113,11 @@ class TestGramOracles:
         with pytest.raises(ValueError, match="resolution must be >= 4"):
             gram_matrix_zak(GaussianWindow(), CFG_A, resolution=M)
 
-    @pytest.mark.parametrize("K", [-1, 0, 2.5, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("K", [-1, 0, 2.5, 2.0, np.float64(3.0), True, "7"])
     def test_zak_domain_refuses_a_truncation_that_is_not_a_positive_integer(self, K):
         # K = -1 gave the zero Gram (lambda_min 0.0, "dependent"), K = 0 a
         # diagonal of 0.544 and 0.456 for unit-norm atoms, 2.5 was read as 2
+        # and True as 1
         with pytest.raises(ValueError, match="truncation must be an integer >= 1"):
             gram_matrix_zak(GaussianWindow(), CFG_PAIR, resolution=16, truncation=K)
 

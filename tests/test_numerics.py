@@ -347,3 +347,17 @@ class TestIntegrate1D:
         # the composite midpoint is the only scheme
         with pytest.raises(ValueError, match="unknown quadrature scheme 'gauss-legendre'"):
             QuadratureSpec("gauss-legendre", 64, False)
+
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("x", [0, 7, -3, np.int64(5), np.int32(-1), np.uint8(3)])
+    def test_integers_pass(self, x):
+        numerics._check_integer(x)
+
+    @pytest.mark.parametrize("x", [True, False, np.True_, 7.0, 6.9, np.float64(2.0), "7", None])
+    def test_bools_and_non_integers_are_refused(self, x):
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            numerics._check_integer(x)
+        with pytest.raises(ValueError, match="^truncation must be an integer$"):
+            numerics._check_integer(x, "truncation must be an integer")

@@ -255,9 +255,9 @@ class TestOrbitIteration:
         with pytest.raises(ValueError):
             orbit_iterate(reduce_mod1([0.0, 0.0]), g, -1)
 
-    @pytest.mark.parametrize("count", [1000.0, np.float64(2000.0), 2.5])
+    @pytest.mark.parametrize("count", [1000.0, np.float64(2000.0), 2.5, True, "7"])
     def test_non_integer_count_is_refused(self, count):
-        # a TypeError from slicing before
+        # a TypeError from slicing before; True gave one point
         with pytest.raises(ValueError, match="n must be an integer"):
             orbit_points(reduce_mod1([0.1, 0.2]), Gamma.from_tokens("1/3,sqrt2"), count)
 

@@ -98,6 +98,27 @@ def test_grid_budget():
         zak_transform(GaussianWindow(), resolution=8192, truncation=6)
 
 
+@pytest.mark.parametrize("K, message", [
+    (6.9, "truncation must be an integer"), (7.5, "truncation must be an integer"),
+    ("7", "truncation must be an integer"), (True, "truncation must be an integer"),
+    (7.0, "truncation must be an integer"), (0, "truncation must be >= 1"),
+    (np.int64(-2), "truncation must be >= 1"),
+])
+def test_truncation_that_is_not_a_positive_integer_is_refused_before_any_work(K, message, monkeypatch):
+    # int(K) ran 6.9 as K = 6, 7.5 as 7 and '7' as 7
+    def no_work(*args):
+        raise AssertionError("the decay bounds were computed")
+
+    monkeypatch.setattr(zak, "_decay_bounds", no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        zak_transform(GaussianWindow(), resolution=16, truncation=K)
+
+
+def test_numpy_integer_truncation_is_accepted():
+    a = zak_transform(GaussianWindow(), resolution=16, truncation=np.int64(6))
+    assert a.values.tobytes() == zak_transform(GaussianWindow(), resolution=16, truncation=6).values.tobytes()
+
+
 def test_gaussian_zero_location():
     g = GaussianWindow()
     assert abs(zak_point(g, [0.5], [0.5], 6)) <= 1e-8
