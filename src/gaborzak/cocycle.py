@@ -748,6 +748,7 @@ def cluster_set_c2(
     """Sample {e^{-2 pi i <alpha, [omega + n beta]>} : 1 <= n <= n_max} with
     duplicates collapsed at the tolerance; integer beta freezes the
     fractional part, collapsing everything to e^{-2 pi i <alpha, [omega]>}."""
+    _check_integer(n_max)
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
     d = len(alpha)

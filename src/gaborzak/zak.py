@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import InsufficientSupport, NumericalFailure, TruncationError
 from .numerics import GRID_BUDGET_DEFAULT, TorusPoint, _check_integer, _map_blocks, product_grid
-# bench/tracing.py rebinds zak.decay_bound by name, so it stays imported though unused
-from .windows import Window, decay_bound, decay_bounds  # noqa: F401
+from .windows import Window, decay_bound
 
 __all__ = [
     "ZakGrid",
@@ -35,7 +34,7 @@ __all__ = [
 ]
 
 _DECAY_ORDERS = (4, 8, 12, 16, 20, 24)
-_FFT_BLOCK = 1 << 18  # grid values per block of rows of the _grid_sums FFT
+_FFT_BLOCK = 1 << 18  # values per block: rows of the _grid_sums FFT, floats of grid_mean_square
 
 
 def _kappa_tuples(K: int, d: int) -> list[tuple[int, ...]]:
@@ -73,10 +72,10 @@ def _tail_sum(constant: float, order: int, K: int, d: int) -> float:
 
 
 def _decay_bounds(window: Window) -> list:
-    """One DecayBound per order; none when the support is too small to
-    assess decay (that check does not depend on the order)."""
+    """One DecayBound per order of _DECAY_ORDERS; none when the support is
+    too small to assess decay (that check does not depend on the order)."""
     try:
-        return decay_bounds(window, _DECAY_ORDERS)
+        return [decay_bound(window, order) for order in _DECAY_ORDERS]
     except InsufficientSupport:
         return []
 
@@ -124,7 +123,8 @@ def _grid_sums(window: Window, M: int, K: int) -> np.ndarray:
     kappa mod M (bins alias when 2K+1 > M); an FFT over the bin axes then
     applies the phases, numpy's forward sign e^{-2 pi i jk/M} being Zak's.
     The FFT runs in place by blocks of rows on every usable CPU
-    (``_map_blocks``); each row's transform is its own, whatever its block."""
+    (``_map_blocks``); each row's transform is its own, whatever its block,
+    and a non-finite value anywhere raises NumericalFailure."""
     d = window.dimension
     t_flat = product_grid(np.arange(M) / M, d)
     bins = np.zeros((t_flat.shape[0],) + (M,) * d, dtype=complex)
@@ -132,10 +132,12 @@ def _grid_sums(window: Window, M: int, K: int) -> np.ndarray:
         f = window.eval_many(t_flat + np.array(kappa, dtype=float))
         bins[(slice(None),) + tuple(k % M for k in kappa)] += f
 
-    def fft_rows(lo: int, hi: int) -> None:
-        np.fft.fftn(bins[lo:hi], axes=tuple(range(1, d + 1)), out=bins[lo:hi])
+    def fft_rows(lo: int, hi: int) -> bool:
+        block = np.fft.fftn(bins[lo:hi], axes=tuple(range(1, d + 1)), out=bins[lo:hi])
+        return bool(np.isfinite(block).all())
 
-    _map_blocks(fft_rows, len(bins), max(1, _FFT_BLOCK // M**d))
+    if not all(_map_blocks(fft_rows, len(bins), max(1, _FFT_BLOCK // M**d))):
+        raise NumericalFailure("non-finite Zak values on the grid")
     return bins
 
 
@@ -156,9 +158,19 @@ class ZakGrid:
 
     def grid_mean_square(self) -> float:
         """(1/M^{2d}) sum |Zf|^2: the grid-scale L^2([0,1)^{2d}) mass, equal
-        to ||f||_2^2 in the exact (unitary) limit."""
-        mod = np.abs(self.values)
-        return float(np.mean(np.multiply(mod, mod, out=mod)))
+        to ||f||_2^2 in the exact (unitary) limit.
+
+        The sum of squares of the real and imaginary parts runs in one pass:
+        each block of _FFT_BLOCK of them is one ``np.einsum`` dot product
+        (no BLAS, no temporary), the blocks run on ``_map_blocks``, and
+        ``math.fsum`` adds their partial sums in block order, so no bit
+        depends on the CPU count."""
+        x = self.values.reshape(-1).view(float)
+
+        def square_sum(lo: int, hi: int) -> float:
+            return float(np.einsum("i,i->", x[lo:hi], x[lo:hi]))
+
+        return math.fsum(_map_blocks(square_sum, x.size, _FFT_BLOCK)) / self.values.size
 
     def point_value(self, t, omega) -> complex:
         """Fresh truncated sum at real (possibly unreduced) arguments."""
@@ -211,8 +223,6 @@ def zak_transform(
                 suggested_k=KK,
             )
     vals = _grid_sums(window, M, K)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalFailure("non-finite Zak values on the grid")
     return ZakGrid(
         dimension=d,
         resolution=M,
@@ -292,8 +302,6 @@ def locate_zero_set(Z: ZakGrid, threshold: float | None = None) -> ZeroSet:
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     M = Z.resolution
-    mask = mod < threshold
-    pts = []
-    for idx in np.argwhere(mask):
-        pts.append(TorusPoint(tuple(float(i) / M for i in idx)))
-    return ZeroSet(points=tuple(pts), threshold=float(threshold))
+    index = np.unravel_index(np.flatnonzero(mod < threshold), mod.shape)
+    pts = tuple(TorusPoint(tuple(float(i) / M for i in idx)) for idx in zip(*index))
+    return ZeroSet(points=pts, threshold=float(threshold))

@@ -1338,6 +1338,12 @@ class TestClusterSets:
         with pytest.raises(ValueError):
             cluster_set_c2((mk("1"),), (mk("1"), mk("1")), reduce_mod1([0.0]), 10)
 
+    @pytest.mark.parametrize("n_max", [True, 2.5, 3.0, "3"])
+    def test_c2_refuses_a_non_integer_count(self, n_max):
+        # numpy raised its TypeError "expected a sequence of integers" here
+        with pytest.raises(ValueError, match="^n must be an integer$"):
+            cluster_set_c2((mk("1"),), (mk("sqrt2"),), reduce_mod1([0.25]), n_max)
+
 
 class TestRigidityScan:
     def test_integer_beta_has_no_defect(self):

@@ -9,7 +9,7 @@ from gaborzak.errors import NumericalFailure, TruncationError
 from gaborzak.gabor import TFPoint, _atom_eval_many
 from gaborzak.numerics import parse_coordinate, product_grid
 from gaborzak.trigpoly import TrigPolynomial
-from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow, decay_bound
+from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow
 from gaborzak import numerics, zak
 from gaborzak.zak import (
     ZakGrid,
@@ -214,41 +214,40 @@ def test_tail_sum_bounds_the_dropped_shells(d, order, K):
 
 
 def test_truncation_choice_computes_each_decay_bound_once(monkeypatch):
-    # one window evaluation on the verification grid (radius 6 + 2, step
-    # 1/64) per zak_transform call yields every decay constant
+    # one decay_bound call per order, each a closed form for the Gaussian:
+    # the window is evaluated on the Zak grid only, once per lattice shift
+    # (a 1025-point verification grid call used to lead)
     w = GaussianWindow()
-    n_verify = len(np.arange(-8.0, 8.0 + 1 / 128, 1 / 64))
-    sizes = []
-    original = w.eval_many
+    sizes, orders = [], []
+    original, original_bound = w.eval_many, zak.decay_bound
 
     def counting(points):
         sizes.append(len(points))
         return original(points)
 
+    def counting_bound(window, order):
+        orders.append(order)
+        return original_bound(window, order)
+
     monkeypatch.setattr(w, "eval_many", counting)
+    monkeypatch.setattr(zak, "decay_bound", counting_bound)
     grid = zak_transform(w, resolution=8)
     assert grid.tail_bound < 1e-10
-    assert sizes == [n_verify] + [8] * (2 * grid.truncation + 1)
+    assert sizes == [8] * (2 * grid.truncation + 1)
+    assert orders == list(zak._DECAY_ORDERS)
     sizes.clear()
+    orders.clear()
     zak_transform(w, resolution=8, truncation=grid.truncation)
-    assert sizes == [n_verify] + [8] * (2 * grid.truncation + 1)
+    assert sizes == [8] * (2 * grid.truncation + 1)
+    assert orders == list(zak._DECAY_ORDERS)
     sizes.clear()
+    orders.clear()
     # an explicit K that misses the target still suggests a K from the same bounds
     with pytest.raises(TruncationError) as exc:
         zak_transform(w, resolution=8, truncation=1)
     assert exc.value.suggested_k == grid.truncation
-    assert sizes == [n_verify]
-
-
-@pytest.mark.parametrize(
-    "window", [GaussianWindow(), GaussianWindow(2), HermiteWindow(3), _sampled_gaussian()]
-)
-def test_one_pass_decay_constants_equal_separate_decay_bounds(window):
-    together = zak._decay_bounds(window)
-    apart = [decay_bound(window, order) for order in (4, 8, 12, 16, 20, 24)]
-    assert [(b.constant, b.order) for b in together] == [
-        (b.constant, b.order) for b in apart
-    ]
+    assert sizes == []
+    assert orders == list(zak._DECAY_ORDERS)
 
 
 _GRID_CASES = pytest.mark.parametrize(
@@ -401,3 +400,56 @@ def test_grid_does_not_depend_on_the_fft_blocks_or_the_cpu_count(d, M, cpus, mon
     for rows in (1, 3):
         monkeypatch.setattr(zak, "_FFT_BLOCK", rows * M**d)
         assert zak_transform(GaussianWindow(d), M).values.tobytes() == want, rows
+
+
+@pytest.mark.parametrize("d, M", [(1, 64), (1, 2048), (2, 32)])
+def test_grid_mean_square_is_the_exact_mean_on_any_cpu_count(d, M, monkeypatch):
+    # (1, 2048) and (2, 32) span 32 and 8 blocks of _FFT_BLOCK floats
+    Z = zak_transform(GaussianWindow(d), M)
+    sums = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+        sums.append(Z.grid_mean_square())
+    assert sums[0].hex() == sums[1].hex()
+    exact = numerics.exact_sum(np.abs(Z.values) ** 2) / Z.values.size
+    assert abs(sums[0] - exact) <= 1e-15 * exact
+
+
+def _random_grid(d, M, seed):
+    rng = np.random.default_rng(seed)
+    shape = (M,) * (2 * d)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return ZakGrid(dimension=d, resolution=M, truncation=1, tail_bound=0.0,
+                   values=values, window=GaussianWindow(d))
+
+
+@pytest.mark.parametrize("Z, threshold", [
+    (zak_transform(GaussianWindow(), 64), None),
+    (zak_transform(HermiteWindow(3), 32), 0.2),
+    (_random_grid(1, 16, 0), 0.5),
+    (_random_grid(2, 6, 1), 0.5),
+], ids=["gaussian", "hermite3", "random-d1", "random-d2"])
+def test_zero_set_is_the_argwhere_points_in_row_major_order(Z, threshold):
+    zs = locate_zero_set(Z, threshold)
+    mask = np.abs(Z.values) < zs.threshold
+    want = tuple(tuple(float(i) / Z.resolution for i in idx) for idx in np.argwhere(mask))
+    assert tuple(p.coords for p in zs.points) == want
+    assert want  # every case finds a zero
+
+
+class _InfiniteAtHalf(GaussianWindow):
+    """The Gaussian, but +inf at t = 1/2 + kappa: one grid row of the Zak
+    sums is non-finite."""
+
+    def eval_many(self, points):
+        vals = super().eval_many(points)
+        return np.where(np.asarray(points)[:, 0] % 1.0 == 0.5, np.inf, vals)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in fft:RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_non_finite_grid_values_raise_on_any_cpu_count(cpus, monkeypatch):
+    # 1024 rows of 1024 values run as 4 blocks; the row t = 1/2 starts the third
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+    with pytest.raises(NumericalFailure, match="^non-finite Zak values on the grid$"):
+        zak_transform(_InfiniteAtHalf(), 1024)
