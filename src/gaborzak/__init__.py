@@ -20,8 +20,7 @@ _SOURCE = {
         "errors": """AmbiguousClassification DegenerateConfigWarning InsufficientSupport
             NumericalFailure PhaseUndefined TruncationError""",
         "numerics": """Coordinate QuadratureSpec TorusPoint coordinate_from_json
-            coordinate_to_json frac_int_split mod1_dist parse_coordinate reduce_mod1
-            stable_sum""",
+            coordinate_to_json mod1_dist parse_coordinate reduce_mod1""",
         "windows": """DecayBound GaussianWindow HermiteWindow SampledGridWindow Window
             decay_bound l2_norm sampled_window_from_csv""",
         "gabor": """DependenceCoefficients GaborConfig GramResult TFPoint config_from_json
@@ -31,8 +30,8 @@ _SOURCE = {
             quasi_periodicity_residual zak_point zak_transform""",
         "trigpoly": """MinModulusResult TrigPolynomial from_lattice_config haar_average
             load_polynomial log_modulus min_modulus save_polynomial""",
-        "orbit": """Gamma OrbitClass SubgroupH classify coset_min_modulus
-            haar_sample_points orbit_iterate orbit_points subgroup_closure""",
+        "orbit": """Gamma OrbitClass SubgroupH classify haar_sample_points
+            orbit_iterate orbit_points subgroup_closure""",
         "cocycle": """ClusterSet CocycleTrajectory PhaseBranch SyntheticPhaseField
             ThetaEstimate balanced_fraction case3_verdict cluster_set_c1 cluster_set_c2
             cluster_sets_match normalized_phase_sequence phase_branch

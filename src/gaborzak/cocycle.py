@@ -9,9 +9,9 @@ is computed two ways (they agree by unique ergodicity): a Birkhoff average
 along the orbit, and a Haar mean on the closure subgroup H by Jensen's
 formula along one connected direction of H, where p is a Laurent polynomial
 in one variable (its one-variable Mahler measure), with the midpoint rule
-over any other directions.  Birkhoff raises NumericalFailure when it skips
-1% of its steps at zeros of p; the Haar mean raises when p vanishes within
-rounding on some row of H.
+over any other directions, on the grid layout of ``haar_sample_points``.
+Birkhoff raises NumericalFailure when it skips 1% of its steps at zeros of
+p; the Haar mean raises when p vanishes within rounding on some row of H.
 
 The phase side implements the measurable branch theta of a nonzero complex
 value (four-case arctangent ladder), the n-step phase recursion
@@ -34,10 +34,11 @@ The phase entry points read one vectorized orbit pass over an array of steps
 j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
 call (Zak-field sources have no characters) and the branch ladder: one
 arctangent, pi added in place where Re < 0, and pi/2 or 3 pi/2 set where
-Re = 0.  Alpha and beta become long doubles once per call (once per synthetic
-field), with no per-step Python loop.  A synthetic field caches its lifts and
-at least doubles the cache in each pass, so lifts requested one step at a time
-cost a number of passes logarithmic in the last step.
+Re = 0.  Each raises PhaseUndefined at the first step where the value is
+below one fixed floor, 1e-8.  Alpha and beta become long doubles once per call
+(once per synthetic field), with no per-step Python loop.  A synthetic field
+caches its lifts and at least doubles the cache in each pass, so lifts
+requested one step at a time up to step n cost O(log n) passes.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .numerics import (
     _check_integer,
     _map_blocks,
     exact_sum,
-    fixed_order_matmul,
     inner_product_mod1_dist,
     product_grid,
     reduce_mod1,
@@ -68,7 +68,7 @@ from .numerics import (
 )
 # haar_sample_points and orbit_points are unused here but stay module
 # attributes: the traced benchmark (bench/tracing.py) rebinds both
-from .orbit import Gamma, SubgroupH, haar_sample_points, orbit_points  # noqa: F401
+from .orbit import Gamma, SubgroupH, _haar_grid, haar_sample_points, orbit_points  # noqa: F401
 from .trigpoly import TrigPolynomial
 
 __all__ = [
@@ -95,6 +95,8 @@ __all__ = [
 # rows (components x outer nodes, weighted by the companion matrix size) per
 # evaluation of Haar Theta, so memory stays bounded
 _HAAR_GROUP_POINTS = 1 << 16
+# the phase entry points raise PhaseUndefined where |p| (or |Zf|) is below this
+_PHASE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -356,7 +358,6 @@ def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
     if n_reps * n**outer > GRID_BUDGET_DEFAULT:
         raise ValueError(f"Haar Theta over {n_reps} x {n}^{outer} rows exceeds the "
                          f"budget of {GRID_BUDGET_DEFAULT}; lower --points")
-    dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
     b = H.connected_directions[-1] if t_dim else (0,) * m
     degrees = [sum(f * d for f, d in zip(freq, b)) for freq, _ in p.terms]
     low = min(degrees, default=0)
@@ -365,9 +366,7 @@ def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
         classes[d - low].append(term)
     classes = [TrigPolynomial(m, terms) for terms in classes]  # empty: the zero polynomial
     radius = np.array([_rounding_radius(q.terms, m) for q in classes])
-    reps = np.array([r.coords for r in H.torsion_representatives])
-    offsets = (reps[:, None, :] + fixed_order_matmul(product_grid(np.arange(n) / n, outer),
-                                                     dirs[:outer])).reshape(-1, m)
+    offsets = _haar_grid(H, n, outer)
     step = max(1, _HAAR_GROUP_POINTS // max(1, len(classes) - 1) ** 2)  # rows per evaluation
     per_group = max(1, step // len(offsets))
     out = []
@@ -489,17 +488,15 @@ def _phase_args(dimension, base, alpha, beta, ns=(), least=0):
     return _ld(alpha), _ld(beta), ns
 
 
-def _phase_orbit(base, a, b, steps, values=None, delta=1e-8, name="p"):
+def _phase_orbit(base, a, b, steps, values=None, name="p"):
     """The orbit z_j = (t - j a, w + j b) at the integer steps j (``_ld`` arrays).
 
     Returns the unreduced long-double lift t - j a, shape (k, d); the points
     z_j mod 1 as float64, shape (k, 2d); and, given ``values`` (a map from
     those points to complex values, such as ``p.eval_points``), their
     measurable branch (else None).  Raises PhaseUndefined at the first step
-    where |value| < delta, ValueError for delta <= 0 or NaN.
+    where |value| < _PHASE_FLOOR.
     """
-    if values is not None and not delta > 0:
-        raise ValueError("delta must be positive")
     d = len(a)
     if isinstance(steps, range):  # np.arange: no walk over the range's ints
         steps = np.arange(steps.start, steps.stop)
@@ -511,21 +508,21 @@ def _phase_orbit(base, a, b, steps, values=None, delta=1e-8, name="p"):
     if values is None:
         return t, z, None
     vals = values(z)
-    small = np.flatnonzero(np.abs(vals) < delta)
+    small = np.flatnonzero(np.abs(vals) < _PHASE_FLOOR)
     if small.size:
         i = small[0]
         raise PhaseUndefined(
-            f"|{name}| = {abs(vals[i]):.3e} below {delta:g} at orbit step {steps[i]}",
+            f"|{name}| = {abs(vals[i]):.3e} below {_PHASE_FLOOR:g} at orbit step {steps[i]}",
             step=int(steps[i]),
         )
     return t, z, _branch_ladder(vals)
 
 
-def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns, delta=1e-8):
+def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns):
     """phase_cocycle_iterate at every n in ns, as a float64 array, from one
     orbit pass over the steps j < max(ns) and its long-double prefix sums."""
     a, b, ns = _phase_args(phi_source.dimension, base, alpha, beta, ns)
-    _, _, phi = _phase_orbit(base, a, b, range(ns.max(initial=0)), phi_source.eval_points, delta)
+    _, _, phi = _phase_orbit(base, a, b, range(ns.max(initial=0)), phi_source.eval_points)
     phi_sums = np.concatenate([[0], np.cumsum(phi, dtype=np.longdouble)])[ns]
     tb = np.dot(np.asarray(base.coords[:len(b)], dtype=np.longdouble), b)
     ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
@@ -549,7 +546,6 @@ def phase_cocycle_iterate(
     alpha: tuple[Coordinate, ...],
     beta: tuple[Coordinate, ...],
     n: int,
-    delta: float = 1e-8,
 ) -> float:
     """Right-hand side of the n-step phase relation, mod 1:
 
@@ -558,9 +554,9 @@ def phase_cocycle_iterate(
     phi comes from the measurable branch of p along the orbit (p is periodic,
     so reduced arguments suffice there); the <t,b> term uses the base point's
     representative coordinates, exactly as the one-step relation telescopes.
-    A negative or non-integer n and a delta <= 0 or NaN raise ValueError.
+    A negative or non-integer n raises ValueError.
     """
-    return float(_phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, [n], delta)[0])
+    return float(_phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, [n])[0])
 
 
 # most steps a SyntheticPhaseField pass adds past the one requested
@@ -585,7 +581,7 @@ class SyntheticPhaseField:
     with the last cached lift.  A request past the d cached steps runs one
     orbit pass to max(n, min(2d, n + 2^16)), so steps requested one by one
     cost O(log n) passes; the lifts do not depend on how the cache grew.  The
-    first step s with |phi_source| < delta ends the cache at lift s (which
+    first step s with |phi_source| < _PHASE_FLOOR ends the cache at lift s (which
     needs phi up to step s - 1 only); that PhaseUndefined is kept, and every
     request past s, in that call or a later one, raises it without a new
     pass.  A step n that is not an integer >= 0 raises ValueError.
@@ -598,14 +594,12 @@ class SyntheticPhaseField:
         alpha: tuple[Coordinate, ...],
         beta: tuple[Coordinate, ...],
         theta0: float = 0.0,
-        delta: float = 1e-8,
     ):
         self._a, self._b, _ = _phase_args(phi_source.dimension, base, alpha, beta)
         self.phi_source = phi_source
         self.base = base
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
-        self.delta = delta
         self._lifts = np.array([theta0], dtype=np.longdouble)
         self._undefined: PhaseUndefined | None = None  # the zero that ends the cache
 
@@ -628,7 +622,7 @@ class SyntheticPhaseField:
         """Append the lifts done + 1 .. stop, from one orbit pass over the
         steps done .. stop - 1."""
         t, _, phi = _phase_orbit(self.base, self._a, self._b, range(done, stop),
-                                 self.phi_source.eval_points, self.delta)
+                                 self.phi_source.eval_points)
         # phi_j and <t_j, beta> enter the running sum as separate terms, in
         # the recursion's order: lifts grow like n^2 <alpha, beta>, and the
         # float64 result would turn any reassociation into ~1e-11 jumps
@@ -651,7 +645,6 @@ def normalized_phase_sequence(
     alpha: tuple[Coordinate, ...],
     beta: tuple[Coordinate, ...],
     n_list,
-    delta: float = 1e-8,
 ) -> list[complex]:
     """zeta_n = exp(2 pi i theta(t - n alpha, w + n beta) / n) for n in n_list.
 
@@ -659,17 +652,15 @@ def normalized_phase_sequence(
     the unreduced argument is the measurable branch at the reduced point plus
     the quasi-periodicity correction <integer part of t - n alpha,
     fractional part of w + n beta>.  A non-integer n, an n below 1, and a
-    base, alpha, beta or delta other than a synthetic field's own raise
-    ValueError.
+    base, alpha or beta other than a synthetic field's own raise ValueError.
     """
     synthetic = isinstance(field, SyntheticPhaseField)
     dimension = field.phi_source.dimension if synthetic else 2 * field.dimension
     ns = list(n_list)
     a, b, steps = _phase_args(dimension, base, alpha, beta, ns, 1)
     if synthetic:
-        own = (field.base, field.alpha, field.beta, field.delta)
-        if (base, tuple(alpha), tuple(beta), delta) != own:
-            raise ValueError("base, alpha, beta and delta must be the synthetic field's own")
+        if (base, tuple(alpha), tuple(beta)) != (field.base, field.alpha, field.beta):
+            raise ValueError("base, alpha and beta must be the synthetic field's own")
         field.phase_lift(max(ns, default=0))  # one orbit pass fills the cache
         thetas = np.array([field.phase_lift(n) for n in ns])
     else:
@@ -678,7 +669,7 @@ def normalized_phase_sequence(
         def fresh_sums(z):  # one fresh lattice sum per point, never the grid
             return np.array([field.point_value(r[:d], r[d:]) for r in z], dtype=complex)
 
-        t, z, branch = _phase_orbit(base, a, b, steps, fresh_sums, delta, "Zf")
+        t, z, branch = _phase_orbit(base, a, b, steps, fresh_sums, "Zf")
         iota = (t - np.mod(t, np.longdouble(1.0))).astype(float)
         corr = np.sum(iota * z[:, d:].astype(np.longdouble), axis=1).astype(float)
         thetas = branch + corr
@@ -691,7 +682,6 @@ def phase_mean_along_orbit(
     alpha: tuple[Coordinate, ...],
     beta: tuple[Coordinate, ...],
     n: int,
-    delta: float = 1e-8,
 ) -> tuple[float, int]:
     """Birkhoff average of phi along the orbit with stepwise unwrapping.
 
@@ -703,7 +693,7 @@ def phase_mean_along_orbit(
     an n that is not an integer >= 1 raise ValueError.
     """
     a, b, _ = _phase_args(phi_source.dimension, base, alpha, beta, [n], 1)
-    _, _, raw = _phase_orbit(base, a, b, range(n), phi_source.eval_points, delta)
+    _, _, raw = _phase_orbit(base, a, b, range(n), phi_source.eval_points)
     # k_j: the integer keeping step j within half a turn of step j - 1's lift
     k = np.concatenate([[0.0], np.cumsum(np.rint(raw[:-1] - raw[1:]))])
     return exact_sum(raw + k) / n, int(np.sum(np.abs(k)))

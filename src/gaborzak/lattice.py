@@ -1,5 +1,7 @@
 """Exact integer-lattice linear algebra: Hermite and Smith normal forms with
 unimodular transforms, lattice membership, and kernels of single linear forms.
+Membership and kernels are read off the Hermite form and its transform; the
+form is unique for a given lattice, so no second elimination is needed.
 
 All arithmetic uses Python integers, so there is no overflow; matrices here
 are tiny (dimension = twice the configuration dimension).
@@ -66,27 +68,14 @@ def hermite_normal_form(rows: list[list[int]]) -> tuple[list[list[int]], list[li
 def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
     """Hermite-reduced basis (nonzero rows only) of the lattice generated by
     the given integer vectors."""
-    if not rows:
-        return []
     h, _ = hermite_normal_form(rows)
     return [r for r in h if any(r)]
 
 
 def lattice_contains(basis: list[list[int]], vec: list[int]) -> bool:
-    """Exact membership of an integer vector in the integer span of ``basis``."""
-    vec = list(map(int, vec))
-    if not basis:
-        return not any(vec)
-    h = hnf_basis(basis)
-    r = vec[:]
-    m = len(r)
-    for row in h:
-        col = next(j for j in range(m) if row[j] != 0)
-        if r[col] % row[col] != 0:
-            return False
-        q = r[col] // row[col]
-        r = [a - q * b for a, b in zip(r, row)]
-    return not any(r)
+    """Exact membership of an integer vector in the integer span of ``basis``:
+    adding it leaves the (unique) Hermite basis unchanged."""
+    return hnf_basis([*basis, vec]) == hnf_basis(basis)
 
 
 def smith_normal_form(
@@ -186,23 +175,8 @@ def smith_normal_form(
 
 
 def kernel_of_form(v: list[int]) -> list[list[int]]:
-    """Integer basis of {x in Z^m : <x, v> = 0} for an integer vector v."""
-    m = len(v)
-    col = [int(c) for c in v]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    # gcd-eliminate the column into (g, 0, ..., 0) with row ops mirrored on u
-    while True:
-        nz = [i for i in range(m) if col[i] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda i: abs(col[i]))
-        i0 = nz[0]
-        for i in nz[1:]:
-            q = col[i] // col[i0]
-            col[i] -= q * col[i0]
-            u[i] = [a - q * b for a, b in zip(u[i], u[i0])]
-    nz = [i for i in range(m) if col[i] != 0]
-    if not nz:
-        return [row[:] for row in u]
-    i0 = nz[0]
-    return [u[i][:] for i in range(m) if i != i0]
+    """Integer basis of {x in Z^m : <x, v> = 0} for an integer vector v: the
+    rows of the unimodular T with T v = (g, 0, ..., 0) after the first, or
+    every row of T = I when v = 0."""
+    h, t = hermite_normal_form([[c] for c in v])
+    return t[1:] if h and h[0][0] else t

@@ -16,7 +16,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "TorusPoint",
     "QuadratureSpec",
     "reduce_mod1",
-    "frac_int_split",
-    "stable_sum",
     "SUM_BLOCK",
     "exact_sum",
     "mod1_dist",
@@ -241,6 +239,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme != "composite-midpoint":
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
+        _check_integer(self.points_per_axis, "points-per-axis must be an integer")
         if self.points_per_axis < 2:
             raise ValueError("points-per-axis must be at least 2")
 
@@ -257,19 +256,6 @@ def reduce_mod1(v: Sequence[float] | np.ndarray) -> TorusPoint:
     # floats just below an integer can round up to exactly 1.0
     red[red >= 1.0] -= 1.0
     return TorusPoint(tuple(float(x) for x in red))
-
-
-def frac_int_split(v: float) -> tuple[float, int]:
-    """Split v into (fractional part in [0,1), integer part) with
-    frac + int == v up to rounding."""
-    if not math.isfinite(v):
-        raise ValueError("non-finite input to frac_int_split")
-    ip = math.floor(v)
-    frac = v - ip
-    if frac >= 1.0:
-        frac -= 1.0
-        ip += 1
-    return frac, ip
 
 
 def mod1_dist(x: float) -> float:
@@ -465,16 +451,3 @@ def exact_sum(values: np.ndarray) -> float:
     shift = used[0] - _EXP_BIAS - 53  # total counts units of 2**shift
     value = float(total << shift) if shift >= 0 else total / (1 << -shift)
     return value if special is None else math.fsum(special)  # fsum's nan/inf rule
-
-
-def stable_sum(terms: Iterable[complex]) -> complex:
-    """Compensated left-to-right summation; bit-reproducible for a fixed
-    input order.  Real and imaginary parts are accumulated with exactly
-    rounded partial sums."""
-    res = []
-    ims = []
-    for t in terms:
-        c = complex(t)
-        res.append(c.real)
-        ims.append(c.imag)
-    return complex(math.fsum(res), math.fsum(ims))

@@ -48,7 +48,6 @@ __all__ = [
     "haar_sample_points",
     "orbit_iterate",
     "orbit_points",
-    "coset_min_modulus",
     "FINITE",
     "DENSE",
     "INFINITE_NON_DENSE",
@@ -236,6 +235,7 @@ def classify(gamma: Gamma, search_bound: int = 50, tolerance: float = 1e-9) -> O
     A declared-irrational coordinate that carries such a relation together
     with the rational coordinates alone raises AmbiguousClassification.
     """
+    _check_integer(search_bound, "search bound must be an integer")
     if search_bound < 1:
         raise ValueError("search bound must be >= 1")
     if not (0.0 < tolerance <= 1e-6):
@@ -335,17 +335,25 @@ def subgroup_closure(gamma: Gamma, cls: OrbitClass) -> SubgroupH:
     )
 
 
+def _haar_grid(H: SubgroupH, n: int, k: int) -> np.ndarray:
+    """(component_count * n**k, m) rows, not reduced mod 1: each torsion
+    representative of H plus sum_{i<k} (l_i/n) b_i along the first k
+    connected directions b_i, the last l_i varying fastest."""
+    m = H.dimension
+    dirs = np.array(H.connected_directions[:k], dtype=float).reshape(k, m)
+    steps = fixed_order_matmul(product_grid(np.arange(n) / n, k), dirs)
+    reps = np.array([r.coords for r in H.torsion_representatives])
+    return (reps[:, None, :] + steps).reshape(-1, m)
+
+
 def haar_sample_points(H: SubgroupH, points_per_dimension: int) -> np.ndarray:
     """(component_count * N**t, m) array in [0, 1)^m of the equispaced grid
-    on H: each torsion representative carries rep + sum_i (l_i/N) b_i over
-    the connected directions b_i, the last l_i varying fastest."""
+    on H (``_haar_grid`` over all t connected directions).  A count that is
+    not an integer >= 2 raises ValueError."""
+    _check_integer(points_per_dimension, "points-per-dimension must be an integer")
     if points_per_dimension < 2:
         raise ValueError("points-per-dimension must be >= 2")
-    n, m, t_dim = points_per_dimension, H.dimension, H.haar_dimension
-    dirs = np.array(H.connected_directions, dtype=float).reshape(t_dim, m)
-    offsets = fixed_order_matmul(product_grid(np.arange(n) / n, t_dim), dirs)
-    reps = np.array([r.coords for r in H.torsion_representatives])
-    pts = np.mod(reps[:, None, :] + offsets, 1.0).reshape(-1, m)
+    pts = np.mod(_haar_grid(H, points_per_dimension, H.haar_dimension), 1.0)
     pts[pts >= 1.0] -= 1.0  # a tiny negative sum rounds up to 1.0
     return pts
 
@@ -403,12 +411,3 @@ def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
 
     _map_blocks(block, count, _ORBIT_BLOCK)
     return out
-
-
-def coset_min_modulus(
-    p, lam: TorusPoint, H: SubgroupH, points_per_dimension: int = 64
-) -> float:
-    """min |p| over the coset lam + H, sampled on the equispaced Haar grid;
-    membership in the transversal set U is coset_min_modulus > delta."""
-    pts = np.mod(haar_sample_points(H, points_per_dimension) + lam.array(), 1.0)
-    return float(np.min(np.abs(p.eval_points(pts))))

@@ -11,10 +11,15 @@ configuration with coefficients c produces the polynomial
 
 i.e. the term for the point (x_k, y_k) carries frequency (-y_k, -x_k) in the
 (t, w) coordinate ordering.
+
+Values come from one vectorized path at arbitrary points, ``eval_points``,
+and one product-grid evaluator for ``min_modulus`` in every dimension;
+``eval`` is the scalar reference that the tests compare them against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Iterable, NamedTuple, Sequence
@@ -22,7 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import lattice_contains
-from .numerics import TorusPoint, _map_blocks, fixed_order_matmul, product_grid, stable_sum
+from .numerics import (GRID_BUDGET_DEFAULT, TorusPoint, _check_integer, _map_blocks,
+                       fixed_order_matmul)
 
 __all__ = [
     "TrigPolynomial",
@@ -102,7 +108,7 @@ class TrigPolynomial:
             coeff * np.exp(2j * math.pi * math.fsum(f * c for f, c in zip(freq, coords)))
             for freq, coeff in self.terms
         ]
-        return stable_sum(vals)
+        return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
 
     def eval_points(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized values at an (n, m) array of points, by blocks of rows
@@ -122,18 +128,6 @@ class TrigPolynomial:
                 part += term
 
         _map_blocks(block, len(pts), max(1, _EVAL_BLOCK // max(1, len(self.terms))))
-        return out
-
-    def eval_grid_2d(self, resolution: int) -> np.ndarray:
-        """(resolution x resolution) values on the grid (i/R, j/R); m must be 2."""
-        if self.dimension != 2:
-            raise ValueError("grid evaluation requires a 2-torus polynomial")
-        ax = np.arange(resolution) / resolution
-        out = np.zeros((resolution, resolution), dtype=complex)
-        for (f0, f1), coeff in self.terms:
-            col = np.exp(2j * math.pi * f0 * ax)
-            row = np.exp(2j * math.pi * f1 * ax)
-            out += coeff * np.outer(col, row)
         return out
 
     def lipschitz_bound(self) -> float:
@@ -190,31 +184,40 @@ class MinModulusResult(NamedTuple):
     lipschitz: float
 
 
+def _grid_values(p: TrigPolynomial, resolution: int) -> np.ndarray:
+    """p on the grid (i_1/R, ..., i_m/R), shape (R,)*m: for each term, the
+    outer product of one exp(2 pi i f ax) row per axis, times its
+    coefficient."""
+    ax = np.arange(resolution) / resolution
+    out = np.zeros((resolution,) * p.dimension, dtype=complex)
+    for freq, coeff in p.terms:
+        # one expression: numpy reuses a large temporary, which rounds unlike a new array
+        out += coeff * functools.reduce(np.multiply.outer,
+                                        [np.exp(2j * math.pi * f * ax) for f in freq])
+    return out
+
+
 def min_modulus(p: TrigPolynomial, resolution: int) -> MinModulusResult:
     """Grid minimum of |p| with one local coordinate-descent refinement pass.
 
     ``lower_bound`` is the certified bound  min_grid - L * (grid step)  with L
-    the global Lipschitz constant; finer grids can never undercut it.
+    the global Lipschitz constant; finer grids can never undercut it.  A
+    resolution that is not an integer >= 16, or a grid of more than
+    GRID_BUDGET_DEFAULT points (resolution^m), raises ValueError before
+    anything is allocated.
     """
+    _check_integer(resolution, "resolution must be an integer")
     if resolution < 16:
         raise ValueError("resolution must be >= 16")
     m = p.dimension
-    if not p.terms:
-        argmin = TorusPoint((0.0,) * m)
-        return MinModulusResult(0.0, argmin, 0.0, 0.0)
+    if resolution**m > GRID_BUDGET_DEFAULT:
+        raise ValueError(f"min |p| grid of {resolution}^{m} points exceeds the budget "
+                         f"{GRID_BUDGET_DEFAULT}")
     h = 1.0 / resolution
-    if m == 2:
-        mods = np.abs(p.eval_grid_2d(resolution))
-        flat_idx = int(np.argmin(mods))
-        i, j = divmod(flat_idx, resolution)
-        best = np.array([i * h, j * h])
-        best_val = float(mods[i, j])
-    else:
-        pts = product_grid(np.arange(resolution) / resolution, m)
-        mods = np.abs(p.eval_points(pts))
-        flat_idx = int(np.argmin(mods))
-        best = pts[flat_idx].copy()
-        best_val = float(mods[flat_idx])
+    mods = np.abs(_grid_values(p, resolution))
+    idx = np.unravel_index(int(np.argmin(mods)), mods.shape)
+    best = np.array(idx, dtype=float) * h
+    best_val = float(mods[idx])
     grid_min = best_val
     # coordinate descent within the best cell, never stepping below h/64
     step = h / 2.0

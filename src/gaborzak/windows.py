@@ -130,6 +130,7 @@ class GaussianWindow(Window):
     """2^{d/4} e^{-pi |t|^2}, unit L2 norm."""
 
     def __init__(self, dimension: int = 1):
+        _check_integer(dimension, "dimension must be an integer")
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = int(dimension)
@@ -159,9 +160,7 @@ class HermiteWindow(Window):
     """Hermite function of given order (dimension 1), unit L2 norm."""
 
     def __init__(self, order: int):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.order = int(order)
+        self.order = _check_order(order)
         self.dimension = 1
         self.effective_radius = 6.0 + 0.15 * self.order
         self._coeffs = np.zeros(self.order + 1)

@@ -506,6 +506,19 @@ class TestRemarkCommands:
             _, v = map(float, ln.split(","))
             assert abs(v) < 1e-6
 
+    def test_oversized_min_grid_is_exit_code_2(self, monkeypatch, capsys):
+        # 4097^2 points is past the 2^24 budget, as for zak --resolution 4097
+        from gaborzak import trigpoly
+
+        def never(*args):
+            raise AssertionError("_grid_values was called")
+
+        monkeypatch.setattr(trigpoly, "_grid_values", never)
+        assert main(["remark2", "--w-count", "1", "--min-grid", "4097"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4097^2 points exceeds the budget 16777216" in captured.err
+
     @pytest.mark.parametrize("args, flag", [
         (["remark1", "--t-count", "1"], "--t-count"),
         (["remark1", "--t-count", "0"], "--t-count"),

@@ -955,24 +955,6 @@ def gaussian_zak():
     return zak_transform(GaussianWindow(), resolution=16, truncation=6)
 
 
-@pytest.mark.parametrize("delta", [0.0, -1e-8, math.nan])
-@pytest.mark.parametrize("entry", ["iterate", "lift", "mean", "normalized"])
-def test_phase_entry_points_refuse_nonpositive_delta(entry, delta, gaussian_zak):
-    # |p| < delta is never true for these deltas, so the PhaseUndefined
-    # guard used to be silently off
-    base, alpha, beta = reduce_mod1([1 / 3, 1 / 6]), (mk("0"),), (mk("0"),)
-    calls = {
-        "iterate": lambda: phase_cocycle_iterate(0.0, P1, base, alpha, beta, 3, delta=delta),
-        "lift": lambda: SyntheticPhaseField(P1, base, alpha, beta, delta=delta).phase_lift(3),
-        "mean": lambda: phase_mean_along_orbit(P1, base, alpha, beta, 3, delta=delta),
-        "normalized": lambda: normalized_phase_sequence(
-            gaussian_zak, reduce_mod1([0.5, 0.5]), (mk("1"),), (mk("1"),), [1], delta=delta
-        ),
-    }
-    with pytest.raises(ValueError, match="delta must be positive"):
-        calls[entry]()
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_interior_zero_reports_its_step(k):
     # P1 vanishes at (1/3, 1/6); beta = 1/4 walks the base onto it at step k
@@ -1201,19 +1183,17 @@ class TestNormalizedPhaseSequence:
         with pytest.raises(ValueError, match="n must be an integer"):
             normalized_phase_sequence(field, self.BASE, alpha, beta, [1, 1.5, 2])
 
-    @pytest.mark.parametrize("change", ["base", "alpha", "beta", "delta", "nan-delta"])
+    @pytest.mark.parametrize("change", ["base", "alpha", "beta"])
     def test_synthetic_field_refuses_arguments_other_than_its_own(self, change):
-        # the field used to read its own base, alpha, beta and delta and
-        # silently ignore the ones given
+        # the field used to read its own base, alpha and beta and silently
+        # ignore the ones given
         alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
         field = SyntheticPhaseField(P2, self.BASE, alpha, beta)
-        args = {"base": self.BASE, "alpha": alpha, "beta": beta, "delta": 1e-8}
+        args = {"base": self.BASE, "alpha": alpha, "beta": beta}
         args.update({
             "base": {"base": reduce_mod1([0.3, 0.71])},
             "alpha": {"alpha": (mk("sqrt5"),)},
             "beta": {"beta": (mk("1/2"),)},
-            "delta": {"delta": 1e-6},
-            "nan-delta": {"delta": math.nan},
         }[change])
         with pytest.raises(ValueError, match="synthetic field's own"):
             normalized_phase_sequence(field, n_list=[1, 2], **args)

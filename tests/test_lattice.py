@@ -1,8 +1,11 @@
 """Integer-lattice normal forms checked against sympy."""
 
+import itertools
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from gaborzak.lattice import (
@@ -75,6 +78,15 @@ def test_kernel_of_form():
     # the kernel contains (5, -3, 0) and (0, 3, -2)
     assert lattice_contains(basis, [5, -3, 0])
     assert lattice_contains(basis, [0, 3, -2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+def test_kernel_of_form_is_exactly_the_orthogonal_lattice(v):
+    basis = kernel_of_form(v)
+    for x in itertools.product(range(-3, 4), repeat=len(v)):
+        dot = sum(a * b for a, b in zip(x, v))
+        assert lattice_contains(basis, list(x)) == (dot == 0), (v, x)
 
 
 def test_lattice_contains_exactness():

@@ -23,14 +23,12 @@ from gaborzak.numerics import (
     coordinate_to_json,
     exact_sum,
     fixed_order_matmul,
-    frac_int_split,
     inner_product_mod1_dist,
     mod1_dist,
     parse_coordinate,
     product_grid,
     reduce_mod1,
     split_inner_product,
-    stable_sum,
     step_residue_tables,
     step_residues,
 )
@@ -99,12 +97,6 @@ class TestTorusReduction:
         d = np.abs(a - b)
         d = np.minimum(d, 1.0 - d)
         assert np.all(d < 1e-12)
-
-    @given(st.floats(-1e6, 1e6))
-    def test_frac_int_split(self, x):
-        frac, n = frac_int_split(x)
-        assert 0.0 <= frac < 1.0
-        assert abs(frac + n - x) < 1e-9 * max(1.0, abs(x))
 
     def test_torus_point_validation(self):
         with pytest.raises(ValueError):
@@ -184,16 +176,6 @@ def test_fixed_order_matmul_rows_do_not_depend_on_the_batch(t, m):
     np.testing.assert_allclose(full, a @ b, rtol=0, atol=1e-15)
     singles = np.concatenate([fixed_order_matmul(a[i : i + 1], b) for i in range(len(a))])
     assert np.array_equal(singles, full)
-
-
-def test_stable_sum_many_small_terms():
-    total = stable_sum([0.1] * 10**6)
-    assert abs(total - 1e5) < 1e-9
-
-
-def test_stable_sum_complex_cancellation():
-    terms = [complex(1, 1e16), complex(1, -1e16), complex(1, 1)]
-    assert stable_sum(terms) == complex(3, 1)
 
 
 def _outcome(total, x):
@@ -347,6 +329,12 @@ class TestIntegrate1D:
         # the composite midpoint is the only scheme
         with pytest.raises(ValueError, match="unknown quadrature scheme 'gauss-legendre'"):
             QuadratureSpec("gauss-legendre", 64, False)
+
+    @pytest.mark.parametrize("count", [64.5, 64.0, True, "64"])
+    def test_non_integer_point_count_is_refused(self, count):
+        # 64.5 gave Haar Theta 65 nodes spaced 1/64.5 apart
+        with pytest.raises(ValueError, match="^points-per-axis must be an integer$"):
+            QuadratureSpec("composite-midpoint", count)
 
 
 

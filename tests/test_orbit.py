@@ -11,7 +11,6 @@ from gaborzak.numerics import STEP_BLOCK, QuadratureSpec, parse_coordinate, redu
 from gaborzak.orbit import (
     Gamma,
     classify,
-    coset_min_modulus,
     haar_sample_points,
     orbit_iterate,
     orbit_points,
@@ -19,7 +18,6 @@ from gaborzak.orbit import (
 )
 from gaborzak.trigpoly import TrigPolynomial, haar_average
 
-P1 = TrigPolynomial(2, [((0, 0), 1.0), ((-1, 0), 1.0), ((0, -1), -1.0)])
 P2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
 
 
@@ -104,6 +102,11 @@ class TestClassify:
         cls = classify(g)
         assert cls.kind == "InfiniteNonDense"
         assert cls.relations == (relation,)
+
+    @pytest.mark.parametrize("bound", [2.5, 50.0, True, "50"])
+    def test_non_integer_search_bound_is_refused(self, bound):
+        with pytest.raises(ValueError, match="^search bound must be an integer$"):
+            classify(Gamma.from_tokens("sqrt2,sqrt3"), search_bound=bound)
 
     def test_search_bound_caps_the_coefficients(self):
         # sqrt2 - 60 (sqrt2 / 60) = 0 needs a coefficient of 60
@@ -208,6 +211,14 @@ class TestHaarSamples:
         with pytest.raises(ValueError):
             haar_sample_points(H, 1)
 
+    @pytest.mark.parametrize("count", [2.5, 8.0, True, "8"])
+    def test_non_integer_count_is_refused(self, count):
+        # 2.5 gave the nodes 0, 0.4 and 0.8
+        g = Gamma.from_tokens("0,sqrt2")
+        H = subgroup_closure(g, classify(g))
+        with pytest.raises(ValueError, match="^points-per-dimension must be an integer$"):
+            haar_sample_points(H, count)
+
 
 class TestOrbitIteration:
     def test_finite_orbit_returns_exactly(self):
@@ -277,21 +288,6 @@ class TestOrbitIteration:
         monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(orbit, "_ORBIT_BLOCK", STEP_BLOCK)
         assert orbit_points(z0, g, count).tobytes() == want
-
-
-class TestCosetMinModulus:
-    def test_vanishing_example_cancellation(self):
-        # at t = 1/2 the t-part of P1 cancels, leaving modulus 1
-        g = Gamma.from_tokens("0,sqrt2")
-        H = subgroup_closure(g, classify(g))
-        val = coset_min_modulus(P1, reduce_mod1([0.5, 0.0]), H, 64)
-        assert abs(val - 1.0) < 1e-12
-
-    def test_positive_example_floor(self):
-        g = Gamma.from_tokens("0,sqrt2")
-        H = subgroup_closure(g, classify(g))
-        val = coset_min_modulus(P2, reduce_mod1([0.3, 0.1]), H, 64)
-        assert val >= 0.5 - 1e-3
 
 
 def test_gamma_from_config():

@@ -59,13 +59,34 @@ def test_eval_points_rejects_a_point_width_other_than_the_dimension(width):
         p.eval_points(np.zeros((5, width)))
 
 
-def test_eval_grid_matches_pointwise():
+def _random_polynomial(m, seed, terms=6):
+    rng = np.random.default_rng(seed)
+    freqs = rng.integers(-5, 6, size=(terms, m))
+    return TrigPolynomial(m, zip(map(tuple, freqs), rng.normal(size=terms) + 1j * rng.normal(size=terms)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_eval_grid_matches_pointwise(m):
     M = 16
-    grid = P1.eval_grid_2d(M)
+    p = P1 if m == 2 else _random_polynomial(m, m)
+    grid = trigpoly._grid_values(p, M)
+    assert grid.shape == (M,) * m
     axis = np.arange(M) / M
-    for i in (0, 3, 11):
-        for j in (0, 7, 15):
-            assert abs(grid[i, j] - P1.eval([axis[i], axis[j]])) < 1e-13
+    for idx in [(0,) * m, (3, 7, 15)[:m], (11, 0, 4)[:m], (15,) * m]:
+        assert abs(grid[idx] - p.eval(axis[list(idx)])) < 1e-13
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 1024])
+@pytest.mark.parametrize("p", [P1, P2, _random_polynomial(2, 7)], ids=["P1", "P2", "random"])
+def test_grid_values_are_the_per_term_outer_product_sum_bit_for_bit(p, resolution):
+    # reference: the per-term coeff * np.outer(col, row) sum, written out
+    ax = np.arange(resolution) / resolution
+    want = np.zeros((resolution, resolution), dtype=complex)
+    for (f0, f1), coeff in p.terms:
+        col = np.exp(2j * math.pi * f0 * ax)
+        row = np.exp(2j * math.pi * f1 * ax)
+        want += coeff * np.outer(col, row)
+    assert trigpoly._grid_values(p, resolution).tobytes() == want.tobytes()
 
 
 def test_zero_coefficients_dropped_and_frozen():
@@ -93,18 +114,43 @@ class TestMinModulus:
 
     def test_certificate_sound_on_finer_grid(self):
         res = min_modulus(P2, 128)
-        fine = np.abs(P2.eval_grid_2d(1024)).min()
+        fine = np.abs(trigpoly._grid_values(P2, 1024)).min()
         assert res.lower_bound <= fine + 1e-15
+
+    def test_zero_polynomial_is_zero_at_the_origin(self):
+        res = min_modulus(TrigPolynomial(3, []), 16)
+        assert res == (0.0, trigpoly.TorusPoint((0.0,) * 3), 0.0, 0.0)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
             min_modulus(P2, 8)
 
+    @pytest.mark.parametrize("resolution", [64.5, 64.0, True, "64"])
+    def test_non_integer_resolution_is_refused(self, resolution):
+        # 64.5 raised a TypeError from np.zeros
+        with pytest.raises(ValueError, match="^resolution must be an integer$"):
+            min_modulus(P2, resolution)
+
+    def test_oversized_grid_is_refused_before_any_value(self, monkeypatch):
+        # 257^3 points is past the 2^24 budget
+        def never(*args):
+            raise AssertionError("_grid_values was called")
+
+        monkeypatch.setattr(trigpoly, "_grid_values", never)
+        with pytest.raises(ValueError, match="257\\^3 points exceeds the budget 16777216"):
+            min_modulus(_random_polynomial(3, 1), 257)
+
+    def test_budget_counts_resolution_to_the_dimension(self, monkeypatch):
+        monkeypatch.setattr(trigpoly, "GRID_BUDGET_DEFAULT", 17**2)
+        assert min_modulus(P2, 17).minimum >= 0.5
+        with pytest.raises(ValueError, match="18\\^2 points exceeds the budget 289"):
+            min_modulus(P2, 18)
+
 
 def test_parseval():
     for p in (P1, P2):
         coeff_power = sum(abs(c) ** 2 for _, c in p.terms)
-        grid = p.eval_grid_2d(16)
+        grid = trigpoly._grid_values(p, 16)
         assert abs(np.mean(np.abs(grid) ** 2) - coeff_power) < 1e-10
 
 

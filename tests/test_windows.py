@@ -199,6 +199,17 @@ def test_decay_bound_refuses_an_order_that_is_not_a_non_negative_integer(window,
         window.decay_constant(order)
 
 
+@pytest.mark.parametrize("value", [2.5, 2.7, True, "2"])
+@pytest.mark.parametrize("make, message", [
+    (GaussianWindow, "dimension must be an integer"),
+    (HermiteWindow, "order must be an integer"),
+])
+def test_window_constructors_refuse_a_non_integer(make, message, value):
+    # HermiteWindow(2.5) was order 2 and GaussianWindow(True) dimension 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(value)
+
+
 def test_decay_bound_keeps_a_numpy_integer_order():
     b = decay_bound(GaussianWindow(), np.int64(8))
     assert b == decay_bound(GaussianWindow(), 8) and type(b.order) is int
