@@ -30,8 +30,8 @@ _SOURCE = {
             quasi_periodicity_residual zak_point zak_transform""",
         "trigpoly": """MinModulusResult TrigPolynomial from_lattice_config haar_average
             load_polynomial log_modulus min_modulus save_polynomial""",
-        "orbit": """Gamma OrbitClass SubgroupH classify haar_sample_points
-            orbit_iterate orbit_points subgroup_closure""",
+        "orbit": """Gamma OrbitClass SubgroupH classify haar_sample_points orbit_points
+            subgroup_closure""",
         "cocycle": """ClusterSet CocycleTrajectory PhaseBranch SyntheticPhaseField
             ThetaEstimate balanced_fraction case3_verdict cluster_set_c1 cluster_set_c2
             cluster_sets_match normalized_phase_sequence phase_branch

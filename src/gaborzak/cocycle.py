@@ -63,8 +63,7 @@ from .numerics import (
     product_grid,
     reduce_mod1,
     split_inner_product,
-    step_residue_tables,
-    step_residues,
+    step_turns,
 )
 # haar_sample_points and orbit_points are unused here but stay module
 # attributes: the traced benchmark (bench/tracing.py) rebinds both
@@ -153,27 +152,21 @@ def _orbit_groups(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int, fn)
     Term k adds c_k e(<f_k, base>) w_k^j with w_k = e(theta_k) and theta_k =
     <f_k, gamma>.  For j = q B + r (B = STEP_BLOCK) that is the outer product
     of a table over the block starts, c_k e(<f_k, base>) e(theta_k q B), and
-    one over the offsets, e(theta_k r).  A phase is its exact rational residue
-    over den plus the step times the long-double irrational part of theta_k,
-    reduced mod 1 first, so the value at a step does not depend on n or on
-    its group.
+    one over the offsets, e(theta_k r).  Both tables take their turns from
+    ``step_turns``, so the value at a step does not depend on n or on its
+    group.
     """
     m = gamma.dimension
     if p.dimension != m or len(base) != m:
         raise ValueError("dimension mismatch")
-    starts = np.arange(-(-n // STEP_BLOCK), dtype=np.longdouble) * STEP_BLOCK
-    offsets = np.arange(min(STEP_BLOCK, n), dtype=np.longdouble)
+    starts = np.arange(-(-n // STEP_BLOCK), dtype=np.int64) * STEP_BLOCK
+    offsets = np.arange(min(STEP_BLOCK, n), dtype=np.int64)
     z = np.array(base.coords, dtype=np.longdouble)
     tables = []
     for freq, coeff in p.terms:
-        rat, irr, _ = split_inner_product(freq, gamma.coords)
-        irr = np.mod(irr, np.longdouble(1.0))
-        den = np.longdouble(rat.denominator)
-        rat_starts, rat_offsets = (
-            np.asarray(t, dtype=np.longdouble) / den for t in step_residue_tables(rat, n)
-        )
         lead = coeff * _e(np.dot(freq, z))
-        tables.append((lead * _e(rat_starts + starts * irr), _e(rat_offsets + offsets * irr)))
+        tables.append((lead * _e(step_turns(freq, gamma.coords, starts)),
+                       _e(step_turns(freq, gamma.coords, offsets))))
 
     def group(lo: int, hi: int):
         out = np.zeros((hi - lo, len(offsets)), dtype=complex)
@@ -420,8 +413,9 @@ def balanced_fraction(
     """Measure fraction of base points with |Theta| <= tolerance on a coarse
     grid.  Grid scale cannot distinguish measure-zero from positive-measure
     vanishing; this reports the fraction without adjudicating.  A resolution
-    below 1 and a tolerance that is not positive and finite raise
-    ValueError."""
+    that is not an integer >= 1 and a tolerance that is not positive and
+    finite raise ValueError."""
+    _check_integer(resolution, "resolution must be an integer")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     if not 0 < tolerance < math.inf:
@@ -744,23 +738,10 @@ def cluster_set_c2(
     d = len(alpha)
     if len(beta) != d or len(omega) != d:
         raise ValueError("dimension mismatch")
-    a_ld = _ld(alpha)
+    steps = np.arange(1, n_max + 1)
     inners = np.zeros(n_max, dtype=np.longdouble)
-    nvals = np.arange(1, n_max + 1, dtype=np.longdouble)
-    for i in range(d):
-        c = beta[i]
-        if c.is_rational:
-            f = c.fraction
-            resid = np.asarray(step_residues(f, n_max + 1)[1:], dtype=np.longdouble)
-            frac = np.mod(
-                np.longdouble(omega[i]) + resid / f.denominator,
-                np.longdouble(1.0),
-            )
-        else:
-            frac = np.mod(
-                np.longdouble(omega[i]) + nvals * c.longdouble(), np.longdouble(1.0)
-            )
-        inners += a_ld[i] * frac
+    for a, b, w in zip(alpha, beta, omega.coords):
+        inners += a.longdouble() * step_turns((1,), (b,), steps, w)
     vals = np.exp(-2j * np.pi * inners.astype(float))
     # tolerance-collapse: cluster along sorted order, represent each cluster
     # by its earliest n
@@ -772,9 +753,8 @@ def cluster_set_c2(
         if cluster_rep is None or abs(v - cluster_rep) > tolerance:
             kept_idx.append(int(idx))
             cluster_rep = v
-        else:
-            if idx < kept_idx[-1]:
-                kept_idx[-1] = int(idx)
+        elif idx < kept_idx[-1]:
+            kept_idx[-1] = int(idx)
     # wraparound: first and last clusters on the angle circle may coincide
     if len(kept_idx) > 1 and abs(vals[kept_idx[0]] - vals[kept_idx[-1]]) <= tolerance:
         kept_idx[0] = min(kept_idx[0], kept_idx[-1])
@@ -824,13 +804,16 @@ def rigidity_scan(
 
     All defects vanishing is the rigidity conclusion beta in Z^d; any nonzero
     defect certifies that the phase constraint fails for this (alpha, beta),
-    so no dependence of the assumed shape can exist.
+    so no dependence of the assumed shape can exist.  A shift entry that is
+    not a Python or numpy integer (a bool is not one) raises ValueError.
     """
     d = len(beta)
     if len(alpha) != d or p.dimension != 2 * d:
         raise ValueError("dimension mismatch")
     out = []
     for shift in lattice_shifts:
+        for s in shift:
+            _check_integer(s, "shift entries must be integers")
         shift = tuple(int(s) for s in shift)
         if len(shift) != d:
             raise ValueError(f"shift {shift} has wrong length")

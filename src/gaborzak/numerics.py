@@ -1,6 +1,7 @@
 """Exact/float coordinate arithmetic, torus reduction, exactly rounded summation,
-the exact/long-double inner product, exact orbit-step residues, product
-grids, and the row-block runner of the large kernels.
+the exact/long-double inner product, the one orbit-step kernel
+(``step_turns``), product grids, and the row-block runner of the large
+kernels.
 
 Coordinates are either exact rationals (stored as ``fractions.Fraction`` in
 lowest terms) or tagged irrationals (a float64 value plus an optional label
@@ -31,8 +32,7 @@ __all__ = [
     "split_inner_product",
     "inner_product_mod1_dist",
     "STEP_BLOCK",
-    "step_residue_tables",
-    "step_residues",
+    "step_turns",
     "product_grid",
     "fixed_order_matmul",
     "parse_coordinate",
@@ -310,34 +310,36 @@ STEP_BLOCK = 1024  # orbit steps j = q * STEP_BLOCK + r, with r < STEP_BLOCK
 GRID_BUDGET_DEFAULT = 2**24  # most values a Zak, Gram or Haar grid may allocate
 
 
-def step_residue_tables(frac: Fraction, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact residues (s * num) mod den of frac = num/den at the steps
-    s = q * STEP_BLOCK for q < ceil(count / STEP_BLOCK), and s = r for
-    r < min(STEP_BLOCK, count).
+def step_turns(a, b, steps, start=0.0) -> np.ndarray:
+    """(start + j <a, b>) mod 1 at the int64 steps j, in long double: the one
+    orbit-step kernel outside the phase lift.
 
-    They are Python-int products reduced mod den, so no step overflows.  They
-    come back as int64 while den < 2**62, where a block residue plus an offset
-    residue still fits, and as Python ints in object arrays past that.
+    The rational part num/den of <a, b> (``split_inner_product``) adds the
+    exact residue (j num) mod den over den, in int64 while no product can
+    overflow and in Python ints past that; the irrational part, reduced mod 1
+    first, adds j times itself.  A part that is zero mod 1 adds nothing.
+    With ``start`` reduced mod 1, a turn with no irrational part lies in
+    [0, 2) and loses 1 once, with no long-double np.mod.  A float64 cast of a
+    turn may round up to 1.0.
     """
-    num, den = frac.numerator, frac.denominator
-    dtype = np.int64 if den < 1 << 62 else object
-    rows = -(-count // STEP_BLOCK)
-    starts = np.array([q * STEP_BLOCK * num % den for q in range(rows)], dtype=dtype)
-    offsets = np.array([r * num % den for r in range(min(STEP_BLOCK, count))], dtype=dtype)
-    return starts, offsets
-
-
-def step_residues(frac: Fraction, count: int, tables=None, lo: int = 0) -> np.ndarray:
-    """(j * num) mod den for lo <= j < count, exact for any denominator: the
-    sum of the residues of j's block start and offset, less den once it
-    reaches den.  ``tables`` may be the ``step_residue_tables`` of a longer
-    orbit, made once by a caller that reads many ranges; lo is a multiple of
-    STEP_BLOCK."""
-    starts, offsets = step_residue_tables(frac, count) if tables is None else tables
-    rows = slice(lo // STEP_BLOCK, -(-count // STEP_BLOCK))
-    res = (starts[rows, None] + offsets).ravel()[:count - lo]
-    res[res >= frac.denominator] -= frac.denominator
-    return res
+    rat, irr, _ = split_inner_product(a, b)
+    j = np.asarray(steps, dtype=np.int64)
+    start = np.longdouble(start) % 1
+    num, den = rat.numerator % rat.denominator, rat.denominator
+    if num:
+        if int(np.abs(j).max(initial=0)) * num < 1 << 63 and den < 1 << 63:
+            res = j * num % den
+        else:
+            res = np.array([s * num % den for s in j.tolist()], dtype=object)
+        turns = res.astype(np.longdouble)
+        turns /= np.longdouble(den)
+        turns += start
+    else:
+        turns = np.full(j.shape, start)
+    if irr:
+        turns += j * np.mod(irr, np.longdouble(1.0))
+        return np.mod(turns, np.longdouble(1.0), out=turns)
+    return np.subtract(turns, 1, out=turns, where=turns >= 1)
 
 
 def product_grid(axis: np.ndarray, k: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Classifies the orbit closure (finite / dense / infinite-non-dense), computes
 the annihilator lattice H-perp = {r in Z^m : <r, gamma> in Z}, parametrizes
 the closure subgroup H through the Smith normal form of the relation matrix,
-and provides equispaced Haar sampling on H.
+samples H on an equispaced grid, and lists orbit points (``step_turns``).
 
 Relations supported entirely on coordinates declared rational are computed by
 exact integer arithmetic (unbounded).  Relations involving declared-irrational
@@ -35,8 +35,7 @@ from .numerics import (
     parse_coordinate,
     product_grid,
     reduce_mod1,
-    step_residue_tables,
-    step_residues,
+    step_turns,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "classify",
     "subgroup_closure",
     "haar_sample_points",
-    "orbit_iterate",
     "orbit_points",
     "FINITE",
     "DENSE",
@@ -86,12 +84,6 @@ class Gamma:
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-    def longdoubles(self) -> np.ndarray:
-        return np.array([c.longdouble() for c in self.coords], dtype=np.longdouble)
-
-    def floats(self) -> np.ndarray:
-        return np.array([c.float() for c in self.coords], dtype=float)
 
     @property
     def all_rational(self) -> bool:
@@ -207,7 +199,7 @@ def _numeric_relation_search(gamma: Gamma, bound: int, tol: float, support):
     side P tol in the lattice norm, so its relations are short vectors."""
     m = gamma.dimension
     w = max(1, round(_RELATION_SCALE * tol / bound))
-    vals = gamma.longdoubles()
+    vals = [c.longdouble() for c in gamma.coords]
     rows = [[w * (i == j) for j in range(m)] + [int(np.rint(vals[i] * _RELATION_SCALE))]
             for i in support]
     irr = [not c.is_rational for c in gamma.coords]
@@ -358,32 +350,13 @@ def haar_sample_points(H: SubgroupH, points_per_dimension: int) -> np.ndarray:
     return pts
 
 
-def orbit_iterate(z0: TorusPoint, gamma: Gamma, n: int) -> TorusPoint:
-    """z0 + n*gamma mod 1, computed from n*gamma in one step (exact rational
-    arithmetic per rational coordinate, extended precision otherwise)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(z0) != gamma.dimension:
-        raise ValueError("dimension mismatch between point and gamma")
-    coords = []
-    for z, c in zip(z0.coords, gamma.coords):
-        if c.is_rational:
-            f = c.fraction
-            step = Fraction(n * f.numerator % f.denominator, f.denominator)
-            coords.append((z + float(step)) % 1.0)
-        else:
-            inc = np.longdouble(n) * c.longdouble()
-            coords.append(float((np.longdouble(z) + inc) % np.longdouble(1.0)))
-    return reduce_mod1(np.array(coords))
-
-
 _ORBIT_BLOCK = 64 * STEP_BLOCK  # steps per orbit_points block
 
 
 def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
-    """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1, by
-    blocks of steps on every usable CPU (``_map_blocks``); a point does not
-    depend on its block."""
+    """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1, one
+    ``step_turns`` call per coordinate and block of steps, on every usable
+    CPU (``_map_blocks``); a point does not depend on its block."""
     _check_integer(count)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -391,23 +364,13 @@ def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
     if len(z0) != m:
         raise ValueError("dimension mismatch between point and gamma")
     out = np.empty((count, m), dtype=float)
-    steps = [step_residue_tables(c.fraction, count) if c.is_rational else c.longdouble()
-             for c in gamma.coords]
 
     def block(lo: int, hi: int) -> None:
         j = np.arange(lo, hi, dtype=np.int64)
-        for i, (c, step) in enumerate(zip(gamma.coords, steps)):
-            if c.is_rational:
-                den = c.fraction.denominator
-                vals = (z0[i] + step_residues(c.fraction, hi, step, lo) / den) % 1.0
-            else:
-                acc = np.mod(
-                    j.astype(np.longdouble) * step + np.longdouble(z0[i]),
-                    np.longdouble(1.0),
-                )
-                vals = acc.astype(float)
-            vals[vals >= 1.0] -= 1.0
-            out[lo:hi, i] = vals
+        for i, c in enumerate(gamma.coords):
+            out[lo:hi, i] = step_turns((1,), (c,), j, z0[i])
+        rows = out[lo:hi]
+        rows[rows >= 1.0] -= 1.0  # a long double just below 1 rounds up to 1.0
 
     _map_blocks(block, count, _ORBIT_BLOCK)
     return out

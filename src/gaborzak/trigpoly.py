@@ -186,14 +186,14 @@ class MinModulusResult(NamedTuple):
 
 def _grid_values(p: TrigPolynomial, resolution: int) -> np.ndarray:
     """p on the grid (i_1/R, ..., i_m/R), shape (R,)*m: for each term, the
-    outer product of one exp(2 pi i f ax) row per axis, times its
-    coefficient."""
+    outer product of one exp(2 pi i f ax) row per axis, with the coefficient
+    folded into the first row, so a point's value does not depend on R."""
     ax = np.arange(resolution) / resolution
     out = np.zeros((resolution,) * p.dimension, dtype=complex)
     for freq, coeff in p.terms:
-        # one expression: numpy reuses a large temporary, which rounds unlike a new array
-        out += coeff * functools.reduce(np.multiply.outer,
-                                        [np.exp(2j * math.pi * f * ax) for f in freq])
+        rows = [np.exp(2j * math.pi * f * ax) for f in freq]
+        rows[0] = coeff * rows[0]
+        out += functools.reduce(np.multiply.outer, rows)
     return out
 
 

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InsufficientSupport
-from .numerics import _check_integer, product_grid
+from .numerics import _check_integer, exact_sum, product_grid
 
 __all__ = [
     "Window",
@@ -313,7 +313,8 @@ class SampledGridWindow(Window):
 
 
 def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None) -> float:
-    """Riemann-sum L2 norm over [-radius, radius]^d."""
+    """Riemann-sum L2 norm over [-radius, radius]^d, the squares summed with
+    one exact rounding (``exact_sum``)."""
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     if radius is None:
@@ -321,8 +322,7 @@ def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None)
     ax = np.arange(-radius, radius + grid_step / 2, grid_step)
     pts = product_grid(ax, w.dimension)
     vals = w.eval_many(pts)
-    s = float(np.sum(np.abs(vals) ** 2, dtype=np.longdouble) * grid_step ** w.dimension)
-    return math.sqrt(s)
+    return math.sqrt(exact_sum(np.abs(vals) ** 2) * grid_step ** w.dimension)
 
 
 def decay_bound(w: Window, order: int) -> DecayBound:

@@ -36,13 +36,13 @@ from gaborzak.numerics import (
 from gaborzak.orbit import (
     Gamma,
     classify,
-    orbit_iterate,
     orbit_points,
     subgroup_closure,
 )
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow
 from gaborzak.zak import zak_transform
+from orbit_oracle import exact_point
 
 mk = parse_coordinate
 
@@ -185,7 +185,7 @@ class TestOrbitValues:
         base = reduce_mod1([0.3, 0.6])
         values = _orbit_values(P2, base, gamma, 200_001)
         for n in (92_233, 92_234, 200_000):
-            want = P2.eval(orbit_iterate(base, gamma, n))
+            want = P2.eval([float(t) for t in exact_point(base, gamma, n)])
             assert abs(values[n] - want) <= 1e-11 * 1.5, n  # sum |c_k| of P2 is 1.5
 
     def test_zero_polynomial_skips_every_step(self):
@@ -669,11 +669,12 @@ class TestCase3Verdict:
             case3_verdict(est)
 
 
-def test_balanced_fraction_matches_closed_form():
+@pytest.mark.parametrize("resolution", [8, np.int64(8)])
+def test_balanced_fraction_matches_closed_form(resolution):
     # ln max(2|cos pi t|, 1) vanishes exactly for t in [1/3, 2/3]; on the
     # 8-point grid that is t in {3/8, 4/8, 5/8}, at every w
     quad = QuadratureSpec("composite-midpoint", 256, True)
-    frac = balanced_fraction(P1, VERT, quad, resolution=8)
+    frac = balanced_fraction(P1, VERT, quad, resolution=resolution)
     assert frac == 3 / 8
 
 
@@ -705,6 +706,14 @@ def test_balanced_fraction_refuses_an_empty_grid(resolution):
     # resolution 0 divided the hit count by an empty grid (ZeroDivisionError)
     quad = QuadratureSpec("composite-midpoint", 64, True)
     with pytest.raises(ValueError, match="resolution must be >= 1"):
+        balanced_fraction(P1, VERT, quad, resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [2.5, 2.0, True, np.float64(4.0), "4"])
+def test_balanced_fraction_refuses_a_non_integer_resolution(resolution):
+    # 2.5 scanned a 3-point grid spaced 0.4, and True one point
+    quad = QuadratureSpec("composite-midpoint", 64, True)
+    with pytest.raises(ValueError, match="^resolution must be an integer$"):
         balanced_fraction(P1, VERT, quad, resolution=resolution)
 
 
@@ -890,13 +899,13 @@ class TestPhaseCocycleIterate:
             assert mod1_dist(got - want) < 1e-10
 
     def test_matches_scalar_reference(self):
-        # per-step reference: scalar eval and phase_branch at orbit_iterate
+        # per-step reference: scalar eval and phase_branch at the exact orbit
         # points, summed in fsum; the closed form differs only by rounding
         alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
         gamma = Gamma((-alpha[0], beta[0]))
         n = 50
         phis = [
-            phase_branch(P2.eval(orbit_iterate(self.BASE, gamma, j))).theta
+            phase_branch(P2.eval([float(t) for t in exact_point(self.BASE, gamma, j)])).theta
             for j in range(n)
         ]
         a, b = math.sqrt(2), math.sqrt(3)
@@ -1346,6 +1355,18 @@ class TestRigidityScan:
         )
         # <(1,2), (1/2,1/3)> = 7/6, one sixth away from the integers
         assert out[0][1] == pytest.approx(1 / 6, abs=1e-15)
+
+    @pytest.mark.parametrize("shift", [(1.5,), (True,), (np.float64(2.0),), ("1",)])
+    def test_non_integer_shift_is_refused(self, shift):
+        # 1.5 and True both returned the defect of the shift (1,)
+        with pytest.raises(ValueError, match="^shift entries must be integers$"):
+            rigidity_scan(P2, (mk("1"),), (mk("1/3"),), [shift])
+
+    def test_numpy_integer_shifts_are_accepted(self):
+        shifts = [np.array([3], dtype=np.int64), (np.int32(-2),)]
+        out = rigidity_scan(P2, (mk("1"),), (mk("1/3"),), shifts)
+        assert out == rigidity_scan(P2, (mk("1"),), (mk("1/3"),), [(3,), (-2,)])
+        assert all(type(x) is int for shift, _ in out for x in shift)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaborzak import numerics
 from gaborzak.numerics import (
     Coordinate,
     QuadratureSpec,
     SHORT_SUM,
-    STEP_BLOCK,
     SUM_BLOCK,
     TorusPoint,
     _map_blocks,
@@ -29,9 +28,9 @@ from gaborzak.numerics import (
     product_grid,
     reduce_mod1,
     split_inner_product,
-    step_residue_tables,
-    step_residues,
+    step_turns,
 )
+from orbit_oracle import exact_turn, turn_gap
 
 
 class TestCoordinate:
@@ -144,17 +143,51 @@ class TestInnerProduct:
     Fraction(2, 7),
     Fraction(-3, 5),
     Fraction(99999999999999, 10**14),
-    Fraction(3**40 + 2, 3**40 - 2),  # den > 2**62: Python-int residues
+    Fraction(3**40 + 2, 3**40 - 2),  # den > 2**62
 ])
 @pytest.mark.parametrize("count", [1, 1023, 1024, 5000, 200_001])
-def test_step_residues_are_exact(frac, count):
-    # j * 10**14 passes 2**63 at j = 92,234
-    want = [j * frac.numerator % frac.denominator for j in range(count)]
-    assert step_residues(frac, count).tolist() == want
-    # a range of blocks read from the tables of a longer orbit
-    lo = count // (2 * STEP_BLOCK) * STEP_BLOCK
-    tables = step_residue_tables(frac, count + 3000)
-    assert step_residues(frac, count, tables, lo).tolist() == want[lo:]
+def test_step_turns_take_the_exact_residue(frac, count):
+    # j * 10**14 passes 2**63 at j = 92,234: Python-int residues from there
+    num, den = frac.numerator, frac.denominator
+    want = [np.longdouble(j * num % den) / np.longdouble(den) for j in range(count)]
+    c = Coordinate.from_fraction(frac)
+    assert step_turns((1,), (c,), np.arange(count)).tolist() == want
+    # a turn does not depend on the other steps of the call
+    lo = count // 2
+    assert step_turns((1,), (c,), np.arange(lo, count)).tolist() == want[lo:]
+
+
+_STEP_COORDS = st.one_of(
+    st.builds(lambda n, d: Coordinate.rational(n, d),
+              st.integers(-10**6, 10**6), st.integers(1, 10**15)),
+    st.sampled_from(["sqrt2", "-sqrt3", "sqrt5", "pi", "-e"]).map(parse_coordinate),
+)
+
+
+def _turn_bound(j: int, a, b) -> float:
+    """The long-double rounding of the labels, of <a, b> and of j <a, b>: a
+    few units of 2^-64 per unit of |j <a, b>| where an irrational enters."""
+    irrational = sum(abs(x * c.float()) for x, c in zip(a, b) if x and not c.is_rational)
+    return (2 * abs(j) * irrational + 1) * 2.0**-61
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=3).flatmap(
+           lambda a: st.tuples(st.just(a), st.lists(_STEP_COORDS, min_size=len(a),
+                                                    max_size=len(a)))),
+       st.floats(0.0, 1.0, exclude_max=True),
+       st.lists(st.integers(-10**13, 10**13), min_size=1, max_size=8))
+@example(((1,), [parse_coordinate("1/3")]), 0.0, [10**12 + 1])
+@example(((1,), [parse_coordinate("sqrt2")]), 0.25, [10**12 + 1])
+@example(((2, -1), [parse_coordinate("2/7"), parse_coordinate("-sqrt3")]), 0.5,
+         [0, 1, 10**12 + 1, -(10**12 + 1)])
+def test_step_turns_match_the_exact_oracle(ab, start, steps):
+    a, b = ab
+    turns = step_turns(a, b, np.array(steps), start)
+    assert turns.dtype == np.longdouble
+    assert np.all((0 <= turns) & (turns < 1))
+    for j, got in zip(steps, turns):
+        assert turn_gap(got, exact_turn(start, a, b, j)) <= _turn_bound(j, a, b), j
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])

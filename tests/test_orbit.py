@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from gaborzak import numerics, orbit
 from gaborzak.errors import AmbiguousClassification, NumericalFailure
-from gaborzak.numerics import STEP_BLOCK, QuadratureSpec, parse_coordinate, reduce_mod1
+from gaborzak.numerics import STEP_BLOCK, QuadratureSpec, parse_coordinate, reduce_mod1, step_turns
 from gaborzak.orbit import (
     Gamma,
     classify,
     haar_sample_points,
-    orbit_iterate,
     orbit_points,
     subgroup_closure,
 )
 from gaborzak.trigpoly import TrigPolynomial, haar_average
+from orbit_oracle import exact_point, exact_turn, turn_gap
 
 P2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
 
@@ -220,27 +220,32 @@ class TestHaarSamples:
             haar_sample_points(H, count)
 
 
+def _point_bound(c, n: int) -> float:
+    """Float64 rounding, and for a label n times its long-double error."""
+    return 2.0**-53 + (0.0 if c.is_rational else n * abs(c.float()) * 2.0**-63)
+
+
 class TestOrbitIteration:
     def test_finite_orbit_returns_exactly(self):
         g = Gamma.from_tokens("1/2,1/3")
         z0 = reduce_mod1([0.123, 0.456])
-        z6 = orbit_iterate(z0, g, 6)
-        assert max(abs(a - b) for a, b in zip(z0.coords, z6.coords)) < 1e-12
+        z6 = orbit_points(z0, g, 7)[6]
+        assert max(abs(a - b) for a, b in zip(z0.coords, z6)) < 1e-12
 
     def test_rational_arithmetic_is_exact(self):
         # 10^12 + 1 = 2 mod 3, computed on residues rather than floats
-        g = Gamma.from_tokens("1/3,0")
-        z = orbit_iterate(reduce_mod1([0.0, 0.5]), g, 10**12 + 1)
-        assert z.coords[0] == pytest.approx(2 / 3, abs=1e-15)
+        c = parse_coordinate("1/3")
+        turn = step_turns((1,), (c,), [10**12 + 1])[0]
+        assert turn == np.longdouble(2) / np.longdouble(3)
+        assert turn_gap(turn, exact_turn(0.0, (1,), (c,), 10**12 + 1)) <= 2.0**-64
 
-    def test_points_match_iterates(self):
+    def test_points_match_the_exact_oracle(self):
         g = Gamma.from_tokens("sqrt2,sqrt3")
         z0 = reduce_mod1([0.9, 0.1])
         pts = orbit_points(z0, g, 500)
         for n in (0, 1, 99, 499):
-            zn = orbit_iterate(z0, g, n)
-            d = np.abs(pts[n] - zn.array())
-            assert np.all(np.minimum(d, 1 - d) < 1e-12)
+            for c, got, want in zip(g.coords, pts[n], exact_point(z0, g, n)):
+                assert turn_gap(got, want) <= _point_bound(c, n), n
 
     def test_points_are_exact_past_int64_residue_products(self):
         # j * den passes 2**63 at j = 92,234 for den = 10**14
@@ -248,8 +253,8 @@ class TestOrbitIteration:
         z0 = reduce_mod1([0.3, 0.6])
         pts = orbit_points(z0, g, 200_001)
         for n in (92_233, 92_234, 200_000):
-            d = np.abs(pts[n] - orbit_iterate(z0, g, n).array())
-            assert np.all(np.minimum(d, 1 - d) < 1e-12), n
+            for c, got, want in zip(g.coords, pts[n], exact_point(z0, g, n)):
+                assert turn_gap(got, want) <= _point_bound(c, n), n
 
     def test_equidistribution_weyl_bound(self):
         # |(1/n) sum e^{2 pi i <mu, z_j>}| <= 5/sqrt(n) for dense gamma
@@ -261,10 +266,11 @@ class TestOrbitIteration:
             s = np.exp(2j * np.pi * (pts @ np.array(mu)))
             assert abs(s.mean()) <= bound
 
-    def test_negative_count_rejected(self):
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, count):
         g = Gamma.from_tokens("0,sqrt2")
-        with pytest.raises(ValueError):
-            orbit_iterate(reduce_mod1([0.0, 0.0]), g, -1)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            orbit_points(reduce_mod1([0.0, 0.0]), g, count)
 
     @pytest.mark.parametrize("count", [1000.0, np.float64(2000.0), 2.5, True, "7"])
     def test_non_integer_count_is_refused(self, count):

@@ -79,14 +79,25 @@ def test_eval_grid_matches_pointwise(m):
 @pytest.mark.parametrize("resolution", [16, 64, 1024])
 @pytest.mark.parametrize("p", [P1, P2, _random_polynomial(2, 7)], ids=["P1", "P2", "random"])
 def test_grid_values_are_the_per_term_outer_product_sum_bit_for_bit(p, resolution):
-    # reference: the per-term coeff * np.outer(col, row) sum, written out
+    # reference: the per-term np.outer(coeff * col, row) sum, written out
     ax = np.arange(resolution) / resolution
     want = np.zeros((resolution, resolution), dtype=complex)
     for (f0, f1), coeff in p.terms:
         col = np.exp(2j * math.pi * f0 * ax)
         row = np.exp(2j * math.pi * f1 * ax)
-        want += coeff * np.outer(col, row)
+        want += np.outer(coeff * col, row)
     assert trigpoly._grid_values(p, resolution).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m, resolutions", [(2, (64, 128, 256, 1024)), (3, (16, 32, 64))])
+def test_grid_values_at_a_point_do_not_depend_on_the_resolution(m, resolutions):
+    # a coefficient multiplied into the whole outer product rounded by the
+    # grid size: 1,665 of the 4,096 R = 64 values of this p moved at R = 256
+    p = _random_polynomial(m, 11, terms=7)
+    coarse = trigpoly._grid_values(p, resolutions[0])
+    for r in resolutions[1:]:
+        shared = trigpoly._grid_values(p, r)[(slice(None, None, r // resolutions[0]),) * m]
+        assert shared.tobytes() == coarse.tobytes(), r
 
 
 def test_zero_coefficients_dropped_and_frozen():

@@ -6,6 +6,7 @@ import pytest
 
 from gaborzak import zak
 from gaborzak.errors import InsufficientSupport
+from gaborzak.numerics import product_grid
 from gaborzak.windows import (
     GaussianWindow,
     HermiteWindow,
@@ -39,6 +40,15 @@ def test_gaussian_point_value():
 def test_hermite_unit_norm(n):
     h = HermiteWindow(order=n)
     assert abs(l2_norm(h, grid_step=1 / 128) - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("w", [GaussianWindow(), GaussianWindow(dimension=2), HermiteWindow(order=5)],
+                         ids=["gaussian-d1", "gaussian-d2", "hermite-5"])
+def test_l2_norm_sums_the_squares_with_one_rounding(w):
+    # a long-double np.sum rounds differently from platform to platform
+    ax = np.arange(-w.effective_radius, w.effective_radius + 1 / 128, 1 / 64)
+    squares = np.abs(w.eval_many(product_grid(ax, w.dimension))) ** 2
+    assert l2_norm(w) == math.sqrt(math.fsum(squares.tolist()) / 64**w.dimension)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
