@@ -20,7 +20,9 @@ value (four-case arctangent ladder), the n-step phase recursion
 
 (everything mod 1), synthetic phase fields built from the one-step recursion,
 the normalized sequence zeta_n = exp(2 pi i theta_n / n), and the two cluster
-set descriptions whose forced equality drives the rigidity argument.
+set descriptions whose forced equality drives the rigidity argument: the
+samples collapse by single linkage at a tolerance, and a finite first set
+matches when its roots, rotated onto the first sample, pair off with them.
 
 The Birkhoff average and ``propagate`` read p along the orbit by its
 characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
@@ -379,6 +381,11 @@ def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
     return out
 
 
+def _check_tolerance(tolerance) -> None:
+    if not 0 < tolerance < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+
+
 def case3_verdict(theta: ThetaEstimate, tolerance: float = 1e-3) -> str:
     """growth (Theta > 0), decay (Theta < 0), or balanced (|Theta| small).
 
@@ -387,8 +394,7 @@ def case3_verdict(theta: ThetaEstimate, tolerance: float = 1e-3) -> str:
     arguments cannot settle.  A tolerance that is not positive and finite
     and a value that is not finite raise ValueError.
     """
-    if not 0 < tolerance < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _check_tolerance(tolerance)
     if not math.isfinite(theta.value):
         raise ValueError(f"refusing a verdict on the non-finite value {theta.value}")
     if not theta.reliable:
@@ -697,27 +703,21 @@ def cluster_set_c1(inner_product_alpha_beta: Coordinate) -> ClusterSet:
     """Closure of {e^{-pi i (n-1) <a,b>} : n in N}: the cyclic group generated
     by e^{-pi i <a,b>} when <a,b> is rational (2q/gcd(p,2q) points), the whole
     circle otherwise.  More than 10**6 points raise ValueError, as in
-    ``subgroup_closure``."""
+    ``subgroup_closure``.  Point k is e(((k num) mod den) / den), an exact
+    int64 residue of the generator angle num/den = -p/(2q) mod 1."""
     ab = inner_product_alpha_beta
     if ab.is_rational:
         fr = ab.fraction
-        pnum, q = fr.numerator, fr.denominator
-        gen_angle = Fraction(-pnum, 2 * q)
-        order = (2 * q) // math.gcd(pnum, 2 * q) if pnum != 0 else 1
+        gen_angle = Fraction(-fr.numerator, 2 * fr.denominator) % 1
+        order = gen_angle.denominator
         if order > 10**6:
             raise ValueError(
-                f"<alpha, beta> = {fr} has denominator {q}: its cluster set "
+                f"<alpha, beta> = {fr} has denominator {fr.denominator}: its cluster set "
                 f"of {order} points is too large to materialize"
             )
-        pts = []
-        for k in range(order):
-            ang = (k * gen_angle) % 1
-            pts.append(complex(np.exp(2j * np.pi * float(ang))))
-        return ClusterSet(
-            kind="finite-roots",
-            points=tuple(pts),
-            generator_angle=float(gen_angle % 1),
-        )
+        turns = np.arange(order, dtype=np.int64) * gen_angle.numerator % order / order
+        pts = np.exp(2j * np.pi * turns)
+        return ClusterSet("finite-roots", tuple(pts.tolist()), float(gen_angle))
     gen = float(np.mod(-ab.longdouble() / np.longdouble(2.0), np.longdouble(1.0)))
     return ClusterSet(kind="full-circle", points=(), generator_angle=gen)
 
@@ -731,10 +731,15 @@ def cluster_set_c2(
 ) -> list[complex]:
     """Sample {e^{-2 pi i <alpha, [omega + n beta]>} : 1 <= n <= n_max} with
     duplicates collapsed at the tolerance; integer beta freezes the
-    fractional part, collapsing everything to e^{-2 pi i <alpha, [omega]>}."""
+    fractional part, collapsing everything to e^{-2 pi i <alpha, [omega]>}.
+    The collapse is single linkage: after a stable sort by angle, a gap
+    |v_{i+1} - v_i| above the tolerance (also from the last value round to the
+    first) starts a cluster, represented by its earliest n; the result is in
+    order of n.  A tolerance that is not positive and finite raises ValueError."""
     _check_integer(n_max)
     if n_max < 1:
         raise ValueError("n-max must be >= 1")
+    _check_tolerance(tolerance)
     d = len(alpha)
     if len(beta) != d or len(omega) != d:
         raise ValueError("dimension mismatch")
@@ -743,24 +748,13 @@ def cluster_set_c2(
     for a, b, w in zip(alpha, beta, omega.coords):
         inners += a.longdouble() * step_turns((1,), (b,), steps, w)
     vals = np.exp(-2j * np.pi * inners.astype(float))
-    # tolerance-collapse: cluster along sorted order, represent each cluster
-    # by its earliest n
     order = np.argsort(np.angle(vals), kind="stable")
-    kept_idx: list[int] = []
-    cluster_rep = None
-    for idx in order:
-        v = vals[idx]
-        if cluster_rep is None or abs(v - cluster_rep) > tolerance:
-            kept_idx.append(int(idx))
-            cluster_rep = v
-        elif idx < kept_idx[-1]:
-            kept_idx[-1] = int(idx)
-    # wraparound: first and last clusters on the angle circle may coincide
-    if len(kept_idx) > 1 and abs(vals[kept_idx[0]] - vals[kept_idx[-1]]) <= tolerance:
-        kept_idx[0] = min(kept_idx[0], kept_idx[-1])
-        kept_idx.pop()
-    kept_idx.sort()
-    return [complex(vals[i]) for i in kept_idx]
+    starts = np.flatnonzero(np.abs(np.diff(vals[order])) > tolerance) + 1
+    kept = np.minimum.reduceat(order, np.concatenate([[0], starts]))
+    if len(kept) > 1 and abs(vals[order[-1]] - vals[order[0]]) <= tolerance:
+        kept[0] = min(kept[0], kept[-1])
+        kept = kept[:-1]
+    return vals[np.sort(kept)].tolist()
 
 
 def cluster_sets_match(
@@ -773,25 +767,22 @@ def cluster_sets_match(
     The first description is known only up to a unimodular prefactor (the
     base-point constants are not materialized); the match succeeds when some
     rotation carries the first set onto the sampled second one.  A
-    full-circle first set is compatible with anything; a finite one requires
-    the sample to realize exactly its rotated points.
+    full-circle first set is compatible with anything.  A finite one, the
+    q-th roots of unity, is rotated onto the first sample rho: it matches when
+    each sample v lies within the tolerance of its nearest rotated root
+    rho e(j/q), j = rint(q arg(v / rho) / 2 pi) mod q, and the j hit all q
+    roots.  A tolerance that is not positive and finite raises ValueError.
     """
-    pts2 = [complex(v) for v in c2_points]
+    _check_tolerance(tolerance)
     if c1.kind == "full-circle":
         return True
-    if not pts2:
+    v = np.fromiter(c2_points, dtype=complex)
+    if not v.size:
         return False
-    base = c1.points[0]
-    for anchor in pts2:
-        rho = anchor / base
-        rotated = [rho * v for v in c1.points]
-        if all(
-            any(abs(r - v) <= tolerance for v in pts2) for r in rotated
-        ) and all(
-            any(abs(r - v) <= tolerance for r in rotated) for v in pts2
-        ):
-            return True
-    return False
+    q = len(c1.points)
+    j = np.rint(np.angle(v / v[0]) * (q / (2 * np.pi))).astype(np.int64) % q
+    near = np.abs(v - v[0] * np.exp(2j * np.pi * j / q)) <= tolerance
+    return bool(near.all() and np.bincount(j, minlength=q).all())
 
 
 def rigidity_scan(

@@ -290,13 +290,13 @@ def split_inner_product(a, b) -> tuple[Fraction, np.longdouble, bool]:
 
 def inner_product_mod1_dist(a, b) -> float:
     """Distance from <a, b> to the nearest integer: exact when every product
-    is rational, in long double otherwise."""
-    rat, irr, exact = split_inner_product(a, b)
+    is rational, from the j = 1 turn of ``step_turns`` otherwise."""
+    rat, _, exact = split_inner_product(a, b)
     if exact:
         frac = rat - math.floor(rat)
         return float(min(frac, 1 - frac))
-    total = irr + np.longdouble(rat.numerator) / np.longdouble(rat.denominator)
-    return float(abs(total - np.rint(total)))
+    t = step_turns(a, b, [1])[0]
+    return float(min(t, 1 - t))
 
 
 def _check_integer(x, message: str = "n must be an integer") -> None:

@@ -42,6 +42,7 @@ from gaborzak.orbit import (
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow
 from gaborzak.zak import zak_transform
+import cluster_oracle
 from orbit_oracle import exact_point
 
 mk = parse_coordinate
@@ -1332,6 +1333,102 @@ class TestClusterSets:
         # numpy raised its TypeError "expected a sequence of integers" here
         with pytest.raises(ValueError, match="^n must be an integer$"):
             cluster_set_c2((mk("1"),), (mk("sqrt2"),), reduce_mod1([0.25]), n_max)
+
+
+_CLUSTER_TOKENS = ["sqrt2", "-sqrt3", "sqrt5", "pi", "-e", "0", "1", "-2", "1/2", "1/3",
+                   "-2/7", "5/4", "3/5"]
+
+
+@st.composite
+def _cluster_inputs(draw):
+    d = draw(st.integers(1, 2))
+    coords = st.lists(st.sampled_from(_CLUSTER_TOKENS).map(mk), min_size=d, max_size=d)
+    omega = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=d, max_size=d))
+    return (tuple(draw(coords)), tuple(draw(coords)), reduce_mod1(omega),
+            draw(st.integers(1, 2000)))
+
+
+@st.composite
+def _rotated_groups(draw):
+    """(c1, c2 points, the verdict they should get): the q-th roots rotated
+    by rho and shuffled, then left as they are, perturbed by at most tol/4
+    each, with one point moved by at least 4 tol, with a root dropped or with
+    a stray point between two roots."""
+    q = draw(st.integers(1, 12))
+    c1 = cluster_set_c1(mk(f"{draw(st.integers(-q, q))}/{q}"))
+    n = len(c1.points)
+    rho = cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+    pts = [rho * v for v in draw(st.permutations(c1.points))]
+    tol = 1e-8
+    mode = draw(st.sampled_from(["exact", "near", "far", "drop", "stray"]))
+    if mode == "near":
+        pts = [v + tol / 4 * cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+               for v in pts]
+    elif mode == "far":
+        k = draw(st.integers(0, n - 1))
+        pts[k] *= 1 + draw(st.floats(4.0, 1e6)) * tol * cmath.exp(1j * draw(st.floats(0, 6.3)))
+    elif mode == "drop" and n > 1:
+        pts.pop(draw(st.integers(0, n - 1)))
+    elif mode == "stray":
+        pts.insert(draw(st.integers(0, n)), rho * cmath.exp(1j * math.pi / n))
+    expected = mode in ("exact", "near") or (mode in ("far", "drop") and n == 1)
+    return c1, pts, expected
+
+
+class TestClusterOracle:
+    """The array passes against the per-point loops of ``cluster_oracle``."""
+
+    @pytest.mark.parametrize("ab", ["1/12", "3/1000", "2/7919", "1/99991"])
+    def test_c1_is_the_oracle_bit_for_bit(self, ab):
+        assert cluster_set_c1(mk(ab)) == cluster_oracle.cluster_set_c1(mk(ab))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5000).flatmap(
+        lambda q: st.tuples(st.integers(-3 * q, 3 * q), st.just(q))))
+    def test_c1_matches_the_oracle(self, pq):
+        p, q = pq
+        assume((2 * q) // math.gcd(p, 2 * q) <= 10**4)
+        ab = mk(f"{p}/{q}")
+        assert cluster_set_c1(ab) == cluster_oracle.cluster_set_c1(ab)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cluster_inputs())
+    @example(((mk("sqrt2"),), (mk("1/3"),), reduce_mod1([0.3]), 500))
+    # -1 and i: the rounding of {0.1 + n sqrt2} + {0.4 - n sqrt2} puts the
+    # samples at -1 on both sides of the cut at angle pi
+    @example(((mk("1"), mk("1"), mk("1/2")), (mk("sqrt2"), mk("-sqrt2"), mk("1/2")),
+              reduce_mod1([0.1, 0.4, 0.0]), 2000))
+    def test_c2_matches_the_oracle(self, args):
+        assert cluster_set_c2(*args) == cluster_oracle.cluster_set_c2(*args)
+
+    @settings(max_examples=120, deadline=None)
+    @given(_rotated_groups())
+    def test_match_matches_the_oracle(self, case):
+        c1, pts, expected = case
+        assert cluster_sets_match(c1, pts) == cluster_oracle.cluster_sets_match(c1, pts)
+        assert cluster_sets_match(c1, pts) == expected
+
+    def test_c2_collapses_a_drift_chain_to_one_point(self):
+        # omega + n beta = 0.25 - n 1e-14 mod 1: neighbours 6e-14 apart, but
+        # 10^5 of them span 6e-9.  The collapse is single linkage: a gap
+        # above the tolerance between angle-sorted neighbours starts a
+        # cluster, so the chain is one.  The oracle's rule (a cluster ends
+        # past the tolerance from its first sorted value) cut it into 63.
+        args = ((mk("1"),), (mk("99999999999999/100000000000000"),), reduce_mod1([0.25]), 100_000)
+        pts = cluster_set_c2(*args)
+        assert len(pts) == 1 and abs(pts[0] + 1j) < 1e-8
+        assert len(cluster_oracle.cluster_set_c2(*args)) == 63
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, 0.0, math.inf])
+    def test_tolerances_must_be_positive_and_finite(self, tolerance):
+        # nan used to collapse 1,000 distinct points into 1, -1 switched the
+        # collapse off, and a nan match refused identical sets
+        c1 = cluster_set_c1(mk("1/2"))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            cluster_set_c2((mk("1"),), (mk("sqrt2"),), reduce_mod1([0.25]), 1000,
+                           tolerance=tolerance)
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            cluster_sets_match(c1, c1.points, tolerance=tolerance)
 
 
 class TestRigidityScan:

@@ -190,6 +190,25 @@ def test_step_turns_match_the_exact_oracle(ab, start, steps):
         assert turn_gap(got, exact_turn(start, a, b, j)) <= _turn_bound(j, a, b), j
 
 
+def test_mod1_distance_reads_the_step_kernel():
+    # one rule for <a, b> mod 1: an inexact distance folds the j = 1 turn of
+    # step_turns, whose irrational part is reduced mod 1 before the rational
+    # part joins it
+    tokens = ["sqrt2", "-sqrt3", "sqrt5", "pi", "-e", "1/3", "-2/7", "5/4", "3"]
+    inexact = 0
+    for pair in itertools.product(tokens, repeat=2):
+        b = tuple(map(parse_coordinate, pair))
+        for a in [(1, 0), (0, -1), (2, -3), (-1, 4), (3, 5)]:
+            if split_inner_product(a, b)[2]:
+                continue
+            t = step_turns(a, b, [1])[0]
+            assert inner_product_mod1_dist(a, b) == float(min(t, 1 - t)), (a, pair)
+            inexact += 1
+    assert inexact == 285
+    b = (parse_coordinate("1/3"), parse_coordinate("-sqrt5"))
+    assert inner_product_mod1_dist((2, -3), b) == 0.37487059916603577
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_product_grid_matches_itertools_order(k):
     # k = 0 is the single empty row: the one node of a zero-dimensional rule
