@@ -301,7 +301,7 @@ def _jensen_means(a: np.ndarray, radius: np.ndarray) -> np.ndarray:
     ends = np.abs([a[np.arange(len(a)), lo], a[np.arange(len(a)), lo + deg]])
     out = np.log(np.where(dead, 1.0, ends.max(axis=0)))
     out[dead] = np.nan
-    for e in np.unique(deg[deg > 1]).tolist():
+    for e in np.flatnonzero(np.bincount(deg[deg > 1])).tolist():
         rows = np.flatnonzero(deg == e)
         c = a[rows[:, None], lo[rows, None] + np.arange(e + 1)]
         flip = ends[0, rows] > ends[1, rows]

@@ -6,8 +6,8 @@ Three kinds ship built in:
 * ``HermiteWindow(n)`` — one-dimensional Hermite functions
   (2^{1/4}/sqrt(2^n n!)) H_n(sqrt(2 pi) t) e^{-pi t^2}, unit L2 norm,
   parity (-1)^n, order 0 identical to the Gaussian;
-* ``SampledGridWindow`` — values on a uniform 1-D grid, cubic interpolation
-  inside the support, hard zero outside.
+* ``SampledGridWindow`` — values on a uniform 1-D grid, their not-a-knot
+  cubic spline inside the support, hard zero outside.
 
 Each window bounds its own decay: ``decay_constant(M)`` is a C with
 |f(t)| <= C (1+|t|)^{-M} for every t, a true upper bound and not a sampled
@@ -89,7 +89,7 @@ def _gaussian_peak(order: int, log_amp: float = 0.0) -> float:
 
 def _cubic_cell_max(c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """max |S| over [lo, hi] for each real cubic S(s) = c0 s^3 + c1 s^2 +
-    c2 s + c3 (columns of c, as in ``CubicSpline.c``; lo and hi are (q, n)
+    c2 s + c3 (columns of c, as in ``SampledGridWindow._c``; lo and hi are (q, n)
     arrays with 0 <= lo <= hi).  The maximum is at an end or a root of
     S' = 3 c0 s^2 + 2 c1 s + c2; roots outside [lo, hi], or not real, are
     clipped to a point of it, which cannot raise the maximum.  8 eps sum
@@ -248,10 +248,42 @@ def _hermite_decay_constant(n: int, M: int) -> float:
     return _round_up(HermiteWindow(n)._amp * max(inside, past) * (1.0 + _SLACK))
 
 
-class SampledGridWindow(Window):
-    """Window given by samples on the uniform grid -radius + k*step.
+def _not_a_knot_coefficients(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (4, n-1) power coefficients of the not-a-knot cubic spline through
+    (x_i, values_i), n >= 4: bit for bit ``CubicSpline``'s for real values.
+    Its tridiagonal system for the slopes (the same rows, the same order of
+    float operations) is solved in LAPACK gtsv's order, which interchanges
+    no row as |d_i| >= |dl_i| on each (a tie at row 0); the back substitution
+    keeps gtsv's zeroed dl term, which can flip the sign of a zero.  The
+    coefficients are formed as ``CubicHermiteSpline`` forms them."""
+    y = values.astype(complex if np.iscomplexobj(values) else float)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    n, d0, d1 = len(x), x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    upper = np.concatenate(([d0], dx[:-1])).tolist()
+    lower = np.concatenate((dx[1:], [d1])).tolist()
+    b = np.empty(n, dtype=y.dtype)
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    b = b.tolist()
+    for i in range(n - 1):
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= diag[-1]
+    b[-2] = (b[-2] - upper[-1] * b[-1]) / diag[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1] - 0.0 * b[i + 2]) / diag[i]
+    s = np.array(b, dtype=y.dtype)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
-    Cubic interpolation between samples, exactly zero outside the support.
+
+class SampledGridWindow(Window):
+    """Window given by samples on the uniform grid -radius + k*step: the
+    not-a-knot cubic spline through them, exactly zero outside the support.
     Values may be complex.
     """
 
@@ -261,26 +293,34 @@ class SampledGridWindow(Window):
             raise ValueError("need a flat array of at least 4 samples")
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
-        if step <= 0 or radius <= 0:
-            raise ValueError("step and radius must be positive")
+        if not (0 < step < math.inf and 0 < radius < math.inf):
+            raise ValueError("step and radius must be positive and finite")
         self.dimension = 1
         self.values = vals
         self.step = float(step)
         self.radius = float(radius)
         self._x = -self.radius + self.step * np.arange(len(vals))
+        if not (math.isfinite(self._x[-1]) and np.all(np.diff(self._x) > 0)):
+            raise ValueError("the grid -radius + k*step must be finite and strictly increasing")
         self.effective_radius = float(self._x[-1])
-        from scipy.interpolate import CubicSpline
-
-        self._spline = CubicSpline(self._x, vals, extrapolate=False)
+        self._c = _not_a_knot_coefficients(self._x, vals)
 
     def eval_many(self, points: np.ndarray) -> np.ndarray:
+        """Cell i's cubic (x_i <= t < x_{i+1}, the last knot in the last cell)
+        at s = t - x_i, summed from 0 as ``PPoly`` sums it; zero at the points
+        that clipping to the support moves (outside [x_0, x_last], NaN)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim > 1:
             if pts.shape[-1] != 1:
                 raise ValueError("sampled windows are one-dimensional")
             pts = pts[..., 0]
-        out = self._spline(pts)
-        return np.where(np.isnan(out), 0.0, out)
+        x = self._x
+        t = np.clip(pts, x[0], x[-1])
+        i = np.searchsorted(x[1:-1], t, side="right")
+        c0, c1, c2, c3 = self._c.take(i, axis=1)
+        s = t - x[i]
+        s2 = s * s
+        return np.where(t == pts, ((0.0 + c3 + c2 * s) + c1 * s2) + c0 * (s2 * s), 0.0)
 
     @cached_property
     def _cell_maxima(self):
@@ -288,7 +328,7 @@ class SampledGridWindow(Window):
         cubic cell, q = ceil(step / _PART_WIDTH) (``_cubic_cell_max``; for
         complex values, hypot of the real and imaginary parts' maxima), and
         each part's far end from 0."""
-        c, x = self._spline.c, self._spline.x
+        c, x = self._c, self._x
         q = math.ceil(self.step / _PART_WIDTH)
         ends = np.diff(x) * (np.arange(q + 1) / q)[:, None]
         lo, hi = ends[:-1], ends[1:]
@@ -337,21 +377,25 @@ def decay_bound(w: Window, order: int) -> DecayBound:
 
 
 def sampled_window_from_csv(path: str) -> SampledGridWindow:
-    """Load a sampled window from CSV rows (t, value); a header row is allowed."""
+    """Load a sampled window from CSV rows (t, value), the first one maybe a
+    header; a later t that does not parse, or a non-finite t, raises ValueError."""
     ts: list[float] = []
     vs: list[float] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                t = float(row[0])
-            except ValueError:
+        rows = [(n, row) for n, row in enumerate(csv.reader(fh), 1) if row]
+    for k, (n, row) in enumerate(rows):
+        try:
+            t = float(row[0])
+        except ValueError:
+            if k == 0:
                 continue  # header
-            if len(row) < 2:
-                raise ValueError("each CSV row needs columns t,value")
-            ts.append(t)
-            vs.append(float(row[1]))
+            raise ValueError(f"CSV row {n}: t {row[0]!r} is not a number") from None
+        if len(row) < 2:
+            raise ValueError(f"CSV row {n}: need columns t,value")
+        if not math.isfinite(t):
+            raise ValueError(f"CSV row {n}: t {row[0]!r} is not finite")
+        ts.append(t)
+        vs.append(float(row[1]))
     if len(ts) < 4:
         raise ValueError("need at least 4 samples")
     order = np.argsort(ts)

@@ -1,8 +1,12 @@
+import copy
 import math
+import subprocess
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaborzak import zak
 from gaborzak.errors import InsufficientSupport
@@ -229,3 +233,120 @@ def test_hermite_decay_constant_refuses_an_order_peaking_past_its_grid():
     # the bound past the grid radius needs every term to decrease there
     with pytest.raises(ValueError, match="peaks past"):
         HermiteWindow(0).decay_constant(500)
+
+
+# -- the sampled window's spline: bit for bit scipy's not-a-knot CubicSpline -------
+
+
+def _assert_matches_scipy(window, rng):
+    """Coefficients, values (knots, one ulp either side, random points in
+    and past the support, NaN, +-inf) and decay constants equal, bit for
+    bit, those of ``CubicSpline(x, values, extrapolate=False)``, whose NaN
+    outside the support reads as 0."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    spline = interpolate.CubicSpline(window._x, window.values, extrapolate=False)
+    assert window._c.tobytes() == spline.c.tobytes()
+    x = window._x
+    t = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+                        rng.uniform(x[0] - 1.0, x[-1] + 1.0, 4000), [np.nan, np.inf, -np.inf]])
+    want = spline(t)
+    assert window.eval_many(t).tobytes() == np.where(np.isnan(want), 0.0, want).tobytes()
+    twin = copy.copy(window)
+    twin.__dict__.pop("_cell_maxima", None)
+    twin._c = spline.c
+    for order in (0, 4, 12, 24):
+        assert window.decay_constant(order) == twin.decay_constant(order)
+
+
+_TS_COARSE = np.arange(-4.0, 4.0 + 1e-9, 0.1)
+
+
+@pytest.mark.parametrize("window", [
+    _SAMPLED_GAUSSIAN,
+    SampledGridWindow(np.exp(-np.pi * _TS_COARSE * _TS_COARSE), step=0.1, radius=4.0),
+], ids=["benchmark-gaussian", "step-0.1-gaussian"])
+def test_sampled_spline_is_scipys_bit_for_bit(window):
+    _assert_matches_scipy(window, np.random.default_rng(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=60),
+       st.sampled_from([1 / 64, 0.1, 0.25, 1 / 3, 0.7, 1.0, 2.5]), st.floats(2.0, 10.0))
+def test_random_sampled_splines_are_scipys_bit_for_bit(values, step, radius):
+    _assert_matches_scipy(SampledGridWindow(np.array(values), step, radius), np.random.default_rng(len(values)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_complex_sampled_splines_are_scipys_within_rounding(seed):
+    # the complex solve may round in another order than scipy's zgtsv
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 61))
+    w = SampledGridWindow(rng.normal(size=n) + 1j * rng.normal(size=n), step=0.25, radius=3.0)
+    want = interpolate.CubicSpline(w._x, w.values, extrapolate=False).c
+    assert np.max(np.abs(w._c - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", ["step", "radius"])
+def test_sampled_window_refuses_a_non_finite_step_or_radius(argument, value):
+    # refused before only by scipy's own check of the grid
+    kwargs = {"step": 0.25, "radius": 3.0, argument: value}
+    with pytest.raises(ValueError, match="step and radius must be positive and finite"):
+        SampledGridWindow(np.ones(25), **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("step, radius", [(1e308, 1.0), (1e-10, 1e20)])
+def test_sampled_window_refuses_a_grid_that_floats_cannot_hold(step, radius):
+    # the last knot overflows to inf; the knots round onto one another
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        SampledGridWindow(np.ones(25), step=step, radius=radius)
+
+
+def _write_rows(tmp_path, rows):
+    path = tmp_path / "w.csv"
+    path.write_text("".join(f"{row}\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # kept with 5 samples before, 0.3 landing at t = 1
+    (["-3,0.1", "-2,0.5", "-1,0.9", "0,0.5", "nan,0.3"], "CSV row 5: t 'nan' is not finite"),
+    # the typo row was dropped, shrinking the support to [-3, 1]
+    (["-3,0.1", "-2,0.5", "-1,0.9", "0,0.5", "1,0.4", "2x,0.2"], "CSV row 6: t '2x' is not a number"),
+    # a mid-file header was skipped
+    (["t,value", "-3,0.1", "-2,0.5", "t,value", "-1,0.9", "0,0.5"], "CSV row 4: t 't' is not a number"),
+    (["-3,0.1", "-2,0.5", "-inf,0.9", "0,0.5"], "CSV row 3: t '-inf' is not finite"),
+], ids=["nan-t", "typo-row", "mid-file-header", "infinite-t"])
+def test_window_csv_refuses_a_bad_row_and_names_it(tmp_path, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sampled_window_from_csv(_write_rows(tmp_path, rows))
+
+
+def test_window_csv_header_is_the_first_non_empty_row(tmp_path):
+    w = sampled_window_from_csv(_write_rows(tmp_path, ["", "t,value", "-3,0.1", "", "-2,0.5", "-1,0.9", "0,0.5"]))
+    assert (w.radius, w.step, w.values.tolist()) == (3.0, 1.0, [0.1, 0.5, 0.9, 0.5])
+
+
+def test_a_sampled_zak_grid_and_a_haar_theta_load_neither_scipy_nor_numpy_ma():
+    # scipy.interpolate took about 0.4 s to import, numpy.ma came with np.unique
+    code = """
+import sys
+import numpy as np
+from gaborzak.cocycle import theta_haar
+from gaborzak.numerics import QuadratureSpec, reduce_mod1
+from gaborzak.orbit import Gamma, classify, subgroup_closure
+from gaborzak.trigpoly import TrigPolynomial
+from gaborzak.windows import SampledGridWindow
+from gaborzak.zak import zak_transform
+ts = np.arange(-8.0, 8.0 + 1e-9, 1 / 64)
+zak_transform(SampledGridWindow(2**0.25 * np.exp(-np.pi * ts * ts), step=1 / 64, radius=8.0), 64)
+p = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
+g = Gamma.from_tokens("0,sqrt2")
+theta_haar(p, reduce_mod1([0.25, 0.0]), subgroup_closure(g, classify(g)), QuadratureSpec("composite-midpoint", 64))
+print(*sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
