@@ -268,7 +268,7 @@ def _cmd_phase_check(args):
 
 
 def _cmd_cluster(args):
-    import numpy as np
+    from fractions import Fraction
 
     from .cocycle import cluster_set_c1, cluster_set_c2, cluster_sets_match
     from .numerics import Coordinate, parse_coordinate, reduce_mod1, split_inner_product
@@ -281,11 +281,10 @@ def _cmd_cluster(args):
     if args.inner_product is not None:
         ab = parse_coordinate(args.inner_product)
     else:
-        rat, irr, _ = split_inner_product(alpha, beta)
-        ab = Coordinate.from_fraction(rat)
-        if irr != 0.0:  # irrational products that cancel keep the result exact
-            total = np.longdouble(rat.numerator) / rat.denominator + irr
-            ab = Coordinate.irrational(float(total))
+        rat = split_inner_product(alpha, beta)[0]
+        total = sum((a.exact * b.exact for a, b in zip(alpha, beta)), Fraction(0))
+        # irrational products that cancel keep the result exact
+        ab = Coordinate.from_fraction(rat) if total == rat else Coordinate.irrational(float(total))
     omega = reduce_mod1(_parse_floats(args.omega) if args.omega else [0.0] * d)
     c1 = cluster_set_c1(ab)
     c2 = cluster_set_c2(alpha, beta, omega, args.n_max)

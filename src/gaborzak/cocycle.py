@@ -33,18 +33,18 @@ Birkhoff logs, the phase mean's lifts and the row means of a Haar coset are
 summed with one exact rounding (``exact_sum``), so no bit depends on the CPU
 count.
 The phase entry points read one vectorized orbit pass over an array of steps
-j: the long-double lift t - j alpha, the reduced points, one ``eval_points``
-call (Zak-field sources have no characters) and the branch ladder: one
-arctangent, pi added in place where Re < 0, and pi/2 or 3 pi/2 set where
-Re = 0.  Each raises PhaseUndefined at the first step where the value is
-below one fixed floor, 1e-8.  Alpha and beta become long doubles once per call
-(once per synthetic field), with no per-step Python loop.  A synthetic field
-caches its lifts and at least doubles the cache in each pass, so lifts
-requested one step at a time up to step n cost O(log n) passes.
+j: the turns of the orbit points, one ``eval_points`` call (Zak-field sources
+have no characters) and the branch ladder: one arctangent, pi added in place
+where Re < 0, and pi/2 or 3 pi/2 set where Re = 0.  Each raises PhaseUndefined
+at the first step where the value is below one fixed floor, 1e-8.  The phase
+identity and a synthetic field's lifts sum uint64 turns, exact mod 1.  A
+synthetic field caches its lifts and at least doubles the cache in each pass,
+so lifts requested one step at a time up to step n cost O(log n) passes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,15 +57,18 @@ from .numerics import (
     Coordinate,
     STEP_BLOCK,
     QuadratureSpec,
+    StepKernel,
     TorusPoint,
     _check_integer,
+    _float_turns,
     _map_blocks,
+    _real_turn,
     exact_sum,
     inner_product_mod1_dist,
     product_grid,
     reduce_mod1,
-    split_inner_product,
     step_turns,
+    turns_to_float,
 )
 # haar_sample_points and orbit_points are unused here but stay module
 # attributes: the traced benchmark (bench/tracing.py) rebinds both
@@ -138,9 +141,9 @@ class ClusterSet:
     generator_angle: float  # angle of e^{-pi i <a,b>} in turns, mod 1
 
 
-def _e(x) -> np.ndarray:
-    """e(x) = exp(2 pi i x) of long-double turns x, reduced mod 1 first."""
-    return np.exp(2j * np.pi * np.mod(x, np.longdouble(1.0)).astype(float))
+def _e(turns) -> np.ndarray:
+    """e(x) = exp(2 pi i x) of the uint64 turns of x."""
+    return np.exp(2j * np.pi * turns_to_float(turns))
 
 
 _ORBIT_GROUP = 64  # block-start rows (of STEP_BLOCK steps) per _orbit_groups block
@@ -154,19 +157,19 @@ def _orbit_groups(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int, fn)
     Term k adds c_k e(<f_k, base>) w_k^j with w_k = e(theta_k) and theta_k =
     <f_k, gamma>.  For j = q B + r (B = STEP_BLOCK) that is the outer product
     of a table over the block starts, c_k e(<f_k, base>) e(theta_k q B), and
-    one over the offsets, e(theta_k r).  Both tables take their turns from
-    ``step_turns``, so the value at a step does not depend on n or on its
-    group.
+    one over the offsets, e(theta_k r).  Both tables and <f_k, base>, from
+    the base's exact values, take their turns from ``step_turns``, so the
+    value at a step does not depend on n or on its group.
     """
     m = gamma.dimension
     if p.dimension != m or len(base) != m:
         raise ValueError("dimension mismatch")
     starts = np.arange(-(-n // STEP_BLOCK), dtype=np.int64) * STEP_BLOCK
     offsets = np.arange(min(STEP_BLOCK, n), dtype=np.int64)
-    z = np.array(base.coords, dtype=np.longdouble)
+    z = tuple(map(Coordinate.irrational, base.coords))  # exact values of the floats
     tables = []
     for freq, coeff in p.terms:
-        lead = coeff * _e(np.dot(freq, z))
+        lead = coeff * _e(step_turns(freq, z, [1]))
         tables.append((lead * _e(step_turns(freq, gamma.coords, starts)),
                        _e(step_turns(freq, gamma.coords, offsets))))
 
@@ -201,9 +204,7 @@ def propagate(
     positive, an F0 that is not >= 0 (NaN included) and an n_max that is not
     an integer raise ValueError.
     """
-    _check_integer(n_max)
-    if n_max < 1:
-        raise ValueError("n-max must be >= 1")
+    _check_integer(n_max, least=1, small="n-max must be >= 1")
     if not skip_threshold > 0:
         raise ValueError("skip threshold must be positive")
     if not F0 >= 0:
@@ -247,9 +248,7 @@ def theta_birkhoff(
     not ``reliable``) raises NumericalFailure; delta <= 0 and an n that is
     not an integer raise ValueError.
     """
-    _check_integer(n)
-    if n < 1000:
-        raise ValueError("Birkhoff averaging needs n >= 1000")
+    _check_integer(n, least=1000, small="Birkhoff averaging needs n >= 1000")
     if not delta > 0:
         raise ValueError("delta must be positive")
 
@@ -421,11 +420,8 @@ def balanced_fraction(
     vanishing; this reports the fraction without adjudicating.  A resolution
     that is not an integer >= 1 and a tolerance that is not positive and
     finite raise ValueError."""
-    _check_integer(resolution, "resolution must be an integer")
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
-    if not 0 < tolerance < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    _check_integer(resolution, "resolution must be an integer", 1, "resolution must be >= 1")
+    _check_tolerance(tolerance)
     flat = product_grid(np.arange(resolution) / resolution, H.dimension)
     ests = _theta_haar_many(p, [reduce_mod1(row) for row in flat], H, quad)
     return sum(abs(est.value) <= tolerance for est in ests) / len(ests)
@@ -468,13 +464,9 @@ def phase_branch(value: complex) -> PhaseBranch:
     return PhaseBranch(theta=theta, case_tag="im-positive" if z.imag > 0.0 else "im-negative")
 
 
-def _ld(coords) -> np.ndarray:  # Coordinates as a long-double array
-    return np.array([c.longdouble() for c in coords])
-
-
 def _phase_args(dimension, base, alpha, beta, ns=(), least=0):
-    """alpha and beta as ``_ld`` arrays and the steps ns as int64, once alpha,
-    beta and the base point fit a phase source on the 2d-torus of the given
+    """alpha and beta as tuples and the steps ns as int64, once alpha, beta
+    and the base point fit a phase source on the 2d-torus of the given
     dimension; a mismatch, a non-integer n or one below ``least`` raise
     ValueError."""
     d = len(alpha)
@@ -485,26 +477,34 @@ def _phase_args(dimension, base, alpha, beta, ns=(), least=0):
     ns = np.asarray(ns, dtype=np.int64)
     if ns.min(initial=least) < least:
         raise ValueError(f"n must be >= {least}")
-    return _ld(alpha), _ld(beta), ns
+    return tuple(alpha), tuple(beta), ns
+
+
+@functools.lru_cache(maxsize=256)
+def _phase_kernels(base, a, b) -> tuple[StepKernel, StepKernel]:
+    """Step kernels of the orbit (t - j a, w + j b) through base, and of <t, b>
+    (the floats t taken exactly) and <a, b> from 0: made once per orbit."""
+    d = len(a)
+    t, w = base.coords[:d], base.coords[d:]
+    orbit = StepKernel([((-1,), (c,), x) for c, x in zip(a, t)]
+                       + [((1,), (c,), x) for c, x in zip(b, w)])
+    return orbit, StepKernel([(tuple(map(Coordinate.irrational, t)), b, 0.0), (a, b, 0.0)])
 
 
 def _phase_orbit(base, a, b, steps, values=None, name="p"):
-    """The orbit z_j = (t - j a, w + j b) at the integer steps j (``_ld`` arrays).
+    """The orbit z_j = (t - j a, w + j b) at the integer steps j.
 
-    Returns the unreduced long-double lift t - j a, shape (k, d); the points
-    z_j mod 1 as float64, shape (k, 2d); and, given ``values`` (a map from
-    those points to complex values, such as ``p.eval_points``), their
-    measurable branch (else None).  Raises PhaseUndefined at the first step
-    where |value| < _PHASE_FLOOR.
+    Returns a float estimate of the unreduced t - j a, shape (k, d); the
+    points z_j mod 1 as float64, shape (k, 2d), read out from their turns;
+    and, given ``values`` (a map from those points to complex values, such as
+    ``p.eval_points``), their measurable branch (else None).  Raises
+    PhaseUndefined at the first step where |value| < _PHASE_FLOOR.
     """
-    d = len(a)
     if isinstance(steps, range):  # np.arange: no walk over the range's ints
         steps = np.arange(steps.start, steps.stop)
     steps = np.asarray(steps, dtype=np.int64)
-    j = steps.astype(np.longdouble)[:, None]
-    coords = np.asarray(base.coords, dtype=np.longdouble)
-    t = coords[:d] - j * a
-    z = np.mod(np.concatenate([t, coords[d:] + j * b], axis=1), np.longdouble(1.0)).astype(float)
+    t = np.asarray(base.coords[:len(a)]) - np.multiply.outer(steps, [c.float() for c in a])
+    z = turns_to_float(_phase_kernels(base, a, b)[0](steps))
     if values is None:
         return t, z, None
     vals = values(z)
@@ -520,23 +520,14 @@ def _phase_orbit(base, a, b, steps, values=None, name="p"):
 
 def _phase_cocycle_rhs(theta0, phi_source, base, alpha, beta, ns):
     """phase_cocycle_iterate at every n in ns, as a float64 array, from one
-    orbit pass over the steps j < max(ns) and its long-double prefix sums."""
+    orbit pass over the steps j < max(ns): the turns of theta0, of the prefix
+    sums of phi, of n <t, b> and of <a, b> at step -n(n-1)/2, added mod 1."""
     a, b, ns = _phase_args(phi_source.dimension, base, alpha, beta, ns)
     _, _, phi = _phase_orbit(base, a, b, range(ns.max(initial=0)), phi_source.eval_points)
-    phi_sums = np.concatenate([[0], np.cumsum(phi, dtype=np.longdouble)])[ns]
-    tb = np.dot(np.asarray(base.coords[:len(b)], dtype=np.longdouble), b)
-    ab_rat, ab_irr, _ = split_inner_product(alpha, beta)
-    # the rational part of n(n-1)/2 <a,b> is reduced mod 1 exactly
-    num, den = ab_rat.numerator, ab_rat.denominator
-    rational_part = [(-(n * (n - 1) // 2) * num) % den for n in ns.tolist()]
-    total = (
-        np.longdouble(theta0)
-        + phi_sums
-        + ns.astype(np.longdouble) * tb
-        - (ns * (ns - 1)).astype(np.longdouble) / np.longdouble(2.0) * ab_irr
-        + np.array(rational_part, dtype=np.longdouble) / np.longdouble(den)
-    )
-    return np.mod(total, np.longdouble(1.0)).astype(float)
+    phi_sums = np.zeros(len(phi) + 1, dtype=np.uint64)
+    np.cumsum(_float_turns(phi), out=phi_sums[1:])
+    terms = _phase_kernels(base, a, b)[1](np.stack([ns, -(ns * (ns - 1) // 2)], axis=1))
+    return turns_to_float(phi_sums[ns] + terms.sum(axis=1) + _real_turn(theta0)[1])
 
 
 def phase_cocycle_iterate(
@@ -561,12 +552,6 @@ def phase_cocycle_iterate(
 
 # most steps a SyntheticPhaseField pass adds past the one requested
 _LIFT_AHEAD = 1 << 16
-
-
-def _check_step(n) -> None:
-    _check_integer(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
 
 
 class SyntheticPhaseField:
@@ -595,18 +580,18 @@ class SyntheticPhaseField:
         beta: tuple[Coordinate, ...],
         theta0: float = 0.0,
     ):
-        self._a, self._b, _ = _phase_args(phi_source.dimension, base, alpha, beta)
+        self.alpha, self.beta, _ = _phase_args(phi_source.dimension, base, alpha, beta)
         self.phi_source = phi_source
         self.base = base
-        self.alpha = tuple(alpha)
-        self.beta = tuple(beta)
-        self._lifts = np.array([theta0], dtype=np.longdouble)
+        whole, turn = _real_turn(theta0)
+        self._wholes = np.array([whole], dtype=np.int64)  # lift n: wholes[n] + turns[n] 2^-64
+        self._turns = np.array([turn], dtype=np.uint64)
         self._undefined: PhaseUndefined | None = None  # the zero that ends the cache
 
     def phase_lift(self, n: int) -> float:
         """Real-valued lift of theta at orbit step n."""
-        _check_step(n)
-        done = len(self._lifts) - 1
+        _check_integer(n, least=0, small="n must be >= 0")
+        done = len(self._turns) - 1
         if n > done and self._undefined is None:
             stop = max(n, min(2 * done, n + _LIFT_AHEAD))
             try:
@@ -614,28 +599,36 @@ class SyntheticPhaseField:
             except PhaseUndefined as exc:
                 self._undefined = exc
                 self._extend(done, exc.step)
-        if n >= len(self._lifts):
+        if n >= len(self._turns):
             raise self._undefined.with_traceback(None)
-        return float(self._lifts[n])
+        return float(self._wholes[n] + turns_to_float(self._turns[n]))
 
     def _extend(self, done: int, stop: int) -> None:
         """Append the lifts done + 1 .. stop, from one orbit pass over the
-        steps done .. stop - 1."""
-        t, _, phi = _phase_orbit(self.base, self._a, self._b, range(done, stop),
+        steps done .. stop - 1: the turns of phi_j and of <t - j alpha,
+        beta> = <t, beta> - j <alpha, beta> in one running sum, which carries
+        1 into the integer part wherever it wraps round, i.e. decreases."""
+        t, _, phi = _phase_orbit(self.base, self.alpha, self.beta, range(done, stop),
                                  self.phi_source.eval_points)
-        # phi_j and <t_j, beta> enter the running sum as separate terms, in
-        # the recursion's order: lifts grow like n^2 <alpha, beta>, and the
-        # float64 result would turn any reassociation into ~1e-11 jumps
-        terms = np.stack([phi.astype(np.longdouble), t @ self._b], axis=1).ravel()
-        lifts = np.cumsum(np.concatenate([self._lifts[-1:], terms]))
-        self._lifts = np.concatenate([self._lifts, lifts[2::2]])
+        steps = np.arange(done, stop)
+        inner = _phase_kernels(self.base, self.alpha, self.beta)[1](
+            np.stack([np.ones_like(steps), -steps], axis=1)).sum(axis=1)
+        terms = np.stack([_float_turns(phi), inner], axis=1).ravel()
+        turns = np.cumsum(np.concatenate([self._turns[-1:], terms]))
+        wraps = (turns[1:] < turns[:-1]).reshape(-1, 2).sum(axis=1)
+        # the integer part of <t - j alpha, beta>, from a float estimate
+        whole = np.rint(t @ [b.float() for b in self.beta] - turns_to_float(inner)).astype(np.int64)
+        wholes = self._wholes[-1] + np.cumsum(whole + wraps)
+        self._wholes = np.concatenate([self._wholes, wholes])
+        self._turns = np.concatenate([self._turns, turns[2::2]])
 
     def phase_at_step(self, n: int) -> float:
-        return self.phase_lift(n) % 1.0
+        self.phase_lift(n)
+        return float(turns_to_float(self._turns[n]))
 
     def point_at_step(self, n: int) -> TorusPoint:
-        _check_step(n)
-        _, z, _ = _phase_orbit(self.base, self._a, self._b, [n])
+        _check_integer(n, least=0, small="n must be >= 0")
+        _, z, _ = _phase_orbit(self.base, self.alpha, self.beta, [n])
         return reduce_mod1(z[0])
 
 
@@ -670,9 +663,8 @@ def normalized_phase_sequence(
             return np.array([field.point_value(r[:d], r[d:]) for r in z], dtype=complex)
 
         t, z, branch = _phase_orbit(base, a, b, steps, fresh_sums, "Zf")
-        iota = (t - np.mod(t, np.longdouble(1.0))).astype(float)
-        corr = np.sum(iota * z[:, d:].astype(np.longdouble), axis=1).astype(float)
-        thetas = branch + corr
+        iota = np.rint(t - z[:, :d])  # goes with z's own turn
+        thetas = branch + np.sum(iota * z[:, d:], axis=1)
     return [complex(np.exp(2j * np.pi * th / n)) for th, n in zip(thetas, ns)]
 
 
@@ -718,7 +710,7 @@ def cluster_set_c1(inner_product_alpha_beta: Coordinate) -> ClusterSet:
         turns = np.arange(order, dtype=np.int64) * gen_angle.numerator % order / order
         pts = np.exp(2j * np.pi * turns)
         return ClusterSet("finite-roots", tuple(pts.tolist()), float(gen_angle))
-    gen = float(np.mod(-ab.longdouble() / np.longdouble(2.0), np.longdouble(1.0)))
+    gen = float(-ab.exact / 2 % 1)
     return ClusterSet(kind="full-circle", points=(), generator_angle=gen)
 
 
@@ -736,18 +728,14 @@ def cluster_set_c2(
     |v_{i+1} - v_i| above the tolerance (also from the last value round to the
     first) starts a cluster, represented by its earliest n; the result is in
     order of n.  A tolerance that is not positive and finite raises ValueError."""
-    _check_integer(n_max)
-    if n_max < 1:
-        raise ValueError("n-max must be >= 1")
+    _check_integer(n_max, least=1, small="n-max must be >= 1")
     _check_tolerance(tolerance)
     d = len(alpha)
     if len(beta) != d or len(omega) != d:
         raise ValueError("dimension mismatch")
-    steps = np.arange(1, n_max + 1)
-    inners = np.zeros(n_max, dtype=np.longdouble)
-    for a, b, w in zip(alpha, beta, omega.coords):
-        inners += a.longdouble() * step_turns((1,), (b,), steps, w)
-    vals = np.exp(-2j * np.pi * inners.astype(float))
+    kernel = StepKernel([((1,), (b,), w) for b, w in zip(beta, omega.coords)])
+    fracs = turns_to_float(kernel(np.arange(1, n_max + 1)))
+    vals = np.exp(-2j * np.pi * np.sum(fracs * [a.float() for a in alpha], axis=1))
     order = np.argsort(np.angle(vals), kind="stable")
     starts = np.flatnonzero(np.abs(np.diff(vals[order])) > tolerance) + 1
     kept = np.minimum.reduceat(order, np.concatenate([[0], starts]))

@@ -213,9 +213,8 @@ def gram_matrix_zak(
     if M < 4:
         raise ValueError("resolution must be >= 4")
     if truncation is not None:
-        _check_integer(truncation, "truncation must be an integer >= 1")
-        if truncation < 1:
-            raise ValueError("truncation must be an integer >= 1")
+        _check_integer(truncation, "truncation must be an integer >= 1",
+                       1, "truncation must be an integer >= 1")
     if truncation is None:
         radius = _rule_radius(w, cfg)
         lo, hi = math.ceil(-radius * M), math.floor(radius * M) + 1

@@ -1,13 +1,12 @@
 """Exact/float coordinate arithmetic, torus reduction, exactly rounded summation,
-the exact/long-double inner product, the one orbit-step kernel
-(``step_turns``), product grids, and the row-block runner of the large
-kernels.
+the split inner product, the one orbit-step kernel (``StepKernel``), product
+grids, and the row-block runner of the large kernels.
 
-Coordinates are either exact rationals (stored as ``fractions.Fraction`` in
-lowest terms) or tagged irrationals (a float64 value plus an optional label
-such as ``"sqrt2"``).  Known labels expand to extended-precision
-(``np.longdouble``) constants so that long orbit sums keep more headroom than
-float64 would allow.
+Coordinates are exact rationals (``fractions.Fraction``) or tagged irrationals
+(a float64 plus an optional label such as ``"sqrt2"``); each has an exact value,
+for a label a Fraction within 2^-128 of it.  A quantity mod 1 is a turn, a
+uint64 count of 2^-64: wrap-around is reduction mod 1, exact on every platform,
+and a float appears only where a turn is read out (``turns_to_float``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,9 @@ __all__ = [
     "split_inner_product",
     "inner_product_mod1_dist",
     "STEP_BLOCK",
+    "StepKernel",
     "step_turns",
+    "turns_to_float",
     "product_grid",
     "fixed_order_matmul",
     "parse_coordinate",
@@ -40,15 +41,14 @@ __all__ = [
     "coordinate_to_json",
 ]
 
-# Extended-precision expansions for the labels the CLI accepts.  Strings are
-# parsed by numpy at longdouble precision (64-bit mantissa on x86).
-_LABEL_LONGDOUBLE: dict[str, np.longdouble] = {
-    "sqrt2": np.sqrt(np.longdouble(2)),
-    "sqrt3": np.sqrt(np.longdouble(3)),
-    "sqrt5": np.sqrt(np.longdouble(5)),
-    "pi": np.longdouble("3.14159265358979323846264338328"),
-    "e": np.longdouble("2.71828182845904523536028747135"),
+# The labels the CLI accepts, as Fractions within 2^-128 of their values:
+# floor(sqrt(k) 2^128) / 2^128, and 50-digit decimals for pi and e.
+_LABEL_VALUE: dict[str, Fraction] = {
+    **{f"sqrt{k}": Fraction(math.isqrt(k << 256), 1 << 128) for k in (2, 3, 5)},
+    "pi": Fraction("3.14159265358979323846264338327950288419716939937510"),
+    "e": Fraction("2.71828182845904523536028747135266249775724709369995"),
 }
+_LABEL_VALUE.update({"-" + k: -v for k, v in _LABEL_VALUE.items()})
 
 
 class Coordinate:
@@ -60,12 +60,13 @@ class Coordinate:
     values coincide.
     """
 
-    __slots__ = ("_frac", "_value", "label")
+    __slots__ = ("_frac", "_value", "label", "_exact")
 
     def __init__(self, _frac: Fraction | None, _value: float, label: str | None):
         self._frac = _frac
         self._value = _value
         self.label = label
+        self._exact = _frac  # an irrational's is made on first use
 
     @classmethod
     def rational(cls, numerator: int, denominator: int = 1) -> "Coordinate":
@@ -80,15 +81,10 @@ class Coordinate:
     def irrational(cls, value: float, label: str | None = None) -> "Coordinate":
         if not math.isfinite(value):
             raise ValueError("irrational coordinate must carry a finite value")
-        base = label.lstrip("-") if label else None
-        if base in _LABEL_LONGDOUBLE:
-            canon = float(_LABEL_LONGDOUBLE[base])
-            if label.startswith("-"):
-                canon = -canon
-            if abs(value - canon) > 1e-6:
-                raise ValueError(
-                    f"value {value} does not match label {label!r} ({canon})"
-                )
+        if label and label.lstrip("-") in _LABEL_VALUE:  # "--sqrt2" matches no value
+            canon = float(_LABEL_VALUE.get(label, math.nan))
+            if not abs(value - canon) <= 1e-6:
+                raise ValueError(f"value {value} does not match label {label!r} ({canon})")
             value = canon
         return cls(None, float(value), label)
 
@@ -105,16 +101,13 @@ class Coordinate:
     def float(self) -> float:
         return self._value
 
-    def longdouble(self) -> np.longdouble:
-        if self._frac is not None:
-            return np.longdouble(self._frac.numerator) / np.longdouble(
-                self._frac.denominator
-            )
-        base = self.label.lstrip("-") if self.label else None
-        if base in _LABEL_LONGDOUBLE:
-            ld = _LABEL_LONGDOUBLE[base]
-            return -ld if self.label.startswith("-") else ld
-        return np.longdouble(self._value)
+    @property
+    def exact(self) -> Fraction:
+        """The exact value: the fraction, a label's value to within 2^-128,
+        or the float's own dyadic value."""
+        if self._exact is None:
+            self._exact = _LABEL_VALUE.get(self.label) or Fraction(self._value)
+        return self._exact
 
     def __neg__(self) -> "Coordinate":
         if self._frac is not None:
@@ -156,12 +149,8 @@ def parse_coordinate(token: str) -> Coordinate:
     token = token.strip()
     if not token:
         raise ValueError("empty coordinate token")
-    base = token.lstrip("-")
-    if base in _LABEL_LONGDOUBLE:
-        value = float(_LABEL_LONGDOUBLE[base])
-        if token.startswith("-"):
-            return Coordinate.irrational(-value, token)
-        return Coordinate.irrational(value, token)
+    if token in _LABEL_VALUE:
+        return Coordinate.irrational(float(_LABEL_VALUE[token]), token)
     if token.startswith("irr:"):
         return Coordinate.irrational(float(token[4:]), None)
     if "/" in token:
@@ -239,9 +228,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme != "composite-midpoint":
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        _check_integer(self.points_per_axis, "points-per-axis must be an integer")
-        if self.points_per_axis < 2:
-            raise ValueError("points-per-axis must be at least 2")
+        _check_integer(self.points_per_axis, "points-per-axis must be an integer",
+                       2, "points-per-axis must be at least 2")
 
 
 def reduce_mod1(v: Sequence[float] | np.ndarray) -> TorusPoint:
@@ -264,82 +252,118 @@ def mod1_dist(x: float) -> float:
     return min(f, 1.0 - f)
 
 
-def split_inner_product(a, b) -> tuple[Fraction, np.longdouble, bool]:
-    """<a, b> over ints or Coordinates as (exact rational part, long-double
+_ONE = 1 << 64  # a turn counts units of 2^-64
+
+
+def _real_turn(x) -> tuple[int, int]:
+    """A float or Fraction x as (n, t), x = n + t 2^-64 to the nearest turn t."""
+    return divmod(round(x * _ONE), _ONE)
+
+
+def split_inner_product(a, b) -> tuple[Fraction, int, bool]:
+    """<a, b> over ints or Coordinates as (exact rational part, turn of the
     irrational part, whether every product was rational).
 
-    A product joins the exact part only when both factors are rational; one
-    with an irrational factor goes to the long-double part.  Products with an
-    exact zero factor are skipped, so they never make the result inexact.
+    A product joins the rational part only when both factors are rational;
+    one with an irrational factor joins the irrational part, summed exactly
+    (``Coordinate.exact``) and rounded once.  Products with an exact zero
+    factor are skipped, so they never make the result inexact.
     """
-    rat = Fraction(0)
-    irr = np.longdouble(0.0)
+    rat = irr = 0
     exact = True
     for x, y in zip(a, b):
-        x = x if isinstance(x, Coordinate) else Coordinate.rational(int(x))
-        y = y if isinstance(y, Coordinate) else Coordinate.rational(int(y))
-        if (x.is_rational and x.fraction == 0) or (y.is_rational and y.fraction == 0):
+        (x, x_rat), (y, y_rat) = ((v.exact, v.is_rational) if isinstance(v, Coordinate)
+                                  else (int(v), True) for v in (x, y))
+        if (x_rat and x == 0) or (y_rat and y == 0):  # not an irrational 0.0
             continue
-        if x.is_rational and y.is_rational:
-            rat += x.fraction * y.fraction
+        if x_rat and y_rat:
+            rat += x * y
         else:
             exact = False
-            irr += x.longdouble() * y.longdouble()
-    return rat, irr, exact
+            irr += x * y
+    return Fraction(rat), _real_turn(irr)[1], exact
+
+
+def _unit_turn(rat: Fraction, irr: int) -> int:
+    """The step-1 turn of num/den + irr: floor((num mod den) 2^64 / den) + irr."""
+    return ((rat.numerator % rat.denominator << 64) // rat.denominator + irr) % _ONE
 
 
 def inner_product_mod1_dist(a, b) -> float:
     """Distance from <a, b> to the nearest integer: exact when every product
     is rational, from the j = 1 turn of ``step_turns`` otherwise."""
-    rat, _, exact = split_inner_product(a, b)
+    rat, irr, exact = split_inner_product(a, b)
     if exact:
         frac = rat - math.floor(rat)
         return float(min(frac, 1 - frac))
-    t = step_turns(a, b, [1])[0]
-    return float(min(t, 1 - t))
+    t = _unit_turn(rat, irr)
+    return float(turns_to_float(np.uint64(min(t, _ONE - t))))
 
 
-def _check_integer(x, message: str = "n must be an integer") -> None:
-    """Raise ValueError(message) unless x is a Python or numpy integer; a bool
-    is not one."""
+def _check_integer(x, message: str = "n must be an integer", least=None, small="") -> None:
+    """Raise ValueError(message) unless x is a Python or numpy integer (a bool
+    is not one), and ValueError(small) if it is below ``least``."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(message)
+    if least is not None and x < least:
+        raise ValueError(small)
 
 
 STEP_BLOCK = 1024  # orbit steps j = q * STEP_BLOCK + r, with r < STEP_BLOCK
 GRID_BUDGET_DEFAULT = 2**24  # most values a Zak, Gram or Haar grid may allocate
 
 
-def step_turns(a, b, steps, start=0.0) -> np.ndarray:
-    """(start + j <a, b>) mod 1 at the int64 steps j, in long double: the one
-    orbit-step kernel outside the phase lift.
+class StepKernel:
+    """The one orbit-step kernel: uint64 turns (start + j <a, b>) mod 1 at
+    int64 steps j (cast to uint64, right mod 2^64), for fixed columns (a, b,
+    start).  With C the irrational part's turn and num/den the rational part
+    (``split_inner_product``), j C + floor((j num mod den) 2^64 / den) is j
+    times the step-1 turn (``_unit_turn``) plus floor(j rho / den), rho =
+    num 2^64 mod den: int64 while no product overflows, Python ints past
+    that.  The rational part is exact, the irrational one within j 2^-65."""
 
-    The rational part num/den of <a, b> (``split_inner_product``) adds the
-    exact residue (j num) mod den over den, in int64 while no product can
-    overflow and in Python ints past that; the irrational part, reduced mod 1
-    first, adds j times itself.  A part that is zero mod 1 adds nothing.
-    With ``start`` reduced mod 1, a turn with no irrational part lies in
-    [0, 2) and loses 1 once, with no long-double np.mod.  A float64 cast of a
-    turn may round up to 1.0.
-    """
-    rat, irr, _ = split_inner_product(a, b)
-    j = np.asarray(steps, dtype=np.int64)
-    start = np.longdouble(start) % 1
-    num, den = rat.numerator % rat.denominator, rat.denominator
-    if num:
-        if int(np.abs(j).max(initial=0)) * num < 1 << 63 and den < 1 << 63:
-            res = j * num % den
-        else:
-            res = np.array([s * num % den for s in j.tolist()], dtype=object)
-        turns = res.astype(np.longdouble)
-        turns /= np.longdouble(den)
-        turns += start
-    else:
-        turns = np.full(j.shape, start)
-    if irr:
-        turns += j * np.mod(irr, np.longdouble(1.0))
-        return np.mod(turns, np.longdouble(1.0), out=turns)
-    return np.subtract(turns, 1, out=turns, where=turns >= 1)
+    def __init__(self, columns):
+        parts = []
+        for a, b, s in columns:
+            rat, irr, _ = split_inner_product(a, b)
+            rho = (rat.numerator << 64) % rat.denominator
+            parts.append((_real_turn(s)[1], _unit_turn(rat, irr), rho, rat.denominator))
+        start, whole, rho, den = zip(*parts)
+        self._start, self._whole = np.array([start, whole], dtype=np.uint64)
+        self._rho, self._den, self._rho_max = *np.array([rho, den], dtype=object), max(rho)
+        self._small = np.array([rho, den], dtype=np.int64) if max(den) < 1 << 63 else None
+
+    def __call__(self, steps) -> np.ndarray:
+        """(k, c) turns at steps of shape (k,) (all columns) or (k, c)."""
+        j = np.asarray(steps, dtype=np.int64)
+        j = j[:, None] if j.ndim == 1 else j
+        turns = np.multiply(j, self._whole, dtype=np.uint64, casting="unsafe")
+        turns += self._start
+        if self._rho_max:
+            big = (int(np.abs(j).max(initial=0)) + 1) * self._rho_max >= 1 << 63
+            if self._small is not None and not big:
+                carry = j * self._small[0] // self._small[1]
+            else:
+                carry = (j.astype(object) * self._rho // self._den).astype(np.int64)
+            np.add(turns, carry, out=turns, dtype=np.uint64, casting="unsafe")
+        return turns
+
+
+def step_turns(a, b, steps, start=0.0) -> np.ndarray:
+    """One ``StepKernel`` column's turns at 1-D steps."""
+    return StepKernel([(a, b, start)])(steps)[:, 0]
+
+
+def _float_turns(x) -> np.ndarray:
+    """Floats in [0, 1) as uint64 turns, rounded to nearest."""
+    return np.rint(np.multiply(x, 2.0**64)).astype(np.uint64)
+
+
+def turns_to_float(turns) -> np.ndarray:
+    """uint64 turns as float64 in [0, 1), rounded to nearest but for a turn
+    within 2^-54 of 1, which reads as the float below 1: n + a turn read out
+    stays below n + 1."""
+    return np.minimum(np.multiply(turns, 2.0**-64), 1.0 - 2.0**-53)
 
 
 def product_grid(axis: np.ndarray, k: int) -> np.ndarray:

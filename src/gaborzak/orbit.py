@@ -3,7 +3,7 @@
 Classifies the orbit closure (finite / dense / infinite-non-dense), computes
 the annihilator lattice H-perp = {r in Z^m : <r, gamma> in Z}, parametrizes
 the closure subgroup H through the Smith normal form of the relation matrix,
-samples H on an equispaced grid, and lists orbit points (``step_turns``).
+samples H on an equispaced grid, and lists orbit points (``StepKernel``).
 
 Relations supported entirely on coordinates declared rational are computed by
 exact integer arithmetic (unbounded).  Relations involving declared-irrational
@@ -27,6 +27,7 @@ from .lattice import hnf_basis, kernel_of_form, smith_normal_form
 from .numerics import (
     STEP_BLOCK,
     Coordinate,
+    StepKernel,
     TorusPoint,
     _check_integer,
     _map_blocks,
@@ -35,7 +36,7 @@ from .numerics import (
     parse_coordinate,
     product_grid,
     reduce_mod1,
-    step_turns,
+    turns_to_float,
 )
 
 __all__ = [
@@ -138,7 +139,6 @@ def _exact_rational_relations(gamma: Gamma) -> list[list[int]]:
     return [list(r) for r in hnf_basis(rows)]
 
 
-# P * gamma_i fits the 64-bit long-double mantissa for |gamma_i| < 1e3.
 _RELATION_SCALE = 10**15
 
 
@@ -199,8 +199,7 @@ def _numeric_relation_search(gamma: Gamma, bound: int, tol: float, support):
     side P tol in the lattice norm, so its relations are short vectors."""
     m = gamma.dimension
     w = max(1, round(_RELATION_SCALE * tol / bound))
-    vals = [c.longdouble() for c in gamma.coords]
-    rows = [[w * (i == j) for j in range(m)] + [int(np.rint(vals[i] * _RELATION_SCALE))]
+    rows = [[w * (i == j) for j in range(m)] + [round(gamma.coords[i].exact * _RELATION_SCALE)]
             for i in support]
     irr = [not c.is_rational for c in gamma.coords]
     hits = []
@@ -227,9 +226,7 @@ def classify(gamma: Gamma, search_bound: int = 50, tolerance: float = 1e-9) -> O
     A declared-irrational coordinate that carries such a relation together
     with the rational coordinates alone raises AmbiguousClassification.
     """
-    _check_integer(search_bound, "search bound must be an integer")
-    if search_bound < 1:
-        raise ValueError("search bound must be >= 1")
+    _check_integer(search_bound, "search bound must be an integer", 1, "search bound must be >= 1")
     if not (0.0 < tolerance <= 1e-6):
         raise ValueError("tolerance must lie in (0, 1e-6]")
     m = gamma.dimension
@@ -342,9 +339,8 @@ def haar_sample_points(H: SubgroupH, points_per_dimension: int) -> np.ndarray:
     """(component_count * N**t, m) array in [0, 1)^m of the equispaced grid
     on H (``_haar_grid`` over all t connected directions).  A count that is
     not an integer >= 2 raises ValueError."""
-    _check_integer(points_per_dimension, "points-per-dimension must be an integer")
-    if points_per_dimension < 2:
-        raise ValueError("points-per-dimension must be >= 2")
+    _check_integer(points_per_dimension, "points-per-dimension must be an integer",
+                   2, "points-per-dimension must be >= 2")
     pts = np.mod(_haar_grid(H, points_per_dimension, H.haar_dimension), 1.0)
     pts[pts >= 1.0] -= 1.0  # a tiny negative sum rounds up to 1.0
     return pts
@@ -354,23 +350,18 @@ _ORBIT_BLOCK = 64 * STEP_BLOCK  # steps per orbit_points block
 
 
 def orbit_points(z0: TorusPoint, gamma: Gamma, count: int) -> np.ndarray:
-    """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1, one
-    ``step_turns`` call per coordinate and block of steps, on every usable
-    CPU (``_map_blocks``); a point does not depend on its block."""
-    _check_integer(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    """(count, m) float array of z0 + j*gamma mod 1 for j = 0..count-1, the
+    turns of one ``StepKernel`` per block of steps, read out, on every
+    usable CPU (``_map_blocks``); a point does not depend on its block."""
+    _check_integer(count, least=1, small="count must be >= 1")
     m = gamma.dimension
     if len(z0) != m:
         raise ValueError("dimension mismatch between point and gamma")
     out = np.empty((count, m), dtype=float)
+    kernel = StepKernel([((1,), (c,), z) for c, z in zip(gamma.coords, z0.coords)])
 
     def block(lo: int, hi: int) -> None:
-        j = np.arange(lo, hi, dtype=np.int64)
-        for i, c in enumerate(gamma.coords):
-            out[lo:hi, i] = step_turns((1,), (c,), j, z0[i])
-        rows = out[lo:hi]
-        rows[rows >= 1.0] -= 1.0  # a long double just below 1 rounds up to 1.0
+        out[lo:hi] = turns_to_float(kernel(np.arange(lo, hi)))
 
     _map_blocks(block, count, _ORBIT_BLOCK)
     return out

@@ -206,9 +206,7 @@ def min_modulus(p: TrigPolynomial, resolution: int) -> MinModulusResult:
     GRID_BUDGET_DEFAULT points (resolution^m), raises ValueError before
     anything is allocated.
     """
-    _check_integer(resolution, "resolution must be an integer")
-    if resolution < 16:
-        raise ValueError("resolution must be >= 16")
+    _check_integer(resolution, "resolution must be an integer", 16, "resolution must be >= 16")
     m = p.dimension
     if resolution**m > GRID_BUDGET_DEFAULT:
         raise ValueError(f"min |p| grid of {resolution}^{m} points exceeds the budget "

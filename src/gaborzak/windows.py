@@ -64,9 +64,7 @@ def _round_up(x: float, ulps: int = 4) -> float:
 
 
 def _check_order(order) -> int:
-    _check_integer(order, "order must be an integer")
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    _check_integer(order, "order must be an integer", 0, "order must be >= 0")
     return int(order)
 
 
@@ -130,9 +128,7 @@ class GaussianWindow(Window):
     """2^{d/4} e^{-pi |t|^2}, unit L2 norm."""
 
     def __init__(self, dimension: int = 1):
-        _check_integer(dimension, "dimension must be an integer")
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        _check_integer(dimension, "dimension must be an integer", 1, "dimension must be >= 1")
         self.dimension = int(dimension)
         # |f| < 1e-49 beyond radius 6, far below every tolerance used here
         self.effective_radius = 6.0
@@ -378,24 +374,31 @@ def decay_bound(w: Window, order: int) -> DecayBound:
 
 def sampled_window_from_csv(path: str) -> SampledGridWindow:
     """Load a sampled window from CSV rows (t, value), the first one maybe a
-    header; a later t that does not parse, or a non-finite t, raises ValueError."""
-    ts: list[float] = []
-    vs: list[float] = []
+    header; a later t, or any value, that does not parse or is not finite
+    raises ValueError naming its row."""
     with open(path, newline="") as fh:
         rows = [(n, row) for n, row in enumerate(csv.reader(fh), 1) if row]
-    for k, (n, row) in enumerate(rows):
+    try:
+        float(rows[0][1][0])
+    except (IndexError, ValueError):
+        rows = rows[1:]  # a header, or no rows at all
+
+    def number(n: int, column: str, text: str) -> float:
         try:
-            t = float(row[0])
+            x = float(text)
         except ValueError:
-            if k == 0:
-                continue  # header
-            raise ValueError(f"CSV row {n}: t {row[0]!r} is not a number") from None
+            raise ValueError(f"CSV row {n}: {column} {text!r} is not a number") from None
+        if not math.isfinite(x):
+            raise ValueError(f"CSV row {n}: {column} {text!r} is not finite")
+        return x
+
+    ts: list[float] = []
+    vs: list[float] = []
+    for n, row in rows:
+        ts.append(number(n, "t", row[0]))
         if len(row) < 2:
             raise ValueError(f"CSV row {n}: need columns t,value")
-        if not math.isfinite(t):
-            raise ValueError(f"CSV row {n}: t {row[0]!r} is not finite")
-        ts.append(t)
-        vs.append(float(row[1]))
+        vs.append(number(n, "value", row[1]))
     if len(ts) < 4:
         raise ValueError("need at least 4 samples")
     order = np.argsort(ts)

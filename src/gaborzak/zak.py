@@ -206,9 +206,7 @@ def zak_transform(
             f"grid of {M ** (2 * d)} values exceeds the budget {GRID_BUDGET_DEFAULT}"
         )
     if truncation is not None:
-        _check_integer(truncation, "truncation must be an integer")
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
+        _check_integer(truncation, "truncation must be an integer", 1, "truncation must be >= 1")
     bounds = _decay_bounds(window)
     if truncation is None:
         K, tail = _choose_truncation(bounds, d, tail_target)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from gaborzak.cocycle import ClusterSet
-from gaborzak.numerics import step_turns
+from gaborzak.numerics import step_turns, turns_to_float
 
 
 def cluster_set_c1(ab) -> ClusterSet:
@@ -33,16 +33,16 @@ def cluster_set_c1(ab) -> ClusterSet:
             points=tuple(pts),
             generator_angle=float(gen_angle % 1),
         )
-    gen = float(np.mod(-ab.longdouble() / np.longdouble(2.0), np.longdouble(1.0)))
+    gen = float(-ab.exact / 2 % 1)
     return ClusterSet(kind="full-circle", points=(), generator_angle=gen)
 
 
 def cluster_set_c2(alpha, beta, omega, n_max: int, tolerance: float = 1e-10) -> list:
     steps = np.arange(1, n_max + 1)
-    inners = np.zeros(n_max, dtype=np.longdouble)
+    inners = np.zeros(n_max)
     for a, b, w in zip(alpha, beta, omega.coords):
-        inners += a.longdouble() * step_turns((1,), (b,), steps, w)
-    vals = np.exp(-2j * np.pi * inners.astype(float))
+        inners += a.float() * turns_to_float(step_turns((1,), (b,), steps, w))
+    vals = np.exp(-2j * np.pi * inners)
     # tolerance-collapse: cluster along sorted order, represent each cluster
     # by its earliest n
     order = np.argsort(np.angle(vals), kind="stable")

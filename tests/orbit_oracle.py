@@ -1,8 +1,8 @@
 """Exact reference for orbit steps: (start + j <a, b>) mod 1 in Fraction
 arithmetic when every product is rational, in 50-digit mpmath otherwise.
 
-The labels stand for their true values here, not for the long-double
-constants of ``gaborzak.numerics``.
+The labels stand for their true values here, not for the Fractions within
+2^-128 of them that ``gaborzak.numerics`` holds.
 """
 
 import math
@@ -44,9 +44,12 @@ def exact_point(z0, gamma, j: int) -> list:
 
 
 def turn_gap(got, want) -> float:
-    """Distance mod 1 from ``got``, a float or a long double read exactly, to
-    the exact turn ``want``."""
-    got = Fraction(*np.longdouble(got).as_integer_ratio())
+    """Distance mod 1 from ``got``, a float or a uint64 turn (units of
+    2^-64) read exactly, to the exact turn ``want``."""
+    if isinstance(got, np.unsignedinteger):
+        got = Fraction(int(got), 2**64)
+    else:
+        got = Fraction(float(got))
     if isinstance(want, Fraction):
         d = got - want
         return float(abs(d - round(d)))

@@ -167,6 +167,22 @@ class TestGram:
         assert "resolution must be >= 4" in captured.err
 
 
+@pytest.mark.parametrize("value, message", [
+    ("0.5x", "value '0.5x' is not a number"),
+    ("nan", "value 'nan' is not finite"),
+    ("inf", "value 'inf' is not finite"),
+])
+def test_a_bad_window_value_is_exit_code_2_naming_its_row(value, message, tmp_path, capsys):
+    # "0.5x" exited 2 with float's own message; nan and inf as "samples
+    # must be finite": neither named the row
+    path = tmp_path / "w.csv"
+    path.write_text(f"t,value\n-3,0.1\n-2,{value}\n-1,0.9\n0,0.5\n")
+    assert main(["zak", "--window", "sampled", "--window-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"CSV row 3: {message}" in captured.err
+
+
 def test_residual(cfg_file, tmp_path):
     out = tmp_path / "r.json"
     args = ["residual", "--config", cfg_file, "--method", "time-domain"]

@@ -43,7 +43,7 @@ from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow
 from gaborzak.zak import zak_transform
 import cluster_oracle
-from orbit_oracle import exact_point
+from orbit_oracle import _mp_value as _mp, exact_point
 
 mk = parse_coordinate
 
@@ -932,6 +932,39 @@ class TestPhaseCocycleIterate:
             each = [phase_cocycle_iterate(0.37, P2, self.BASE, alpha, beta, n) for n in range(401)]
             assert np.array(each).tobytes() == every.tobytes(), (a_tok, b_tok)
 
+    @pytest.mark.parametrize("a_tok, b_tok", [("sqrt2", "sqrt3"), ("1", "sqrt5")])
+    def test_lifts_match_the_identity_at_long_orbits(self, a_tok, b_tok):
+        # a float lift taken mod 1 lost the fraction here: the lifts grow
+        # like n^2 <alpha, beta> / 2, and at n = 10^5 a float64 lift keeps
+        # only a few digits of it, far past TOL_PHASE = 1e-8
+        alpha, beta = (mk(a_tok),), (mk(b_tok),)
+        field = SyntheticPhaseField(P2, self.BASE, alpha, beta, theta0=0.37)
+        for n in (10**4, 10**5):
+            rhs = _phase_cocycle_rhs(0.37, P2, self.BASE, alpha, beta, [n])[0]
+            assert mod1_dist(field.phase_at_step(n) - rhs) <= 1e-12, (a_tok, b_tok, n)
+
+    @pytest.mark.parametrize("a_tok, b_tok, old_max", [
+        ("sqrt2", "-sqrt3", 1.08e-7), ("-sqrt5", "1/2", 2.81e-8)])
+    def test_telescoped_terms_match_mpmath(self, a_tok, b_tok, old_max):
+        # theta0 + n <t, beta> - n(n-1)/2 <alpha, beta> mod 1 (p = 1 has no
+        # phase) against 50 digits: within the turns' rounding, C's at most
+        # 2^-65 per step of the kernel, and below old_max, the largest error
+        # of the earlier x87 long-double sums over these n
+        mpmath = pytest.importorskip("mpmath")
+        one = TrigPolynomial(2, [((0, 0), 1.0)])
+        alpha, beta = (mk(a_tok),), (mk(b_tok),)
+        worst = 0.0
+        for n in (400, 10**4, 10**6):
+            got = phase_cocycle_iterate(0.37, one, self.BASE, alpha, beta, n)
+            with mpmath.workdps(50):
+                a, b = _mp(mpmath, alpha[0]), _mp(mpmath, beta[0])
+                want = mpmath.mpf(0.37) + n * mpmath.mpf(self.BASE[0]) * b - n * (n - 1) // 2 * a * b
+                d = mpmath.mpf(got) - want
+                gap = float(abs(d - mpmath.nint(d)))
+            assert gap <= (n * (n - 1) / 2 + n + 2) * 2.0**-65 + 2.0**-54, (a_tok, b_tok, n)
+            worst = max(worst, gap)
+        assert worst <= old_max
+
     def test_non_integer_n_is_refused(self):
         # 1.5 used to be cast to the n = 1 value and 2.7 to the n = 2 value
         alpha, beta = (mk("sqrt2"),), (mk("sqrt3"),)
@@ -1025,7 +1058,9 @@ class TestSyntheticPhaseField:
         one_pass = SyntheticPhaseField(*args, theta0=0.1)
         one_pass.phase_lift(400)
         each = [stepwise.phase_lift(n) for n in range(401)]
-        assert np.array(each).tobytes() == one_pass._lifts.astype(float).tobytes()
+        assert each == [one_pass.phase_lift(n) for n in range(401)]
+        assert stepwise._wholes[:401].tobytes() == one_pass._wholes.tobytes()
+        assert stepwise._turns[:401].tobytes() == one_pass._turns.tobytes()
 
     def test_vanishing_orbit_raises(self):
         field = SyntheticPhaseField(
@@ -1072,7 +1107,7 @@ class TestSyntheticPhaseField:
         passes.clear()
         fresh = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
         fresh.phase_lift(400)
-        assert passes == [(0, 400)] and len(fresh._lifts) == 401
+        assert passes == [(0, 400)] and len(fresh._turns) == 401
 
     def test_growth_ahead_is_capped(self, monkeypatch):
         monkeypatch.setattr(cocycle, "_LIFT_AHEAD", 8)
@@ -1090,8 +1125,9 @@ class TestSyntheticPhaseField:
         got = [field.phase_lift(n) for n in ns]
         one_pass = SyntheticPhaseField(*args, theta0=0.1)
         one_pass.phase_lift(max(ns))
-        assert np.array(got).tobytes() == one_pass._lifts[ns].astype(float).tobytes()
-        assert np.array_equal(field._lifts[: max(ns) + 1], one_pass._lifts)
+        assert np.array(got).tobytes() == np.array([one_pass.phase_lift(n) for n in ns]).tobytes()
+        assert field._wholes[: max(ns) + 1].tobytes() == one_pass._wholes.tobytes()
+        assert field._turns[: max(ns) + 1].tobytes() == one_pass._turns.tobytes()
 
     def test_a_zero_past_the_requested_step_is_kept_for_later(self, monkeypatch):
         # P1 vanishes at (1/3, 1/6), which beta = 1/4 reaches at step 3

@@ -29,6 +29,7 @@ from gaborzak.numerics import (
     reduce_mod1,
     split_inner_product,
     step_turns,
+    turns_to_float,
 )
 from orbit_oracle import exact_turn, turn_gap
 
@@ -56,6 +57,14 @@ class TestCoordinate:
         with pytest.raises(ValueError):
             parse_coordinate("")
 
+    def test_a_doubly_negated_label_is_refused(self):
+        # "--sqrt2" read as -sqrt2, and negating it gave +sqrt2 labelled "-sqrt2"
+        with pytest.raises(ValueError, match="not understood"):
+            parse_coordinate("--sqrt2")
+        for value in (-math.sqrt(2), 1.0):
+            with pytest.raises(ValueError, match="does not match label '--sqrt2'"):
+                coordinate_from_json({"value": value, "label": "--sqrt2"})
+
     def test_negation_and_equality(self):
         c = parse_coordinate("sqrt2")
         assert (-(-c)) == c
@@ -70,11 +79,19 @@ class TestCoordinate:
             c = parse_coordinate(tok)
             assert coordinate_from_json(coordinate_to_json(c)) == c
 
-    def test_longdouble_expansion_beats_float(self):
-        # the label carries more precision than the rounded double
-        c = parse_coordinate("sqrt2")
-        err = abs(np.longdouble(c.longdouble()) ** 2 - np.longdouble(2.0))
-        assert err < 1e-18
+    def test_label_values_are_within_2_to_the_minus_128(self):
+        # each label's exact value is within 2^-128 of the true number, far
+        # closer than its rounded double
+        for k in (2, 3, 5):
+            v = parse_coordinate(f"sqrt{k}").exact
+            assert v * v <= k < (v + Fraction(1, 2**128)) ** 2
+            assert -parse_coordinate(f"-sqrt{k}").exact == v
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            for token, true in (("pi", mpmath.pi), ("e", mpmath.e), ("-e", -mpmath.e)):
+                v = parse_coordinate(token).exact
+                assert abs(mpmath.mpf(v.numerator) / v.denominator - true) < mpmath.mpf(2) ** -128
+                assert parse_coordinate(token).float() == float(v)
 
 
 class TestTorusReduction:
@@ -114,20 +131,21 @@ class TestInnerProduct:
         b = (parse_coordinate("3/4"), parse_coordinate("-1/5"))
         assert split_inner_product(a, b) == (Fraction(1, 4) - Fraction(2, 5), 0.0, True)
 
-    def test_rational_times_irrational_goes_to_long_double(self):
+    def test_rational_times_irrational_goes_to_the_irrational_turn(self):
         a = (parse_coordinate("1/2"), parse_coordinate("sqrt2"))
         b = (parse_coordinate("sqrt3"), parse_coordinate("1/3"))
         rat, irr, exact = split_inner_product(a, b)
         assert rat == 0 and not exact
-        sqrt2, sqrt3 = np.sqrt(np.longdouble(2)), np.sqrt(np.longdouble(3))
-        assert irr == np.longdouble(0.5) * sqrt3 + sqrt2 * (np.longdouble(1) / 3)
+        # the exact product of the label values, mod 1, to the nearest 2^-64
+        value = Fraction(1, 2) * b[0].exact + a[1].exact / 3
+        assert irr == round(value % 1 * 2**64)
 
     def test_integer_factors_and_zero_skipping(self):
         beta = (parse_coordinate("sqrt2"), parse_coordinate("1/3"))
         assert split_inner_product((0, 2), beta) == (Fraction(2, 3), 0.0, True)
         rat, irr, exact = split_inner_product((3, 0), beta)
         assert (rat, exact) == (0, False)
-        assert irr == 3 * np.sqrt(np.longdouble(2))
+        assert irr == round(3 * beta[0].exact % 1 * 2**64)
 
     def test_mod1_distance(self):
         beta = (parse_coordinate("1/2"), parse_coordinate("1/3"))
@@ -149,7 +167,7 @@ class TestInnerProduct:
 def test_step_turns_take_the_exact_residue(frac, count):
     # j * 10**14 passes 2**63 at j = 92,234: Python-int residues from there
     num, den = frac.numerator, frac.denominator
-    want = [np.longdouble(j * num % den) / np.longdouble(den) for j in range(count)]
+    want = [((j * num % den) << 64) // den for j in range(count)]
     c = Coordinate.from_fraction(frac)
     assert step_turns((1,), (c,), np.arange(count)).tolist() == want
     # a turn does not depend on the other steps of the call
@@ -165,8 +183,8 @@ _STEP_COORDS = st.one_of(
 
 
 def _turn_bound(j: int, a, b) -> float:
-    """The long-double rounding of the labels, of <a, b> and of j <a, b>: a
-    few units of 2^-64 per unit of |j <a, b>| where an irrational enters."""
+    """The rounding of the labels, of <a, b> and of j <a, b>: a few units of
+    2^-64 per unit of |j <a, b>| where an irrational enters."""
     irrational = sum(abs(x * c.float()) for x, c in zip(a, b) if x and not c.is_rational)
     return (2 * abs(j) * irrational + 1) * 2.0**-61
 
@@ -184,8 +202,8 @@ def _turn_bound(j: int, a, b) -> float:
 def test_step_turns_match_the_exact_oracle(ab, start, steps):
     a, b = ab
     turns = step_turns(a, b, np.array(steps), start)
-    assert turns.dtype == np.longdouble
-    assert np.all((0 <= turns) & (turns < 1))
+    read = turns_to_float(turns)
+    assert np.all((0 <= read) & (read < 1))
     for j, got in zip(steps, turns):
         assert turn_gap(got, exact_turn(start, a, b, j)) <= _turn_bound(j, a, b), j
 
@@ -201,8 +219,8 @@ def test_mod1_distance_reads_the_step_kernel():
         for a in [(1, 0), (0, -1), (2, -3), (-1, 4), (3, 5)]:
             if split_inner_product(a, b)[2]:
                 continue
-            t = step_turns(a, b, [1])[0]
-            assert inner_product_mod1_dist(a, b) == float(min(t, 1 - t)), (a, pair)
+            t = int(step_turns(a, b, [1])[0])
+            assert inner_product_mod1_dist(a, b) == min(t, 2**64 - t) / 2**64, (a, pair)
             inexact += 1
     assert inexact == 285
     b = (parse_coordinate("1/3"), parse_coordinate("-sqrt5"))
@@ -296,6 +314,20 @@ class TestExactSum:
         x = np.full(length, -np.nextafter(2.0, 0.0))
         x[1::3] = 2.0**-1022 - 5e-324
         assert _outcome(exact_sum, x) == _outcome(math.fsum, x)
+
+
+def test_no_platform_dependent_float_type_in_the_sources():
+    # every mod-1 quantity is a uint64 turn: a long double is 80-bit x87 on
+    # x86-64 Linux, binary128 on aarch64 and float64 on macOS arm64 and Windows
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    hits = []
+    for root, dirs, files in os.walk(src):
+        dirs[:] = [d for d in dirs if d != "__pycache__" and not d.endswith(".egg-info")]
+        for name in files:
+            with open(os.path.join(root, name), "rb") as fh:
+                if b"longdouble" in fh.read():
+                    hits.append(name)
+    assert hits == []
 
 
 class TestMapBlocks:

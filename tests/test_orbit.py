@@ -221,7 +221,8 @@ class TestHaarSamples:
 
 
 def _point_bound(c, n: int) -> float:
-    """Float64 rounding, and for a label n times its long-double error."""
+    """Float64 rounding, and for a label n times a bound on its step's
+    rounding."""
     return 2.0**-53 + (0.0 if c.is_rational else n * abs(c.float()) * 2.0**-63)
 
 
@@ -236,7 +237,7 @@ class TestOrbitIteration:
         # 10^12 + 1 = 2 mod 3, computed on residues rather than floats
         c = parse_coordinate("1/3")
         turn = step_turns((1,), (c,), [10**12 + 1])[0]
-        assert turn == np.longdouble(2) / np.longdouble(3)
+        assert turn == (2 << 64) // 3
         assert turn_gap(turn, exact_turn(0.0, (1,), (c,), 10**12 + 1)) <= 2.0**-64
 
     def test_points_match_the_exact_oracle(self):
@@ -255,6 +256,26 @@ class TestOrbitIteration:
         for n in (92_233, 92_234, 200_000):
             for c, got, want in zip(g.coords, pts[n], exact_point(z0, g, n)):
                 assert turn_gap(got, want) <= _point_bound(c, n), n
+
+    @pytest.mark.parametrize("tokens, z0, old_max", [
+        ("sqrt2,-sqrt3", [0.9, 0.1], 6.62e-14),
+        ("2/7,sqrt5,-1/3,pi", [0.3, 0.6, 0.125, 0.7], 5.98e-14),
+    ])
+    def test_points_match_mpmath_over_a_million_steps(self, tokens, z0, old_max):
+        # 2,000 sampled steps of j < 10^6 against 50 digits: within the
+        # read-out's rounding plus j times C's (2^-65 a step), and below
+        # old_max, the largest error over every j < 10^6 of the earlier x87
+        # long-double kernel
+        g = Gamma.from_tokens(tokens)
+        z = reduce_mod1(z0)
+        pts = orbit_points(z, g, 10**6)
+        worst = 0.0
+        for n in np.linspace(0, 10**6 - 1, 2000).astype(int).tolist():
+            for got, want in zip(pts[n], exact_point(z, g, n)):
+                gap = turn_gap(got, want)
+                assert gap <= 2.0**-54 + (n + 2) * 2.0**-65, n
+                worst = max(worst, gap)
+        assert worst <= old_max
 
     def test_equidistribution_weyl_bound(self):
         # |(1/n) sum e^{2 pi i <mu, z_j>}| <= 5/sqrt(n) for dense gamma

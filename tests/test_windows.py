@@ -318,7 +318,12 @@ def _write_rows(tmp_path, rows):
     # a mid-file header was skipped
     (["t,value", "-3,0.1", "-2,0.5", "t,value", "-1,0.9", "0,0.5"], "CSV row 4: t 't' is not a number"),
     (["-3,0.1", "-2,0.5", "-inf,0.9", "0,0.5"], "CSV row 3: t '-inf' is not finite"),
-], ids=["nan-t", "typo-row", "mid-file-header", "infinite-t"])
+    # float's own message, with no row
+    (["t,value", "-3,0.1", "-2,0.5x", "-1,0.9", "0,0.5"], "CSV row 3: value '0.5x' is not a number"),
+    # refused later as "samples must be finite", with no row
+    (["-3,0.1", "-2,0.5", "-1,nan", "0,0.5"], "CSV row 3: value 'nan' is not finite"),
+    (["-3,0.1", "-2,0.5", "-1,0.9", "0,inf"], "CSV row 4: value 'inf' is not finite"),
+], ids=["nan-t", "typo-row", "mid-file-header", "infinite-t", "typo-value", "nan-value", "infinite-value"])
 def test_window_csv_refuses_a_bad_row_and_names_it(tmp_path, rows, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         sampled_window_from_csv(_write_rows(tmp_path, rows))
