@@ -658,11 +658,8 @@ def normalized_phase_sequence(
         thetas = np.array([field.phase_lift(n) for n in ns])
     else:
         d = len(alpha)
-
-        def fresh_sums(z):  # one fresh lattice sum per point, never the grid
-            return np.array([field.point_value(r[:d], r[d:]) for r in z], dtype=complex)
-
-        t, z, branch = _phase_orbit(base, a, b, steps, fresh_sums, "Zf")
+        # fresh lattice sums at the orbit points, never the grid
+        t, z, branch = _phase_orbit(base, a, b, steps, field.point_values, "Zf")
         iota = np.rint(t - z[:, :d])  # goes with z's own turn
         thetas = branch + np.sum(iota * z[:, d:], axis=1)
     return [complex(np.exp(2j * np.pi * th / n)) for th, n in zip(thetas, ns)]

@@ -28,6 +28,7 @@ from .numerics import (
     Coordinate,
     QuadratureSpec,
     _check_integer,
+    _json_list,
     coordinate_from_json,
     coordinate_to_json,
     product_grid,
@@ -329,13 +330,17 @@ def config_from_json(source) -> GaborConfig:
     else:
         with open(source) as fh:
             data = json.load(fh)
-    if "dimension" not in data or "points" not in data:
+    if not isinstance(data, dict) or "dimension" not in data or "points" not in data:
         raise ValueError("config needs 'dimension' and 'points'")
-    d = int(data["dimension"])
+    d = data["dimension"]
+    _check_integer(d, f"config 'dimension' must be an integer, got {d!r}")
     pts, mask = [], []
-    for entry in data["points"]:
-        x = tuple(coordinate_from_json(c) for c in entry["x"])
-        y = tuple(coordinate_from_json(c) for c in entry["y"])
+    for i, entry in enumerate(_json_list(data["points"], "config 'points'")):
+        what = f"config point {i}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{what} must be an object, got {entry!r}")
+        x, y = (tuple(map(coordinate_from_json, _json_list(entry.get(k), f"{what} '{k}'")))
+                for k in ("x", "y"))
         pt = TFPoint(x=x, y=y)
         pts.append(pt)
         mask.append(bool(entry.get("lattice", pt.is_integer())))

@@ -179,6 +179,20 @@ def coordinate_from_json(obj) -> Coordinate:
     raise ValueError(f"invalid coordinate {obj!r}")
 
 
+def _json_list(obj, what: str) -> list:
+    """A JSON array entry of an input file; ValueError naming it otherwise."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list, got {obj!r}")
+    return obj
+
+
+def _json_number(obj, what: str):
+    """A JSON number entry (a bool is not one); ValueError naming it otherwise."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValueError(f"{what} must be a number, got {obj!r}")
+    return obj
+
+
 def coordinate_to_json(c: Coordinate):
     if c.is_rational:
         f = c.fraction

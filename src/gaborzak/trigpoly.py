@@ -27,8 +27,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .lattice import lattice_contains
-from .numerics import (GRID_BUDGET_DEFAULT, TorusPoint, _check_integer, _map_blocks,
-                       fixed_order_matmul)
+from .numerics import (GRID_BUDGET_DEFAULT, TorusPoint, _check_integer, _json_list,
+                       _json_number, _map_blocks, fixed_order_matmul)
 
 __all__ = [
     "TrigPolynomial",
@@ -284,8 +284,15 @@ def load_polynomial(path: str) -> TrigPolynomial:
         data = json.load(fh)
     if not isinstance(data, dict) or "dimension" not in data or "terms" not in data:
         raise ValueError("polynomial file needs 'dimension' and 'terms'")
-    terms = [
-        (tuple(t["freq"]), complex(t.get("re", 0.0), t.get("im", 0.0)))
-        for t in data["terms"]
-    ]
-    return TrigPolynomial(int(data["dimension"]), terms)
+    d = data["dimension"]
+    _check_integer(d, f"polynomial 'dimension' must be an integer, got {d!r}")
+    terms = []
+    for i, t in enumerate(_json_list(data["terms"], "polynomial 'terms'")):
+        what = f"polynomial term {i}"
+        if not isinstance(t, dict):
+            raise ValueError(f"{what} must be an object, got {t!r}")
+        freq = _json_list(t.get("freq"), f"{what} 'freq'")
+        freq = [_json_number(f, f"{what} 'freq' entry") for f in freq]
+        re, im = (_json_number(t.get(k, 0.0), f"{what} '{k}'") for k in ("re", "im"))
+        terms.append((tuple(freq), complex(re, im)))
+    return TrigPolynomial(d, terms)

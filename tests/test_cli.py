@@ -573,6 +573,38 @@ class TestErrorPaths:
                 "--lambda", "0,0"]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("terms, message", [
+        ([[1, 0], [1.0, 0.0]], "polynomial term 0 must be an object"),
+        ([{"freq": [0, 0], "re": "1.0"}], "polynomial term 0 're' must be a number"),
+        (5, "polynomial 'terms' must be a list"),
+        ([{"freq": [0, 0], "re": 1.0}, {"freq": 1, "re": 0.5}], "polynomial term 1 'freq'"),
+    ], ids=["list-term", "string-re", "scalar-terms", "scalar-freq"])
+    def test_malformed_poly_json_is_exit_code_2_naming_the_entry(self, terms, message,
+                                                                   tmp_path, capsys):
+        # each of these exited 1 with a TypeError traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"dimension": 2, "terms": terms}))
+        args = ["theta", "--poly", str(bad), "--gamma", "0,sqrt2", "--lambda", "0,0"]
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"dimension": 1, "points": [{"x": "1", "y": ["0"]}]}, "config point 0 'x' must be a list"),
+        ({"dimension": 1, "points": 3}, "config 'points' must be a list"),
+        ({"dimension": 1, "points": [5]}, "config point 0 must be an object"),
+        ({"dimension": 1, "points": [{"x": [0], "y": [0]}, [[0], [1]]]},
+         "config point 1 must be an object"),
+        ({"dimension": None, "points": []}, "config 'dimension' must be an integer"),
+        (5, "config needs 'dimension' and 'points'"),
+    ], ids=["scalar-x", "scalar-points", "scalar-point", "list-point", "null-dimension",
+            "scalar-file"])
+    def test_malformed_config_json_is_exit_code_2_naming_the_entry(self, config, message,
+                                                                     tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert main(["gram", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "flag, args",

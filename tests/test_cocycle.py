@@ -40,10 +40,11 @@ from gaborzak.orbit import (
     subgroup_closure,
 )
 from gaborzak.trigpoly import TrigPolynomial
-from gaborzak.windows import GaussianWindow
-from gaborzak.zak import zak_transform
+from gaborzak.windows import GaussianWindow, HermiteWindow
+from gaborzak.zak import ZakGrid, zak_transform
 import cluster_oracle
 from orbit_oracle import _mp_value as _mp, exact_point
+from zak_oracle import pairwise_lattice_sums
 
 mk = parse_coordinate
 
@@ -1200,9 +1201,24 @@ class TestNormalizedPhaseSequence:
         for n, zeta in zip(ns, zetas):
             t_n = self.BASE[0] - n * math.sqrt(2)
             w_n = self.BASE[1] + n * math.sqrt(3)
-            direct = phase_branch(Z.point_value(np.array([t_n]), np.array([w_n]))).theta
+            direct = phase_branch(Z.point_values([[t_n, w_n]])[0]).theta
             theta_n = (np.angle(zeta**n) / (2 * np.pi)) % 1.0
             assert mod1_dist(theta_n - direct) < 1e-10
+
+    @pytest.mark.parametrize("window", [GaussianWindow(), HermiteWindow(3)], ids=["gauss", "hermite3"])
+    def test_zak_grid_sequence_is_bitwise_the_per_point_sums(self, window, monkeypatch):
+        # one paired sum over every orbit point gives the bits of one sum per point
+        Z = zak_transform(window, resolution=16)
+        args = (self.BASE, (mk("sqrt2"),), (mk("sqrt3"),), [1, 2, 3, 7, 20])
+        got = normalized_phase_sequence(Z, *args)
+
+        def per_point(grid, z):
+            return np.array([pairwise_lattice_sums(grid.window, r[None, :1], r[None, 1:],
+                                                   grid.truncation + math.ceil(r[0]))[0]
+                             for r in z])
+
+        monkeypatch.setattr(ZakGrid, "point_values", per_point)
+        assert got == normalized_phase_sequence(Z, *args)
 
     def test_zak_zero_raises(self):
         Z = zak_transform(GaussianWindow(), resolution=16, truncation=6)

@@ -24,7 +24,7 @@ from gaborzak.gabor import (
 )
 from gaborzak.numerics import QuadratureSpec, parse_coordinate, product_grid
 from gaborzak.windows import GaussianWindow, HermiteWindow
-from gaborzak.zak import _lattice_sums
+from zak_oracle import pairwise_lattice_sums
 
 mk = parse_coordinate
 
@@ -81,9 +81,10 @@ def _assert_rule_is_the_zak_grid_mean(window, cfg, M, K):
     # reference: the grid mean of Za_j conj(Za_k) over [0,1)^{2d} for each
     # pair, from direct lattice sums of each atom
     d = cfg.dimension
-    grid = product_grid(np.arange(M) / M, d)
+    flat = product_grid(np.arange(M) / M, 2 * d)
     images = [
-        _lattice_sums(SimpleNamespace(eval_many=partial(_atom_eval_many, window, pt)), grid, grid, K)
+        pairwise_lattice_sums(SimpleNamespace(eval_many=partial(_atom_eval_many, window, pt)),
+                              flat[:, :d], flat[:, d:], K)
         for pt in cfg.points
     ]
     ref = np.array([[np.mean(a * np.conj(b)) for b in images] for a in images])

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -11,6 +14,7 @@ from gaborzak.numerics import parse_coordinate, product_grid
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow
 from gaborzak import numerics, zak
+from zak_oracle import pairwise_lattice_sums
 from gaborzak.zak import (
     ZakGrid,
     functional_equation_residual,
@@ -143,11 +147,11 @@ def test_constant_grid_zero_set_empty():
     assert locate_zero_set(Z).points == ()
 
 
-def test_point_value_matches_grid():
+def test_point_values_match_grid():
     Z = zak_transform(GaussianWindow(), resolution=16, truncation=6)
-    axis = Z.axis
-    for i, j in [(0, 0), (3, 11), (15, 7)]:
-        assert abs(Z.point_value([axis[i]], [axis[j]]) - Z.values[i, j]) < 1e-12
+    i, j = np.array([(0, 0), (3, 11), (15, 7)]).T
+    rows = np.stack([Z.axis[i], Z.axis[j]], axis=1)
+    assert np.max(np.abs(Z.point_values(rows) - Z.values[i, j])) < 1e-12
 
 
 def test_off_grid_point_fresh_sum():
@@ -269,9 +273,42 @@ _GRID_CASES = pytest.mark.parametrize(
 
 @_GRID_CASES
 def test_fft_grid_matches_direct_lattice_sums(window, M, K):
-    grid = product_grid(np.arange(M) / M, window.dimension)
-    direct = zak._lattice_sums(window, grid, grid, K).ravel()
+    d = window.dimension
+    flat = product_grid(np.arange(M) / M, 2 * d)
+    direct = pairwise_lattice_sums(window, flat[:, :d], flat[:, d:], K)
     assert np.max(np.abs(zak._grid_sums(window, M, K).ravel() - direct)) < 1e-14
+
+
+@_GRID_CASES
+@pytest.mark.parametrize("a, b", [(-1.37, 2.29), (2.61, -0.71)], ids=["a<0,b>1", "a>1,b<0"])
+def test_shifted_fft_grid_matches_direct_lattice_sums(window, M, K, a, b):
+    # bin kappa takes f(t - a + kappa) e(-<kappa, b>): the FFT gives Zf(t - a, w + b)
+    d = window.dimension
+    a, b = np.array([a, -a / 3])[:d], np.array([b, b / 7])[:d]
+    flat = product_grid(np.arange(M) / M, 2 * d)
+    direct = pairwise_lattice_sums(window, flat[:, :d] - a, flat[:, d:] + b, K)
+    shifted = zak._grid_sums(window, M, K, shift_t=a, shift_w=b)
+    assert np.max(np.abs(shifted.ravel() - direct)) < 1e-14
+
+
+def test_quasi_periodicity_residual_peak_rss_at_m2048():
+    # both halves are grid FFTs compared with Z by blocks of rows; the
+    # outer-product sums and difference grids they replaced took 383 MB.
+    # On Linux a child's ru_maxrss starts from its parent's high-water mark
+    # (it survives fork and exec), so the child reads its own VmHWM there.
+    code = """
+import resource, sys
+from gaborzak.windows import GaussianWindow
+from gaborzak.zak import quasi_periodicity_residual, zak_transform
+assert quasi_periodicity_residual(zak_transform(GaussianWindow(), 2048)) < 1e-8
+try:
+    print(next(int(row.split()[1]) for row in open("/proc/self/status") if row.startswith("VmHWM")))
+except OSError:  # no /proc: ru_maxrss, in bytes on macOS
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 250  # MB
 
 
 @_GRID_CASES
@@ -293,21 +330,6 @@ def test_grid_values_are_bitwise_reproducible(window):
     assert np.array_equal(first, zak_transform(window, resolution=16).values)
 
 
-def _pairwise_lattice_sums(window, tpts, opts, K):
-    """The sums one (t, w) row at a time: one window value and one complex
-    exponential per row and kappa, as the Zak layer once evaluated them."""
-    n, d = tpts.shape
-    out = np.zeros(n, dtype=complex)
-    for kappa in zak._kappa_tuples(K, d):
-        f = np.asarray(window.eval_many(tpts + np.array(kappa, dtype=float)))
-        phase = np.zeros(n)
-        for axis in range(d):
-            if kappa[axis] != 0:
-                phase = phase + opts[:, axis] * kappa[axis]
-        out = out + f * np.exp(-2j * np.pi * phase)
-    return out
-
-
 def _pairwise_quasi_periodicity(Z):
     d = Z.dimension
     flat = product_grid(Z.axis, 2 * d)
@@ -317,10 +339,10 @@ def _pairwise_quasi_periodicity(Z):
     for axis_i in range(d):
         shift = np.zeros(d)
         shift[axis_i] = 1.0
-        t_shift = _pairwise_lattice_sums(Z.window, tpts + shift, opts, Z.truncation + 1)
+        t_shift = pairwise_lattice_sums(Z.window, tpts + shift, opts, Z.truncation + 1)
         expected = np.exp(2j * np.pi * opts[:, axis_i]) * base
         worst = max(worst, float(np.max(np.abs(t_shift - expected))))
-        o_shift = _pairwise_lattice_sums(Z.window, tpts, opts + shift, Z.truncation)
+        o_shift = pairwise_lattice_sums(Z.window, tpts, opts + shift, Z.truncation)
         worst = max(worst, float(np.max(np.abs(o_shift - base))))
     return worst
 
@@ -331,7 +353,7 @@ def _pairwise_functional_equation(Z, p, a, b):
     tpts, opts = flat[:, :d], flat[:, d:]
     lhs = p.eval_points(flat) * Z.values.ravel()
     margin = int(np.ceil(np.max(np.abs(a)))) + 1
-    shifted = _pairwise_lattice_sums(Z.window, tpts - a, opts + b, Z.truncation + margin)
+    shifted = pairwise_lattice_sums(Z.window, tpts - a, opts + b, Z.truncation + margin)
     diff = lhs - np.exp(-2j * np.pi * (tpts @ b)) * shifted
     return float(np.sqrt(np.mean(np.abs(diff) ** 2)))
 
@@ -342,21 +364,22 @@ def _pairwise_functional_equation(Z, p, a, b):
     ids=["gauss", "hermite3", "sampled", "gauss-d2"],
 )
 def test_product_form_sums_are_bitwise_the_pairwise_sums(window, M):
+    # the residuals run on the grid FFT, so they agree to rounding only;
+    # zak_point is the paired sum, bit for bit
     d = window.dimension
     Z = zak_transform(window, resolution=M)
-    assert quasi_periodicity_residual(Z) == _pairwise_quasi_periodicity(Z)
+    assert abs(quasi_periodicity_residual(Z) - _pairwise_quasi_periodicity(Z)) <= 1e-14
     p = TrigPolynomial(2 * d, [((0,) * 2 * d, 1.0), ((-1,) + (0,) * (2 * d - 1), 0.5)])
     alpha = tuple(parse_coordinate(tok) for tok in ("-7/3", "sqrt2")[:d])
     beta = tuple(parse_coordinate(tok) for tok in ("sqrt3", "1/5")[:d])
     a = np.array([c.float() for c in alpha])
     b = np.array([c.float() for c in beta])
-    assert functional_equation_residual(Z, p, alpha, beta) == _pairwise_functional_equation(
-        Z, p, a, b
-    )
+    residual = functional_equation_residual(Z, p, alpha, beta)
+    assert abs(residual - _pairwise_functional_equation(Z, p, a, b)) <= 1e-14
     for t, w in [(-2.3, 0.41), (1.7, -0.6), (0.25, 0.5)]:
         t_pt, w_pt = np.full(d, t), np.full(d, w)
         K = Z.truncation + math.ceil(abs(t))
-        want = _pairwise_lattice_sums(window, t_pt[None, :], w_pt[None, :], K)[0]
+        want = pairwise_lattice_sums(window, t_pt[None, :], w_pt[None, :], K)[0]
         assert _same_bits(zak_point(window, t_pt, w_pt, Z.truncation), want)
 
 
@@ -389,7 +412,7 @@ def test_zak_point_rejects_a_wrong_argument_length():
         zak_point(GaussianWindow(1), [0.3, 0.1], 0.7, 6)
     Z = zak_transform(GaussianWindow(), resolution=8)
     with pytest.raises(ValueError, match="dimension 1"):
-        Z.point_value([0.3], [0.7, 0.2])
+        Z.point_values([[0.3, 0.7, 0.2]])
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -428,7 +451,10 @@ def _random_grid(d, M, seed):
     (zak_transform(HermiteWindow(3), 32), 0.2),
     (_random_grid(1, 16, 0), 0.5),
     (_random_grid(2, 6, 1), 0.5),
-], ids=["gaussian", "hermite3", "random-d1", "random-d2"])
+    # squares of these thresholds underflow unless scaled
+    (replace(_random_grid(1, 16, 2), values=_random_grid(1, 16, 2).values * 1e-200), 5e-201),
+    (replace(_random_grid(1, 8, 3), values=np.zeros((8, 8), dtype=complex)), None),
+], ids=["gaussian", "hermite3", "random-d1", "random-d2", "random-tiny", "zero"])
 def test_zero_set_is_the_argwhere_points_in_row_major_order(Z, threshold):
     zs = locate_zero_set(Z, threshold)
     mask = np.abs(Z.values) < zs.threshold
