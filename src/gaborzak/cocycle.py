@@ -73,7 +73,7 @@ from .numerics import (
 # haar_sample_points and orbit_points are unused here but stay module
 # attributes: the traced benchmark (bench/tracing.py) rebinds both
 from .orbit import Gamma, SubgroupH, _haar_grid, haar_sample_points, orbit_points  # noqa: F401
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _rounding_radius
 
 __all__ = [
     "CocycleTrajectory",
@@ -269,14 +269,6 @@ def theta_birkhoff(
     return est
 
 
-def _rounding_radius(terms, m: int) -> float:
-    """A bound on the rounding error of ``eval_points`` for these terms at a
-    point of [0, 1)^m: the phases <f, z>, their exponentials and the sum."""
-    return np.finfo(float).eps * sum(
-        abs(c) * (len(terms) + 3 + 2.0 * math.pi * (m + 1) * sum(map(abs, f))) for f, c in terms
-    )
-
-
 def _jensen_means(a: np.ndarray, radius: np.ndarray) -> np.ndarray:
     """Mean of ln |P| on the unit circle for each row of coefficients of
     P(zeta) = sum_d a[:, d] zeta^d, by Jensen's formula.
@@ -338,11 +330,11 @@ def theta_haar(
 
 
 def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
-    """``theta_haar`` at every base point in ``lams``: coset i is the i-th
-    block of rows of one evaluation, and no row depends on its batch, so each
-    estimate has the bits of its own call.  An evaluation takes at most
-    ``_HAAR_GROUP_POINTS`` rows, weighted by the companion matrix size: whole
-    bases, or one base in pieces.  The first failing base, in input order,
+    """``theta_haar`` at every base point in ``lams``: the flat rows (base,
+    offset) run through one loop, at most ``_HAAR_GROUP_POINTS`` rows per
+    evaluation, weighted by the companion matrix size, and reshape to one
+    row of means per base.  No row depends on its batch, so each estimate
+    has the bits of its own call.  The first failing base, in input order,
     raises."""
     n = quad.points_per_axis
     m, t_dim, n_reps = H.dimension, H.haar_dimension, H.component_count
@@ -362,22 +354,19 @@ def _theta_haar_many(p, lams, H, quad) -> list[ThetaEstimate]:
     radius = np.array([_rounding_radius(q.terms, m) for q in classes])
     offsets = _haar_grid(H, n, outer)
     step = max(1, _HAAR_GROUP_POINTS // max(1, len(classes) - 1) ** 2)  # rows per evaluation
-    per_group = max(1, step // len(offsets))
-    out = []
-    for start in range(0, len(lams), per_group):
-        group = np.array([lam.coords for lam in lams[start:start + per_group]])[:, None, :]
-        pieces = []  # more than one only where one base has more than `step` rows
-        for lo in range(0, len(offsets), step):
-            rows = np.mod(group + offsets[lo:lo + step], 1.0).reshape(-1, m)
-            coeffs = np.column_stack([q.eval_points(rows) for q in classes])
-            pieces.append(_jensen_means(coeffs, radius).reshape(len(group), -1))
-        for means in np.concatenate(pieces, axis=1):
-            vanishing = np.count_nonzero(np.isnan(means)) / len(offsets)
-            if vanishing:
-                raise NumericalFailure(f"p vanishes within rounding on a volume fraction "
-                                       f"{vanishing:.3e} of H, where ln |p| is -inf")
-            out.append(ThetaEstimate(exact_sum(means) / len(offsets), "haar-quadrature", n, 0.0))
-    return out
+    bases = np.array([lam.coords for lam in lams]).reshape(-1, m)
+    means = np.empty(len(bases) * len(offsets))
+    for lo in range(0, means.size, step):
+        flat = np.arange(lo, min(lo + step, means.size))
+        rows = np.mod(bases[flat // len(offsets)] + offsets[flat % len(offsets)], 1.0)
+        coeffs = np.column_stack([q.eval_points(rows) for q in classes])
+        means[lo:lo + step] = _jensen_means(coeffs, radius)
+    means = means.reshape(len(bases), len(offsets))
+    vanishing = np.count_nonzero(np.isnan(means), axis=1) / len(offsets)
+    if vanishing.any():
+        raise NumericalFailure(f"p vanishes within rounding on a volume fraction "
+                               f"{vanishing[vanishing > 0][0]:.3e} of H, where ln |p| is -inf")
+    return [ThetaEstimate(exact_sum(mu) / len(offsets), "haar-quadrature", n, 0.0) for mu in means]
 
 
 def _check_tolerance(tolerance) -> None:

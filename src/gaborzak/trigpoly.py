@@ -13,8 +13,8 @@ i.e. the term for the point (x_k, y_k) carries frequency (-y_k, -x_k) in the
 (t, w) coordinate ordering.
 
 Values come from one vectorized path at arbitrary points, ``eval_points``,
-and one product-grid evaluator for ``min_modulus`` in every dimension;
-``eval`` is the scalar reference that the tests compare them against.
+and one product-grid evaluator, ``_grid_rows``, read a block of rows at a
+time; ``eval`` is the scalar reference that the tests compare them against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .lattice import lattice_contains
 from .numerics import (GRID_BUDGET_DEFAULT, TorusPoint, _check_integer, _json_list,
-                       _json_number, _map_blocks, fixed_order_matmul)
+                       _json_number, _map_blocks, fixed_order_matmul, product_grid, reduce_mod1)
 
 __all__ = [
     "TrigPolynomial",
@@ -45,6 +45,7 @@ TWO_PI = 2.0 * math.pi
 # phases per eval_points block: keeps temporaries in cache; at 2**14 the
 # thread hand-offs ate a sixth of the two-CPU gain on 10^6 points
 _EVAL_BLOCK = 1 << 15
+_GRID_BLOCK = 1 << 18  # values per min_modulus block of grid rows
 
 
 class TrigPolynomial:
@@ -70,14 +71,8 @@ class TrigPolynomial:
         clean = {k: v for k, v in sorted(merged.items()) if v != 0}
         object.__setattr__(self, "dimension", int(dimension))
         object.__setattr__(self, "terms", tuple(clean.items()))
-        freq_arr = (
-            np.array([k for k in clean], dtype=float)
-            if clean
-            else np.zeros((0, dimension))
-        )
-        coeff_arr = np.array(list(clean.values()), dtype=complex)
-        object.__setattr__(self, "_freq_arr", freq_arr)
-        object.__setattr__(self, "_coeff_arr", coeff_arr)
+        object.__setattr__(self, "_freq_arr", np.array(list(clean), float).reshape(-1, dimension))
+        object.__setattr__(self, "_coeff_arr", np.array(list(clean.values()), dtype=complex))
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("TrigPolynomial is immutable")
@@ -136,13 +131,6 @@ class TrigPolynomial:
             abs(coeff) * sum(abs(f) for f in freq) for freq, coeff in self.terms
         )
 
-    def lipschitz_along(self, direction: Sequence[float]) -> float:
-        """Lipschitz constant of s -> p(z + s*direction)."""
-        return TWO_PI * sum(
-            abs(coeff) * abs(math.fsum(f * d for f, d in zip(freq, direction)))
-            for freq, coeff in self.terms
-        )
-
 
 def from_lattice_config(cfg, coefficients) -> TrigPolynomial:
     """Build p(t, w) from the integer lattice part of a configuration.
@@ -184,58 +172,76 @@ class MinModulusResult(NamedTuple):
     lipschitz: float
 
 
-def _grid_values(p: TrigPolynomial, resolution: int) -> np.ndarray:
-    """p on the grid (i_1/R, ..., i_m/R), shape (R,)*m: for each term, the
-    outer product of one exp(2 pi i f ax) row per axis, with the coefficient
-    folded into the first row, so a point's value does not depend on R."""
-    ax = np.arange(resolution) / resolution
-    out = np.zeros((resolution,) * p.dimension, dtype=complex)
-    for freq, coeff in p.terms:
-        rows = [np.exp(2j * math.pi * f * ax) for f in freq]
-        rows[0] = coeff * rows[0]
-        out += functools.reduce(np.multiply.outer, rows)
+def _rounding_radius(terms, m: int) -> float:
+    """A bound on the rounding error of p's value at a point of [0, 1)^m by
+    ``eval_points`` or ``_grid_rows``.  On the grid, axis j of a term rounds
+    i/R, pi, 2 pi f_j and the phase (4 pi |f_j| eps in all, within the 2 pi
+    (m + 1) |f|_1 eps here); its m exponentials and m complex products add at
+    most 2.2 m eps, within the 2 pi (m - 1) |f|_1 + 4 eps left over (f = 0
+    multiplies by an exact 1); the sum of T terms adds (T - 1) eps sum |c|."""
+    return np.finfo(float).eps * sum(
+        abs(c) * (len(terms) + 3 + 2.0 * math.pi * (m + 1) * sum(map(abs, f))) for f, c in terms
+    )
+
+
+def _grid_rows(p: TrigPolynomial, R: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """p on the grid (i/R)^m at the row-major rows [lo, hi) of its first k
+    axes (1 <= k <= m), shape (hi - lo, R^(m-k)).  The exp tables are built
+    once per call, at the rows' own coordinates on the first k axes; a term
+    is reduce(np.multiply.outer, [c E_0[i_0] ... E_{k-1}[i_{k-1}], E_k, ...,
+    E_{m-1}]), multiplied left to right, and the terms add in order, so no
+    bit depends on the rows asked for, on k or on R (i/R is 2i/2R)."""
+    m, rows = p.dimension, np.arange(lo, hi)
+    ax = np.arange(R) / R
+    phase = 2j * math.pi * p._freq_arr[:, :, None]  # (terms, m, 1)
+    heads = [np.exp(phase[:, j] * ax[rows // R ** (k - 1 - j) % R]) for j in range(k)]
+    tails = np.exp(phase[:, k:] * ax)
+    out = np.zeros((hi - lo, R ** (m - k)), dtype=complex)
+    for t, (_, coeff) in enumerate(p.terms):
+        head = functools.reduce(np.multiply, [table[t] for table in heads[1:]], coeff * heads[0][t])
+        out += functools.reduce(np.multiply.outer, [head, *tails[t]]).reshape(hi - lo, -1)
     return out
 
 
 def min_modulus(p: TrigPolynomial, resolution: int) -> MinModulusResult:
-    """Grid minimum of |p| with one local coordinate-descent refinement pass.
+    """min |p| on the grid (i/R)^m, R = resolution, by blocks of rows on
+    ``_map_blocks`` that keep only their minimum and first argmin, then one
+    ``eval_points`` call on the local grid of step h/q over +-h around the
+    grid argmin (h = 1/R); the grid point wins ties.  [lower_bound, minimum]
+    brackets min |p| over the torus: lower_bound = grid_min - L h/2 - rho,
+    rounded down, since each point is within h/2 of a node in the max norm,
+    for which L (``lipschitz_bound``) is a Lipschitz constant, and rho bounds
+    the rounding (``_rounding_radius``).  A resolution that is not an
+    integer >= 16, or more than GRID_BUDGET_DEFAULT points (resolution^m),
+    raises ValueError before any value is computed."""
+    from fractions import Fraction
 
-    ``lower_bound`` is the certified bound  min_grid - L * (grid step)  with L
-    the global Lipschitz constant; finer grids can never undercut it.  A
-    resolution that is not an integer >= 16, or a grid of more than
-    GRID_BUDGET_DEFAULT points (resolution^m), raises ValueError before
-    anything is allocated.
-    """
     _check_integer(resolution, "resolution must be an integer", 16, "resolution must be >= 16")
     m = p.dimension
     if resolution**m > GRID_BUDGET_DEFAULT:
         raise ValueError(f"min |p| grid of {resolution}^{m} points exceeds the budget "
                          f"{GRID_BUDGET_DEFAULT}")
-    h = 1.0 / resolution
-    mods = np.abs(_grid_values(p, resolution))
-    idx = np.unravel_index(int(np.argmin(mods)), mods.shape)
-    best = np.array(idx, dtype=float) * h
-    best_val = float(mods[idx])
-    grid_min = best_val
-    # coordinate descent within the best cell, never stepping below h/64
-    step = h / 2.0
-    while step >= h / 64.0:
-        for axis in range(m):
-            for sign in (1.0, -1.0):
-                cand = best.copy()
-                cand[axis] = (cand[axis] + sign * step) % 1.0
-                val = float(abs(p.eval_points(cand[None, :])[0]))
-                if val < best_val:
-                    best_val = val
-                    best = cand
-        step /= 2.0
-    lip = p.lipschitz_bound()
-    return MinModulusResult(
-        minimum=best_val,
-        argmin=TorusPoint(tuple(float(x % 1.0) for x in best)),
-        lower_bound=grid_min - lip * h,
-        lipschitz=lip,
-    )
+    h, width = 1.0 / resolution, resolution ** (m - 1)
+
+    def block(lo: int, hi: int) -> tuple[float, int]:
+        mods = np.abs(_grid_rows(p, resolution, 1, lo, hi)).reshape(-1)
+        i = int(np.argmin(mods))
+        return float(mods[i]), lo * width + i
+
+    # min keeps the first of equal minima, as argmin does within a block
+    blocks = _map_blocks(block, resolution, max(1, _GRID_BLOCK // width))
+    grid_min, flat = min(blocks, key=lambda part: part[0])
+    node = np.array(np.unravel_index(flat, (resolution,) * m), dtype=float) * h
+    q = (int(4096 ** (1 / m)) - 1) // 2  # (2q + 1)^m <= 2^12 local points
+    near = node + product_grid(np.arange(-q, q + 1) * (h / max(q, 1)), m)
+    mods = np.abs(p.eval_points(near))
+    i = int(np.argmin(mods))
+    minimum, best = min((grid_min, node), (float(mods[i]), near[i]), key=lambda part: part[0])
+    lip, rho = p.lipschitz_bound(), _rounding_radius(p.terms, m)
+    exact = Fraction(grid_min) - Fraction(lip) / (2 * resolution) - Fraction(rho)
+    lower = float(exact)
+    lower = math.nextafter(lower, -math.inf) if Fraction(lower) > exact else lower
+    return MinModulusResult(minimum, reduce_mod1(best), lower, lip)
 
 
 def haar_average(p: TrigPolynomial, hperp_basis: Sequence[Sequence[int]]) -> TrigPolynomial:

@@ -255,7 +255,10 @@ def functional_equation_residual(Z: ZakGrid, p, alpha, beta) -> float:
         p(t,w) Zf(t,w) - e^{-2 pi i <t,beta>} Zf(t-alpha, w+beta)
 
     with the shifted factor a fresh grid FFT at the real (unreduced)
-    arguments t - alpha, w + beta, compared by blocks of rows."""
+    arguments t - alpha, w + beta, compared by blocks of rows; each block
+    reads p on its own rows of the product grid (``trigpoly._grid_rows``)."""
+    from .trigpoly import _grid_rows
+
     d = Z.dimension
     if p.dimension != 2 * d:
         raise ValueError("polynomial dimension must be 2d")
@@ -263,12 +266,12 @@ def functional_equation_residual(Z: ZakGrid, p, alpha, beta) -> float:
     if a.shape != (d,) or b.shape != (d,):
         raise ValueError("alpha and beta must each have length d")
     t = product_grid(Z.axis, d)
-    lhs = (p.eval_points(product_grid(Z.axis, 2 * d)) * Z.values.ravel()).reshape(len(t), -1)
+    z = Z.values.reshape(len(t), -1)
     mod_phase = np.exp(-2j * np.pi * (t @ b))[:, None]
     K = Z.truncation + int(np.ceil(np.max(np.abs(a)))) + 1
     sums = _shifted_blocks(Z, K, a, b, lambda lo, hi, rows: _square_sum(
-        lhs[lo:hi] - mod_phase[lo:hi] * rows))
-    return math.sqrt(math.fsum(sums) / lhs.size)
+        _grid_rows(p, Z.resolution, d, lo, hi) * z[lo:hi] - mod_phase[lo:hi] * rows))
+    return math.sqrt(math.fsum(sums) / z.size)
 
 
 def locate_zero_set(Z: ZakGrid, threshold: float | None = None) -> ZeroSet:

@@ -527,9 +527,9 @@ class TestRemarkCommands:
         from gaborzak import trigpoly
 
         def never(*args):
-            raise AssertionError("_grid_values was called")
+            raise AssertionError("_grid_rows was called")
 
-        monkeypatch.setattr(trigpoly, "_grid_values", never)
+        monkeypatch.setattr(trigpoly, "_grid_rows", never)
         assert main(["remark2", "--w-count", "1", "--min-grid", "4097"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -14,6 +12,7 @@ from gaborzak.numerics import parse_coordinate, product_grid
 from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow
 from gaborzak import numerics, zak
+from peak_rss import peak_rss_mb
 from zak_oracle import pairwise_lattice_sums
 from gaborzak.zak import (
     ZakGrid,
@@ -293,22 +292,26 @@ def test_shifted_fft_grid_matches_direct_lattice_sums(window, M, K, a, b):
 
 def test_quasi_periodicity_residual_peak_rss_at_m2048():
     # both halves are grid FFTs compared with Z by blocks of rows; the
-    # outer-product sums and difference grids they replaced took 383 MB.
-    # On Linux a child's ru_maxrss starts from its parent's high-water mark
-    # (it survives fork and exec), so the child reads its own VmHWM there.
-    code = """
-import resource, sys
+    # outer-product sums and difference grids they replaced took 383 MB
+    assert peak_rss_mb("""
 from gaborzak.windows import GaussianWindow
 from gaborzak.zak import quasi_periodicity_residual, zak_transform
 assert quasi_periodicity_residual(zak_transform(GaussianWindow(), 2048)) < 1e-8
-try:
-    print(next(int(row.split()[1]) for row in open("/proc/self/status") if row.startswith("VmHWM")))
-except OSError:  # no /proc: ru_maxrss, in bytes on macOS
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // (1024 if sys.platform == "darwin" else 1))
-"""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 250  # MB
+""") < 250
+
+
+def test_functional_equation_residual_peak_rss_at_m2048():
+    # p is read by blocks of rows beside the shifted grid; the flat (M^2, 2)
+    # point grid, p's values and the whole product with Z took 240 MB
+    assert peak_rss_mb("""
+from gaborzak.numerics import parse_coordinate
+from gaborzak.trigpoly import TrigPolynomial
+from gaborzak.windows import HermiteWindow
+from gaborzak.zak import functional_equation_residual, zak_transform
+p = TrigPolynomial(2, [((0, 0), 1.0), ((-1, 0), 0.5), ((0, -1), -0.5 + 0.25j)])
+alpha, beta = (parse_coordinate("sqrt2"),), (parse_coordinate("sqrt3"),)
+assert functional_equation_residual(zak_transform(HermiteWindow(3), 2048), p, alpha, beta) > 1e-2
+""") < 210
 
 
 @_GRID_CASES
@@ -360,16 +363,19 @@ def _pairwise_functional_equation(Z, p, a, b):
 
 @pytest.mark.parametrize(
     "window, M",
-    [(GaussianWindow(), 16), (HermiteWindow(3), 16), (_sampled_gaussian(), 8), (GaussianWindow(2), 4)],
-    ids=["gauss", "hermite3", "sampled", "gauss-d2"],
+    [(GaussianWindow(), 16), (HermiteWindow(3), 16), (_sampled_gaussian(), 8), (GaussianWindow(2), 4),
+     (GaussianWindow(2), 8)],
+    ids=["gauss", "hermite3", "sampled", "gauss-d2", "gauss-d2-m8"],
 )
 def test_product_form_sums_are_bitwise_the_pairwise_sums(window, M):
-    # the residuals run on the grid FFT, so they agree to rounding only;
-    # zak_point is the paired sum, bit for bit
+    # the residuals run on the grid FFT and p on the product grid, so they
+    # agree to rounding only; zak_point is the paired sum, bit for bit
     d = window.dimension
     Z = zak_transform(window, resolution=M)
     assert abs(quasi_periodicity_residual(Z) - _pairwise_quasi_periodicity(Z)) <= 1e-14
-    p = TrigPolynomial(2 * d, [((0,) * 2 * d, 1.0), ((-1,) + (0,) * (2 * d - 1), 0.5)])
+    # a term on every axis: at d = 2, p's rows cover two of its axes
+    p = TrigPolynomial(2 * d, [((0,) * 2 * d, 1.0), ((-1,) + (0,) * (2 * d - 1), 0.5),
+                               ((1, -2, 3, 2)[:2 * d], 0.25 - 0.5j)])
     alpha = tuple(parse_coordinate(tok) for tok in ("-7/3", "sqrt2")[:d])
     beta = tuple(parse_coordinate(tok) for tok in ("sqrt3", "1/5")[:d])
     a = np.array([c.float() for c in alpha])
