@@ -22,20 +22,20 @@ _SOURCE = {
         "numerics": """Coordinate QuadratureSpec TorusPoint coordinate_from_json
             coordinate_to_json mod1_dist parse_coordinate reduce_mod1""",
         "windows": """DecayBound GaussianWindow HermiteWindow SampledGridWindow Window
-            decay_bound l2_norm sampled_window_from_csv""",
+            decay_bound sampled_window_from_csv""",
         "gabor": """DependenceCoefficients GaborConfig GramResult TFPoint config_from_json
             config_to_json dependence_residual fourier_dual_config
             gaussian_gram_closed_form gram_matrix gram_matrix_zak""",
         "zak": """ZakGrid ZeroSet functional_equation_residual locate_zero_set
             quasi_periodicity_residual zak_point zak_transform""",
         "trigpoly": """MinModulusResult TrigPolynomial from_lattice_config haar_average
-            load_polynomial log_modulus min_modulus save_polynomial""",
+            load_polynomial min_modulus""",
         "orbit": """Gamma OrbitClass SubgroupH classify haar_sample_points orbit_points
             subgroup_closure""",
-        "cocycle": """ClusterSet CocycleTrajectory PhaseBranch SyntheticPhaseField
+        "cocycle": """ClusterSet PhaseBranch SyntheticPhaseField
             ThetaEstimate balanced_fraction case3_verdict cluster_set_c1 cluster_set_c2
             cluster_sets_match normalized_phase_sequence phase_branch
-            phase_cocycle_iterate phase_mean_along_orbit propagate rigidity_scan
+            phase_cocycle_iterate phase_mean_along_orbit rigidity_scan
             theta_birkhoff theta_haar""",
     }.items()
     for name in names.split()

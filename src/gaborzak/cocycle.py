@@ -1,7 +1,7 @@
 """Multiplicative and phase cocycles along torus translation orbits.
 
-The modulus cocycle F(z+gamma) = q(z) F(z) with q = |p| is propagated by
-accumulating ln q along the orbit.  Its log-growth functional
+The modulus cocycle F(z+gamma) = q(z) F(z) with q = |p| grows along the
+orbit by the Birkhoff sums of ln q.  Its log-growth functional
 
     Theta(lambda) = integral over H of ln q(lambda + h) dm_H(h)
 
@@ -24,9 +24,9 @@ set descriptions whose forced equality drives the rigidity argument: the
 samples collapse by single linkage at a tolerance, and a finite first set
 matches when its roots, rotated onto the first sample, pair off with them.
 
-The Birkhoff average and ``propagate`` read p along the orbit by its
-characters: p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j,
-from two small exp tables per term (``_orbit_groups``).  The steps come in
+The Birkhoff average reads p along the orbit by its characters:
+p(lambda + j gamma) = sum_k c_k e(<f_k, lambda>) e(<f_k, gamma>)^j, from
+two small exp tables per term (``_orbit_groups``).  The steps come in
 groups of 64 rows of STEP_BLOCK steps that run on every usable CPU, and the
 Birkhoff average keeps only each group's logs, never the 10^6 values.  The
 Birkhoff logs, the phase mean's lifts and the row means of a Haar coset are
@@ -76,11 +76,9 @@ from .orbit import Gamma, SubgroupH, _haar_grid, haar_sample_points, orbit_point
 from .trigpoly import TrigPolynomial, _rounding_radius
 
 __all__ = [
-    "CocycleTrajectory",
     "ThetaEstimate",
     "PhaseBranch",
     "ClusterSet",
-    "propagate",
     "theta_birkhoff",
     "theta_haar",
     "case3_verdict",
@@ -101,19 +99,6 @@ __all__ = [
 _HAAR_GROUP_POINTS = 1 << 16
 # the phase entry points raise PhaseUndefined where |p| (or |Zf|) is below this
 _PHASE_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class CocycleTrajectory:
-    base: TorusPoint
-    gamma: Gamma
-    logF: np.ndarray  # length n_max+1, logF[n] = ln F(base + n gamma)
-    skipped: tuple[tuple[int, str], ...]
-    comparable: np.ndarray  # comparable[n] False once a gap occurred before n
-
-    @property
-    def zero_orbit(self) -> bool:
-        return bool(np.all(np.isneginf(self.logF)))
 
 
 @dataclass(frozen=True)
@@ -180,56 +165,6 @@ def _orbit_groups(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int, fn)
         return fn(out.ravel()[:n - lo * STEP_BLOCK])
 
     return _map_blocks(group, len(starts), _ORBIT_GROUP)
-
-
-def _orbit_values(p: TrigPolynomial, base: TorusPoint, gamma: Gamma, n: int) -> np.ndarray:
-    """p(base + j gamma) for j < n (``_orbit_groups``)."""
-    return np.concatenate(_orbit_groups(p, base, gamma, n, lambda values: values))
-
-
-def propagate(
-    F0: float,
-    base: TorusPoint,
-    gamma: Gamma,
-    q_source: TrigPolynomial,
-    n_max: int,
-    skip_threshold: float = 1e-8,
-) -> CocycleTrajectory:
-    """Accumulate logF[n] = ln F0 + sum_{j<n} ln |p(base + j gamma)|.
-
-    The values of p along the orbit come from ``_orbit_values``.  Steps where
-    |p| falls under the threshold contribute nothing and are recorded; all
-    later values carry a non-comparable flag.  F0 = 0 encodes a zero of F:
-    the whole forward orbit stays at log-value -inf.  A threshold that is not
-    positive, an F0 that is not >= 0 (NaN included) and an n_max that is not
-    an integer raise ValueError.
-    """
-    _check_integer(n_max, least=1, small="n-max must be >= 1")
-    if not skip_threshold > 0:
-        raise ValueError("skip threshold must be positive")
-    if not F0 >= 0:
-        raise ValueError("F0 must be >= 0")
-    q = np.abs(_orbit_values(q_source, base, gamma, n_max))
-    good = q >= skip_threshold
-    contrib = np.where(good, np.log(np.where(good, q, 1.0)), 0.0)
-    log_f0 = math.log(F0) if F0 > 0 else -math.inf
-    logF = np.empty(n_max + 1)
-    logF[0] = log_f0
-    logF[1:] = log_f0 + np.cumsum(contrib)
-    skipped = tuple(
-        (int(j), f"|p| = {q[j]:.3e} below skip threshold")
-        for j in np.nonzero(~good)[0]
-    )
-    comparable = np.ones(n_max + 1, dtype=bool)
-    if skipped:
-        comparable[skipped[0][0] + 1 :] = False
-    return CocycleTrajectory(
-        base=base,
-        gamma=gamma,
-        logF=logF,
-        skipped=skipped,
-        comparable=comparable,
-    )
 
 
 def theta_birkhoff(
@@ -614,11 +549,6 @@ class SyntheticPhaseField:
     def phase_at_step(self, n: int) -> float:
         self.phase_lift(n)
         return float(turns_to_float(self._turns[n]))
-
-    def point_at_step(self, n: int) -> TorusPoint:
-        _check_integer(n, least=0, small="n must be >= 0")
-        _, z, _ = _phase_orbit(self.base, self.alpha, self.beta, [n])
-        return reduce_mod1(z[0])
 
 
 def normalized_phase_sequence(

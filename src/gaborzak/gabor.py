@@ -208,11 +208,10 @@ def gram_matrix_zak(
     the rule on the nodes i/M with -KM <= i < (K+1)M per axis.  (For
     2K + 1 > M the grid mean adds aliased cross terms; this sum drops them.)
     With truncation=None the nodes are (1/M)Z in [-R, R] (``_rule_radius``).
-    A resolution below 4, and a truncation that is not an integer >= 1,
-    raise ValueError."""
+    A resolution that is not an integer >= 4, and a truncation that is not
+    an integer >= 1, raise ValueError."""
     M = resolution
-    if M < 4:
-        raise ValueError("resolution must be >= 4")
+    _check_integer(M, "resolution must be an integer", 4, "resolution must be >= 4")
     if truncation is not None:
         _check_integer(truncation, "truncation must be an integer >= 1",
                        1, "truncation must be an integer >= 1")
@@ -272,11 +271,13 @@ def dependence_residual(
     Normal equations in Gram form: with b_k = G[k, target] the optimal
     coefficients satisfy conj(c) = Gsub^{-1} b, and
     residual^2 = G[target,target] - b^H Gsub^{-1} b (Schur complement).
-    A target_index outside 0..N-1 raises ValueError.
+    A target_index that is not an integer (a bool is not one) or lies
+    outside 0..N-1 raises ValueError.
     """
     if len(cfg) < 2:
         raise ValueError("need at least two points")
     target = cfg.default_target_index() if target_index is None else target_index
+    _check_integer(target, f"target index {target!r} is not an integer")
     if not 0 <= target < len(cfg):
         raise ValueError(f"target index {target} is outside 0..{len(cfg) - 1}")
     if method == "time-domain":

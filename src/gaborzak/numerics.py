@@ -233,7 +233,9 @@ class QuadratureSpec:
     The Gram and residual quadratures and Haar Theta's directions of H
     outside Jensen's formula read only the point count.  ``scheme`` admits
     only "composite-midpoint", and nothing reads ``refine_near_singularity``;
-    both stay for the callers that still pass them."""
+    both stay because the benchmark tasks (``bench/tasks.py``: the Gram
+    certificates and the Haar Theta tasks) pass all three fields by
+    position."""
 
     scheme: str = "composite-midpoint"
     points_per_axis: int = 256

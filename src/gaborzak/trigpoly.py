@@ -36,9 +36,7 @@ __all__ = [
     "min_modulus",
     "MinModulusResult",
     "haar_average",
-    "log_modulus",
     "load_polynomial",
-    "save_polynomial",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -262,27 +260,6 @@ def haar_average(p: TrigPolynomial, hperp_basis: Sequence[Sequence[int]]) -> Tri
         if lattice_contains(basis, list(freq))
     ]
     return TrigPolynomial(p.dimension, kept)
-
-
-def log_modulus(p: TrigPolynomial, z, floor: float) -> float:
-    """ln max(|p(z)|, floor); callers choosing a tiny floor handle the
-    near-singular magnitudes themselves."""
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    return math.log(max(abs(p.eval(z)), floor))
-
-
-def save_polynomial(p: TrigPolynomial, path: str) -> None:
-    data = {
-        "dimension": p.dimension,
-        "terms": [
-            {"freq": list(freq), "re": coeff.real, "im": coeff.imag}
-            for freq, coeff in p.terms
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_polynomial(path: str) -> TrigPolynomial:

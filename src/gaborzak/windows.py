@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InsufficientSupport
-from .numerics import _check_integer, exact_sum, product_grid
+from .numerics import _check_integer
 
 __all__ = [
     "Window",
@@ -37,7 +37,6 @@ __all__ = [
     "HermiteWindow",
     "SampledGridWindow",
     "DecayBound",
-    "l2_norm",
     "decay_bound",
     "sampled_window_from_csv",
 ]
@@ -346,19 +345,6 @@ class SampledGridWindow(Window):
             )
         cell, far = self._cell_maxima
         return _round_up(float(np.max(cell * (1.0 + far) ** M)) * (1.0 + _SLACK))
-
-
-def l2_norm(w: Window, grid_step: float = 1.0 / 64, radius: float | None = None) -> float:
-    """Riemann-sum L2 norm over [-radius, radius]^d, the squares summed with
-    one exact rounding (``exact_sum``)."""
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    if radius is None:
-        radius = w.effective_radius
-    ax = np.arange(-radius, radius + grid_step / 2, grid_step)
-    pts = product_grid(ax, w.dimension)
-    vals = w.eval_many(pts)
-    return math.sqrt(exact_sum(np.abs(vals) ** 2) * grid_step ** w.dimension)
 
 
 def decay_bound(w: Window, order: int) -> DecayBound:

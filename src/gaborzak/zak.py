@@ -189,13 +189,15 @@ def zak_transform(
 
     With truncation=None, K is the smallest radius whose decay-bound tail is
     below tail_target; an explicit K that misses the target raises
-    TruncationError carrying a sufficient radius.  A grid of more than
+    TruncationError carrying a sufficient radius.  A resolution that is not
+    an integer >= 4, a tail target that is not positive, a grid of more than
     GRID_BUDGET_DEFAULT values, and a truncation that is not an integer >= 1
     (a bool is not one), raise ValueError before anything is computed.
     """
     M, d = resolution, window.dimension
-    if M < 4:
-        raise ValueError("resolution must be >= 4")
+    _check_integer(M, "resolution must be an integer", 4, "resolution must be >= 4")
+    if not tail_target > 0:
+        raise ValueError("tail target must be positive")
     if M ** (2 * d) > GRID_BUDGET_DEFAULT:
         raise ValueError(f"grid of {M ** (2 * d)} values exceeds the budget {GRID_BUDGET_DEFAULT}")
     if truncation is not None:
@@ -216,7 +218,9 @@ def zak_transform(
 
 def zak_point(window: Window, t, omega, truncation: int) -> complex:
     """One fresh truncated sum, the one-row case of ``_paired_sums``: the
-    arguments may lie outside [0,1)."""
+    arguments may lie outside [0,1).  A truncation that is not an integer
+    >= 1 (a bool is not one) raises ValueError."""
+    _check_integer(truncation, "truncation must be an integer", 1, "truncation must be >= 1")
     t, omega = np.reshape(t, (1, -1)), np.reshape(omega, (1, -1))
     return complex(_paired_sums(window, t, omega, truncation)[0])
 
@@ -285,7 +289,7 @@ def locate_zero_set(Z: ZakGrid, threshold: float | None = None) -> ZeroSet:
         threshold = 1e-3 * float(max(top))
         if threshold == 0.0:  # identically-zero grid: every point qualifies
             threshold = np.finfo(float).tiny
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be positive")
     # scaling by a power of two is exact and keeps the squares of a tiny or
     # huge threshold from underflowing or overflowing

@@ -11,7 +11,7 @@ from gaborzak import cli
 from gaborzak.cli import main
 from gaborzak.gabor import GaborConfig, TFPoint, config_to_json
 from gaborzak.numerics import parse_coordinate as mk
-from gaborzak.trigpoly import TrigPolynomial, save_polynomial
+from gaborzak.trigpoly import TrigPolynomial
 from gaborzak.windows import GaussianWindow
 from gaborzak.zak import zak_transform
 
@@ -32,11 +32,18 @@ def cfg_file(tmp_path):
     return str(path)
 
 
+def _save_poly(p, path):
+    """Write p in the JSON layout that ``load_polynomial`` reads."""
+    terms = [{"freq": list(f), "re": c.real, "im": c.imag} for f, c in p.terms]
+    with open(path, "w") as fh:
+        json.dump({"dimension": p.dimension, "terms": terms}, fh)
+
+
 @pytest.fixture
 def p1_file(tmp_path):
     p = TrigPolynomial(2, [((0, 0), 1.0), ((-1, 0), 1.0), ((0, -1), -1.0)])
     path = tmp_path / "p1.json"
-    save_polynomial(p, str(path))
+    _save_poly(p, str(path))
     return str(path)
 
 
@@ -247,6 +254,14 @@ class TestZak:
         assert len(got) == len(lines) and not differ, f"lines {differ[:3]} differ"
         assert text.endswith("\n")
 
+    @pytest.mark.parametrize("target", ["0", "-1", "nan"])
+    def test_tail_target_that_is_not_positive_is_exit_code_2(self, target, capsys):
+        # exit 3, "no truncation radius up to 60 meets the tail target"
+        assert main(["zak", "--resolution", "16", "--tail-target", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid configuration: tail target must be positive" in captured.err
+
     def test_oversized_grid_is_exit_code_2(self, monkeypatch, capsys):
         # 4097^2 values is past the 2^24 budget: refused before any lattice sum
         from gaborzak import zak
@@ -294,7 +309,7 @@ class TestTheta:
         top = (0,) * (dimension - 1) + (1,)
         p = TrigPolynomial(dimension, [((0,) * dimension, 1.0), (top, 0.5)])
         path = tmp_path / "p.json"
-        save_polynomial(p, str(path))
+        _save_poly(p, str(path))
         args = [
             "theta", "--method", "birkhoff", "--poly", str(path), "--gamma", gamma,
             "--lambda", lam, "--n", "1000",
@@ -305,7 +320,7 @@ class TestTheta:
     def test_unresolvable_zero_set_is_exit_code_3(self, tmp_path):
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
         path = tmp_path / "diag.json"
-        save_polynomial(p, str(path))
+        _save_poly(p, str(path))
         args = [
             "theta", "--poly", str(path), "--gamma", "sqrt2,sqrt2",
             "--lambda", "0,0", "--method", "haar", "--points", "32",
@@ -317,7 +332,7 @@ class TestTheta:
         # skipped, and the average once wrote "value": 0.0 ("balanced")
         p = TrigPolynomial(2, [((0, 0), 1.0), ((1, -1), -1.0)])
         path = tmp_path / "diag.json"
-        save_polynomial(p, str(path))
+        _save_poly(p, str(path))
         args = [
             "theta", "--poly", str(path), "--gamma", "sqrt2,sqrt2",
             "--lambda", "0,0", "--method", "birkhoff",
@@ -359,7 +374,7 @@ class TestTheta:
         # 2 components x 4096^2 outer nodes of a 3-dimensional H: 2^25 rows
         p = TrigPolynomial(4, [((0, 0, 0, 0), 1.0), ((1, 1, 1, 1), 0.5)])
         path = tmp_path / "q.json"
-        save_polynomial(p, str(path))
+        _save_poly(p, str(path))
         args = [
             "theta", "--poly", str(path), "--gamma", "sqrt2,sqrt3,1/2,sqrt5",
             "--lambda", "0.1,0.2,0.3,0.4", "--points", "4096",
@@ -371,7 +386,7 @@ class TestTheta:
 def test_phase_check(tmp_path):
     p2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
     path = tmp_path / "p2.json"
-    save_polynomial(p2, str(path))
+    _save_poly(p2, str(path))
     out = tmp_path / "pc.json"
     args = [
         "phase-check", "--poly", str(path), "--base", "0.3,0.7",
@@ -399,7 +414,7 @@ def test_phase_check_walks_the_orbit_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cocycle, "_phase_orbit", counting)
     p2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
     path = tmp_path / "p2.json"
-    save_polynomial(p2, str(path))
+    _save_poly(p2, str(path))
     args = [
         "phase-check", "--poly", str(path), "--base", "0.3,0.7",
         "--alpha", "1/2", "--beta", "sqrt2", "--n", "100",
@@ -423,7 +438,7 @@ def test_phase_check_evaluates_p_twice(tmp_path, monkeypatch):
     monkeypatch.setattr(TrigPolynomial, "eval_points", counting)
     p2 = TrigPolynomial(2, [((0, 0), 1.0), ((1, 1), 0.25), ((4, -2), 0.25)])
     path = tmp_path / "p2.json"
-    save_polynomial(p2, str(path))
+    _save_poly(p2, str(path))
     args = [
         "phase-check", "--poly", str(path), "--base", "0.3,0.7",
         "--alpha", "1/2", "--beta", "sqrt2", "--out", str(tmp_path / "pc.json"),

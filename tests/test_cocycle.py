@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from gaborzak import cocycle, numerics
 from gaborzak.cocycle import (
-    _orbit_values,
     _phase_cocycle_rhs,
     SyntheticPhaseField,
     ThetaEstimate,
@@ -20,7 +19,6 @@ from gaborzak.cocycle import (
     phase_branch,
     phase_cocycle_iterate,
     phase_mean_along_orbit,
-    propagate,
     rigidity_scan,
     theta_birkhoff,
     theta_haar,
@@ -74,64 +72,9 @@ P2_VERTICAL_THETA = {
 }
 
 
-class TestPropagate:
-    def setup_method(self):
-        self.gamma = Gamma.from_tokens("0,sqrt2")
-        self.base = reduce_mod1([0.1, 0.2])
-
-    def test_increments_are_log_moduli(self):
-        traj = propagate(1.0, self.base, self.gamma, P2, 200)
-        q = np.abs(P2.eval_points(orbit_points(self.base, self.gamma, 200)))
-        steps = np.diff(traj.logF)
-        assert np.max(np.abs(steps - np.log(q))) < 1e-10
-
-    def test_exponential_matches_direct_product(self):
-        traj = propagate(2.0, self.base, self.gamma, P2, 1000)
-        q = np.abs(P2.eval_points(orbit_points(self.base, self.gamma, 1000)))
-        direct = 2.0
-        for n in (1, 10, 100, 1000):
-            direct = 2.0 * float(np.prod(q[:n]))
-            got = math.exp(traj.logF[n])
-            assert abs(got - direct) <= 1e-8 * direct
-
-    def test_time_average_approaches_coset_mean(self):
-        # the forward averages converge to the w-mean of ln|p| on the
-        # invariant vertical coset through the base point
-        traj = propagate(1.0, self.base, self.gamma, P2, 100_000)
-        avg = traj.logF[100_000] / 100_000
-        assert abs(avg - P2_VERTICAL_THETA[0.1]) < 1e-4
-
-    def test_skipped_steps_poison_later_comparisons(self):
-        traj = propagate(1.0, self.base, self.gamma, P2, 300, skip_threshold=0.8)
-        assert traj.skipped
-        first = traj.skipped[0][0]
-        assert traj.comparable[: first + 1].all()
-        assert not traj.comparable[first + 1 :].any()
-        assert "below skip threshold" in traj.skipped[0][1]
-
-    def test_zero_start_is_absorbing(self):
-        traj = propagate(0.0, self.base, self.gamma, P2, 50)
-        assert traj.zero_orbit
-        assert np.all(np.isneginf(traj.logF))
-        assert traj.comparable.all()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            propagate(1.0, self.base, self.gamma, P2, 0)
-        with pytest.raises(ValueError):
-            propagate(-1.0, self.base, self.gamma, P2, 10)
-        with pytest.raises(ValueError):
-            propagate(1.0, self.base, self.gamma, P2, 10, skip_threshold=0.0)
-
-    def test_nan_threshold_is_refused(self):
-        # a NaN threshold used to skip all 100 steps and return logF[-1] = 0.0
-        with pytest.raises(ValueError, match="skip threshold must be positive"):
-            propagate(1.0, self.base, self.gamma, P2, 100, skip_threshold=math.nan)
-
-    def test_nan_start_is_refused(self):
-        # F0 = NaN used to give a zero orbit, logF all -inf
-        with pytest.raises(ValueError, match="F0 must be >= 0"):
-            propagate(math.nan, self.base, self.gamma, P2, 100)
+def _orbit_values(p, base, gamma, n):
+    """p(base + j gamma) for j < n, from the engine of ``theta_birkhoff``."""
+    return np.concatenate(cocycle._orbit_groups(p, base, gamma, n, lambda values: values))
 
 
 def _random_poly(m, terms, seed):
@@ -248,8 +191,6 @@ class TestThetaBirkhoff:
         gamma, base = Gamma.from_tokens(tokens), reduce_mod1(lam)
         with pytest.raises(ValueError, match="dimension mismatch"):
             theta_birkhoff(p, base, gamma, 1000)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            propagate(1.0, base, gamma, p, 1000)
 
 
 # P1 vanishes (1.1e-16) at the float point (1/3, 1/6) and nowhere else on
@@ -298,18 +239,9 @@ class TestBlockSplit:
             "Birkhoff average skipped a fraction 1.429e-01 of its steps with |p| below "
             "delta = 1e-08")
 
-    def test_propagate_does_not_depend_on_the_groups(self, monkeypatch):
-        def trajectory():
-            traj = propagate(1.0, ZERO_BASE, Gamma.from_tokens("0,1/211"), P1, 5000)
-            return traj.logF.tobytes(), traj.skipped, traj.comparable.tobytes()
-
-        _, skipped, _ = _same_for_cpus_and_groups(trajectory, monkeypatch)
-        assert [j for j, _ in skipped] == list(range(0, 5000, 211))
-
     @pytest.mark.parametrize("call", [
         lambda n: theta_birkhoff(P1, reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), n),
-        lambda n: propagate(1.0, reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2"), P1, n),
-    ], ids=["theta_birkhoff", "propagate"])
+    ], ids=["theta_birkhoff"])
     @pytest.mark.parametrize("n", [1000.0, np.float64(2000.0), 2.5, True, False, "7"])
     def test_non_integer_step_count_is_refused(self, call, n):
         # a TypeError from slicing before; True ran as n = 1
@@ -319,8 +251,6 @@ class TestBlockSplit:
     def test_numpy_integer_step_counts_are_accepted(self):
         lam, gamma = reduce_mod1([0.25, 0.0]), Gamma.from_tokens("0,sqrt2")
         assert theta_birkhoff(P1, lam, gamma, np.int64(2000)) == theta_birkhoff(P1, lam, gamma, 2000)
-        assert np.array_equal(propagate(1.0, lam, gamma, P1, np.int32(50)).logF,
-                              propagate(1.0, lam, gamma, P1, 50).logF)
 
 
 class TestThetaHaar:
@@ -1016,21 +946,10 @@ def test_interior_zero_reports_its_step(k):
 
 
 class TestSyntheticPhaseField:
-    def test_point_at_step_walks_the_orbit(self):
-        field = SyntheticPhaseField(
-            P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),)
-        )
-        pt = field.point_at_step(3)
-        want_t = (0.3 - 3 * math.sqrt(2)) % 1.0
-        want_w = (0.7 + 3 * math.sqrt(3)) % 1.0
-        assert abs(pt[0] - want_t) < 1e-12
-        assert abs(pt[1] - want_w) < 1e-12
-
-    @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step", "point_at_step"])
+    @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step"])
     @pytest.mark.parametrize("n", [1.5, 2.0, np.float64(3.0), True, False, "7"])
     def test_non_integer_step_is_refused(self, call, n):
-        # point_at_step(1.5) and point_at_step(True) returned the step-1
-        # point; phase_lift(1.5) raised a TypeError from range, and
+        # phase_lift(1.5) raised a TypeError from range, and
         # phase_lift(True) one from numpy's bool indexing
         field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
         with pytest.raises(ValueError, match="n must be an integer"):
@@ -1040,7 +959,6 @@ class TestSyntheticPhaseField:
         args = (P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
         field = SyntheticPhaseField(*args)
         assert field.phase_lift(np.int64(5)) == SyntheticPhaseField(*args).phase_lift(5)
-        assert field.point_at_step(np.int32(3)) == field.point_at_step(3)
 
     def test_lift_extension_is_order_independent(self):
         args = (P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
@@ -1078,9 +996,8 @@ class TestSyntheticPhaseField:
             field.phase_lift(6)
         assert field.phase_lift(3) == SyntheticPhaseField(*args, theta0=0.2).phase_lift(3)
 
-    @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step", "point_at_step"])
+    @pytest.mark.parametrize("call", ["phase_lift", "phase_at_step"])
     def test_negative_step_is_refused(self, call):
-        # point_at_step(-2) returned the point two steps back
         field = SyntheticPhaseField(P2, reduce_mod1([0.3, 0.7]), (mk("sqrt2"),), (mk("sqrt3"),))
         with pytest.raises(ValueError, match="^n must be >= 0$"):
             getattr(field, call)(-2)

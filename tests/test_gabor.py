@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
@@ -37,6 +38,11 @@ def _config(alpha_tok, beta_tok):
         TFPoint((mk(alpha_tok),), (mk(beta_tok),)),
     )
     return GaborConfig(dimension=1, points=pts, lattice_mask=(True, True, True, False))
+
+
+def _rational_config(pairs):
+    pts = tuple(TFPoint((mk(str(Fraction(x))),), (mk(str(Fraction(y))),)) for x, y in pairs)
+    return GaborConfig(1, pts, tuple(pt.is_integer() for pt in pts))
 
 
 CFG_A = _config("sqrt2", "sqrt2")
@@ -112,6 +118,12 @@ class TestGramOracles:
     def test_zak_domain_refuses_a_resolution_below_4(self, M):
         # 0 divided by M^{2d}; 2 gave a Gram matrix with diagonal 1.0075
         with pytest.raises(ValueError, match="resolution must be >= 4"):
+            gram_matrix_zak(GaussianWindow(), CFG_A, resolution=M)
+
+    @pytest.mark.parametrize("M", [64.5, 64.0, np.float64(16.0), True, "64"])
+    def test_zak_domain_refuses_a_resolution_that_is_not_an_integer(self, M):
+        # 64.5 returned a Gram matrix
+        with pytest.raises(ValueError, match="^resolution must be an integer$"):
             gram_matrix_zak(GaussianWindow(), CFG_A, resolution=M)
 
     @pytest.mark.parametrize("K", [-1, 0, 2.5, 2.0, np.float64(3.0), True, "7"])
@@ -228,6 +240,25 @@ class TestGramProperties:
         P = np.eye(4)[perm]
         assert np.max(np.abs(P @ a.matrix @ P.T - b.matrix)) < 1e-15
 
+    @pytest.mark.parametrize("window", [GaussianWindow(), HermiteWindow(3)],
+                             ids=["gaussian", "hermite3"])
+    def test_spectrum_is_covariant(self, window):
+        # permuting Lambda, or translating all of it by one integer vector,
+        # conjugates the Gram matrix by a unitary: the spectrum stays
+        lam = [(0, 0), (1, 0), (0, 1), (Fraction(1, 3), Fraction(2, 5)),
+               (Fraction(-1, 2), Fraction(3, 7))]
+        moved = [[lam[i] for i in (3, 0, 4, 2, 1)]]
+        moved += [[(x + a, y + b) for x, y in lam] for a, b in ((2, -1), (-3, 4))]
+        methods = [partial(gram_matrix, window, quad=QuadratureSpec("composite-midpoint", 512)),
+                   partial(gram_matrix_zak, window)]
+        if isinstance(window, GaussianWindow):
+            methods.append(gaussian_gram_closed_form)
+        for method in methods:
+            want = method(_rational_config(lam)).eigenvalues
+            for pts in moved:
+                got = method(_rational_config(pts)).eigenvalues
+                assert np.max(np.abs(got - want)) <= 1e-13, (method, pts)
+
 
 class TestDependenceResidual:
     def test_oracle_values(self):
@@ -260,6 +291,12 @@ class TestDependenceResidual:
         # -1 solved against the target itself (residual 0.0, "dependent");
         # 4 and past it indexed past the Gram matrix (IndexError)
         with pytest.raises(ValueError, match="target index"):
+            dependence_residual(GaussianWindow(), CFG_A, target_index=target)
+
+    @pytest.mark.parametrize("target", [True, 1.0, np.float64(2.0), "1"])
+    def test_target_that_is_not_an_integer_is_refused(self, target):
+        # True failed inside matmul, 1.0 raised an IndexError
+        with pytest.raises(ValueError, match="^target index .* is not an integer$"):
             dependence_residual(GaussianWindow(), CFG_A, target_index=target)
 
     def test_too_small_config(self):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from gaborzak.errors import NumericalFailure, TruncationError
-from gaborzak.gabor import TFPoint, _atom_eval_many
-from gaborzak.numerics import parse_coordinate, product_grid
-from gaborzak.trigpoly import TrigPolynomial
+from gaborzak.gabor import GaborConfig, TFPoint, _atom_eval_many, dependence_residual
+from gaborzak.numerics import QuadratureSpec, parse_coordinate, product_grid
+from gaborzak.trigpoly import TrigPolynomial, from_lattice_config
 from gaborzak.windows import GaussianWindow, HermiteWindow, SampledGridWindow
 from gaborzak import numerics, zak
 from peak_rss import peak_rss_mb
@@ -117,6 +117,36 @@ def test_truncation_that_is_not_a_positive_integer_is_refused_before_any_work(K,
         zak_transform(GaussianWindow(), resolution=16, truncation=K)
 
 
+@pytest.mark.parametrize("tail_target", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("K", [None, 6])
+def test_tail_target_that_is_not_positive_is_refused_before_any_work(tail_target, K, monkeypatch):
+    # each raised TruncationError: "no truncation radius up to 60 meets the
+    # tail target", which blamed the window
+    def no_work(*args):
+        raise AssertionError("the decay bounds were computed")
+
+    monkeypatch.setattr(zak, "_decay_bounds", no_work)
+    with pytest.raises(ValueError, match="^tail target must be positive$"):
+        zak_transform(GaussianWindow(), resolution=16, truncation=K, tail_target=tail_target)
+
+
+@pytest.mark.parametrize("M", [64.0, 64.5, np.float64(16.0), True, "64"])
+def test_resolution_that_is_not_an_integer_is_refused(M):
+    # 64.0 raised numpy's TypeError
+    with pytest.raises(ValueError, match="^resolution must be an integer$"):
+        zak_transform(GaussianWindow(), resolution=M)
+
+
+@pytest.mark.parametrize("K, message", [
+    (-1, "truncation must be >= 1"), (0, "truncation must be >= 1"),
+    (2.5, "truncation must be an integer"), (True, "truncation must be an integer"),
+])
+def test_zak_point_refuses_a_truncation_that_is_not_a_positive_integer(K, message):
+    # each returned a value without an error
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        zak_point(GaussianWindow(), [0.1], [0.2], K)
+
+
 def test_numpy_integer_truncation_is_accepted():
     a = zak_transform(GaussianWindow(), resolution=16, truncation=np.int64(6))
     assert a.values.tobytes() == zak_transform(GaussianWindow(), resolution=16, truncation=6).values.tobytes()
@@ -183,6 +213,40 @@ class TestFunctionalEquation:
         p = TrigPolynomial(2, [((0, 0), 1.0), ((-1, 0), 0.5), ((0, -1), -0.5)])
         s2 = (parse_coordinate("sqrt2"),)
         assert functional_equation_residual(Z, p, s2, s2) > 1e-2
+
+
+def _mixed_config(*pairs):
+    pts = tuple(TFPoint((parse_coordinate(x),), (parse_coordinate(y),)) for x, y in pairs)
+    return GaborConfig(1, pts, tuple(pt.is_integer() for pt in pts))
+
+
+@pytest.mark.parametrize("window", [GaussianWindow(), HermiteWindow(3)], ids=["gaussian", "hermite3"])
+@pytest.mark.parametrize("cfg", [
+    _mixed_config(("0", "0"), ("1", "0"), ("0", "1"), ("sqrt2", "sqrt3")),
+    _mixed_config(("0", "0"), ("1", "0"), ("0", "1"), ("1", "1"), ("1/3", "sqrt2")),
+    _mixed_config(("0", "0"), ("2", "1"), ("sqrt2", "-sqrt3")),
+], ids=["unit-square", "five-points", "sparse"])
+def test_zak_residual_is_the_dependence_residual(cfg, window):
+    # Z(sum c_k a_k - M_beta T_alpha f) = p Zf - e(-<t, beta>) Zf(t - alpha,
+    # w + beta), and Z is unitary: the Schur residual and the grid RMS agree
+    coeffs, residual = dependence_residual(window, cfg, quad=QuadratureSpec("composite-midpoint", 4096))
+    p = from_lattice_config(cfg, coeffs)
+    off = cfg.points[coeffs.target_index]
+    Z = zak_transform(window, 32)
+    assert abs(functional_equation_residual(Z, p, off.x, off.y) - residual) <= 1e-13
+
+
+def test_zak_residual_is_the_dependence_residual_in_dimension_2():
+    mk = parse_coordinate
+    cfg = GaborConfig(2, (TFPoint((mk("0"), mk("0")), (mk("0"), mk("0"))),
+                          TFPoint((mk("1"), mk("0")), (mk("0"), mk("1"))),
+                          TFPoint((mk("sqrt2"), mk("-1/3")), (mk("1/2"), mk("sqrt3")))),
+                      (True, True, False))
+    coeffs, residual = dependence_residual(GaussianWindow(2), cfg)
+    p = from_lattice_config(cfg, coeffs)
+    off = cfg.points[coeffs.target_index]
+    Z = zak_transform(GaussianWindow(2), 16)
+    assert abs(functional_equation_residual(Z, p, off.x, off.y) - residual) <= 1e-13
 
 
 def test_zero_set_invariance_under_integer_shift():
@@ -467,6 +531,13 @@ def test_zero_set_is_the_argwhere_points_in_row_major_order(Z, threshold):
     want = tuple(tuple(float(i) / Z.resolution for i in idx) for idx in np.argwhere(mask))
     assert tuple(p.coords for p in zs.points) == want
     assert want  # every case finds a zero
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_zero_set_refuses_a_threshold_that_is_not_positive(threshold):
+    # a NaN threshold returned no points
+    with pytest.raises(ValueError, match="^threshold must be positive$"):
+        locate_zero_set(zak_transform(GaussianWindow(), 16), threshold)
 
 
 class _InfiniteAtHalf(GaussianWindow):
